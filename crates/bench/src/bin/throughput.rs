@@ -1,17 +1,19 @@
 //! Simulation-throughput tracker: measures the hot paths (functional
-//! emulation, cycle-level pipeline, a fig5-style sweep point, and the
-//! cache/predictor microbenchmarks) in real units (Minst/s, Mcyc/s, …) and
-//! writes a JSON report, so the performance trajectory of the simulator is
-//! tracked commit over commit.
+//! emulation, the functional traffic simulation behind Tables 3 and 4,
+//! cycle-level pipeline, a fig5-style sweep point, and the cache/predictor
+//! microbenchmarks) in real units (Minst/s, Mcyc/s, …) and writes a JSON
+//! report, so the performance trajectory of the simulator is tracked commit
+//! over commit.
 //!
 //! Usage: `throughput [OUT.json] [--quick] [--compare BASE.json]`
-//! (default out `BENCH_pr10.json`; see `scripts/bench.sh`).
+//! (default out `BENCH_pr12.json`; see `scripts/bench.sh`).
 //!
 //! The report header records host context (`logical_cores`, the
 //! `thread_budget` the threaded rows used): thread-budget rows are only
 //! comparable between hosts with the same core count, so `--compare`
 //! warns — without failing — when the baseline's header disagrees (or
-//! predates the header).
+//! predates the header). The `fanout_gate` field says whether the ≥2×
+//! threaded-lockstep gate was armed on this host, and with what result.
 //!
 //! * `--quick` — shorter sampling windows: a smoke gate for
 //!   `scripts/check.sh`, not a tracking-quality measurement. Its
@@ -38,6 +40,7 @@ use std::time::Instant;
 use svf_bench::{cache_probe, predictor_churn, simulate, stack_kernel};
 use svf_cpu::{CpuConfig, StackEngine};
 use svf_emu::Emulator;
+use svf_experiments::traffic::traffic_run;
 
 /// One measured benchmark: name, work metric per run, best rate.
 struct Row {
@@ -115,7 +118,7 @@ fn compare(rows: &[Row], baseline_path: &str, baseline: &str, floor: f64) -> Vec
 }
 
 fn main() -> ExitCode {
-    let mut out = "BENCH_pr10.json".to_string();
+    let mut out = "BENCH_pr12.json".to_string();
     let mut quick = false;
     let mut compare_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
@@ -160,6 +163,11 @@ fn main() -> ExitCode {
     let gap = svf_bench::compile(svf_workloads::workload("gap").expect("exists"));
     let bzip2 = svf_bench::compile(svf_workloads::workload("bzip2").expect("exists"));
     let twolf = svf_bench::compile(svf_workloads::workload("twolf").expect("exists"));
+    let twolf_insts = {
+        let mut emu = Emulator::new(&twolf);
+        emu.run(u64::MAX).expect("runs");
+        emu.steps()
+    };
 
     let mut svf_cfg = CpuConfig::wide16().with_ports(2, 2);
     svf_cfg.stack_engine = StackEngine::svf_8kb();
@@ -182,6 +190,12 @@ fn main() -> ExitCode {
             let mut emu = Emulator::new(&gap);
             emu.run(u64::MAX).expect("runs");
             emu.steps()
+        }),
+        // The functional traffic simulation behind Table 3 (stack cache vs
+        // SVF at 8 KB): emulation plus both structures, no timing model.
+        measure("functional/traffic-twolf", "Minst/s", s1, r1, || {
+            std::hint::black_box(traffic_run(&twolf, 8 << 10, None));
+            twolf_insts
         }),
         measure("pipeline-16wide/stack-kernel", "Mcyc/s", s2, r2, || {
             simulate(&base_cfg, &kernel).cycles
@@ -278,11 +292,10 @@ fn main() -> ExitCode {
         "lockstep-mt/bzip2: {mt_speedup:.2}x over serial lockstep \
          ({thread_budget} threads on {logical_cores} logical cores)"
     );
-    if logical_cores >= 4 && mt_speedup < 2.0 {
-        eprintln!(
-            "FANOUT SPEEDUP: {mt_speedup:.2}x is below the 2x floor on a \
-             {logical_cores}-core host"
-        );
+    let (fanout_gate, fanout_ok) = svf_bench::fanout_gate(logical_cores, mt_speedup);
+    eprintln!("fan-out gate: {fanout_gate}");
+    if !fanout_ok {
+        eprintln!("FANOUT SPEEDUP: {fanout_gate}");
         return ExitCode::FAILURE;
     }
 
@@ -290,6 +303,7 @@ fn main() -> ExitCode {
     json.push_str(&format!(
         "  \"host\": {{\"logical_cores\": {logical_cores}, \"thread_budget\": {thread_budget}}},\n"
     ));
+    json.push_str(&format!("  \"fanout_gate\": \"{fanout_gate}\",\n"));
     json.push_str("  \"benchmarks\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(

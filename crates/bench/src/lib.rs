@@ -1,20 +1,26 @@
-//! # svf-bench — Criterion benchmark harness
+//! # svf-bench — benchmark harness
 //!
-//! Three bench suites regenerate the paper's evaluation as measured
-//! artifacts:
+//! Four Criterion suites regenerate the paper's evaluation as measured
+//! artifacts, and one binary tracks simulator throughput:
 //!
 //! * `benches/figures.rs` — one group per performance figure (5, 6, 7, 9):
 //!   each benchmark simulates a workload under one configuration and the
 //!   reported wall-times are proportional to simulated cycles, so the
 //!   Criterion report mirrors the paper's bar charts. The actual simulated
 //!   cycle counts are printed alongside.
-//! * `benches/tables.rs` — the traffic experiments (Tables 3 and 4) and the
-//!   characterization passes (Figures 1–3).
+//! * `benches/hotpath.rs` — the per-cycle simulator loop: whole-program
+//!   pipeline simulation on the spill-heavy stack kernel, record-free
+//!   functional emulation, and a Figure 5-style sweep point.
 //! * `benches/micro.rs` — microbenchmarks of the substrate itself: SVF
 //!   access/adjust throughput, cache probe throughput, emulator and
 //!   pipeline simulation speed, compile+assemble latency.
+//! * `benches/tables.rs` — the traffic experiments (Tables 3 and 4) and the
+//!   characterization passes (Figures 1–3).
+//! * `src/bin/throughput.rs` — wall-clock rates (Minst/s, Mcyc/s, …) of the
+//!   hot paths in a JSON report (`BENCH_*.json`), with a `--compare` gate
+//!   against an earlier report; `scripts/bench.sh` runs it.
 //!
-//! Run with `cargo bench` (full) or e.g.
+//! Run the suites with `cargo bench` (full) or e.g.
 //! `cargo bench --bench figures -- fig7` for one group.
 
 #![forbid(unsafe_code)]
@@ -150,6 +156,25 @@ pub fn parse_logical_cores(json: &str) -> Option<u64> {
     let tail = &json[i + 17..];
     let end = tail.find(|c: char| !c.is_ascii_digit()).unwrap_or(tail.len());
     tail[..end].parse().ok()
+}
+
+/// Logical cores a host needs before the threaded-lockstep row is gated.
+const FANOUT_GATE_CORES: usize = 4;
+
+/// The state of the ≥2× threaded-lockstep gate, for the report and the
+/// exit code: armed only on hosts with at least 4 logical cores, where it
+/// passes when the threaded row reaches twice the serial lockstep rate. An
+/// unarmed gate says what it would need rather than pass silently. Returns
+/// the state line and whether the run passes.
+#[must_use]
+pub fn fanout_gate(logical_cores: usize, mt_speedup: f64) -> (String, bool) {
+    if logical_cores < FANOUT_GATE_CORES {
+        let state = format!("unarmed: needs {FANOUT_GATE_CORES} cores, host has {logical_cores}");
+        return (state, true);
+    }
+    let ok = mt_speedup >= 2.0;
+    let verdict = if ok { "passed" } else { "FAILED" };
+    (format!("armed: {verdict}, {mt_speedup:.2}x against a 2x floor"), ok)
 }
 
 /// `current / baseline` rate ratio for one benchmark, or `None` when the
@@ -322,6 +347,19 @@ mod tests {
         assert_eq!(parse_logical_cores(""), None);
         // The header must not confuse the rate scanner.
         assert!(parse_rates(report).is_empty());
+    }
+
+    #[test]
+    fn fanout_gate_arms_only_on_enough_cores() {
+        assert_eq!(
+            fanout_gate(2, 0.98),
+            ("unarmed: needs 4 cores, host has 2".to_string(), true),
+            "a small host never fails the gate"
+        );
+        let (state, ok) = fanout_gate(8, 2.5);
+        assert!(ok && state.starts_with("armed: passed"), "{state}");
+        let (state, ok) = fanout_gate(4, 1.5);
+        assert!(!ok && state.starts_with("armed: FAILED"), "{state}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Sampled simulation: checkpointed functional fast-forward with detailed
-//! intervals and functional warmup.
+//! Sampled simulation: functional fast-forward with detailed intervals and
+//! functional warmup.
 //!
 //! Full detailed simulation pays the pipeline's cycle loop for every
 //! instruction; the functional emulator is orders of magnitude faster. A
@@ -8,9 +8,10 @@
 //! while a [`WarmupSink`] keeps the long-lived structures — cache tags and
 //! dirty bits, SVF / stack-cache contents, branch predictor tables — warm
 //! off the same [`Retired`] records the timing model would have seen. Each
-//! interval then runs the real pipeline from a checkpointed machine state
-//! with warm structures but a cold (drained) pipeline, and the per-interval
-//! statistics are pooled and extrapolated to a whole-run estimate.
+//! interval then runs the real pipeline on the same machine, picking up
+//! where the functional run left it, with warm structures but a cold
+//! (drained) pipeline, and the per-interval statistics are pooled and
+//! extrapolated to a whole-run estimate.
 //!
 //! The flow per measured interval:
 //!
@@ -21,11 +22,11 @@
 //!    accesses the pipeline's dispatch would have routed to them. (The
 //!    execution-driven model is functional-first, so structure-touch order
 //!    equals record order — the warmer is faithful by construction.)
-//! 3. **Measure**: [`Emulator::checkpoint`] the primary, restore into a
-//!    scratch machine, and drive the detailed lockstep loop over the
-//!    interval from the scratch; then the scratch (now at interval end)
-//!    *becomes* the primary by swap. Structure statistics are reset at the
-//!    interval boundary so each interval's counters cover only itself.
+//! 3. **Measure**: lend the primary emulator to the detailed lockstep loop,
+//!    which steps it over the interval's ramp, measured window and tail;
+//!    the fast-forward to the next interval resumes from where the loop
+//!    stopped. Structure statistics are reset at the interval boundary so
+//!    each interval's counters cover only itself.
 //! 4. **Extrapolate** with a stratified estimator: each measured interval
 //!    represents its *stratum* — every instruction since the previous
 //!    interval's measurement boundary (the measurement sits at the end of
@@ -496,9 +497,6 @@ pub fn run_sampled_fanout(
     let mut emu = Emulator::new(program);
     let initial_sp = emu.reg(Reg::SP);
     let heap_base = emu.heap_base();
-    // Clone (not `Emulator::new`) so both machines share one decoded image
-    // and checkpoints restore across them.
-    let mut scratch = emu.clone();
 
     let mut states: Vec<EngineState> =
         configs.iter().map(|c| EngineState::new(c, initial_sp)).collect();
@@ -549,15 +547,13 @@ pub fn run_sampled_fanout(
         if emu.is_halted() || emu.steps() >= max_insts {
             break;
         }
-        // Detailed interval: checkpoint, run the pipeline on the scratch
-        // machine over ramp + interval + tail instructions with the stats
-        // scoped to the interval, then adopt the scratch as the primary.
+        // Detailed interval: run the pipeline on the primary machine over
+        // ramp + interval + tail instructions with the stats scoped to the
+        // interval.
         let pos = emu.steps();
         let measure_from = start.saturating_sub(pos); // ramp clipped at the stream head
         let measure_to = measure_from.saturating_add(spec.interval);
         let budget = measure_to.saturating_add(spec.tail).min(max_insts - pos);
-        let ck = emu.checkpoint();
-        scratch.restore(&ck);
         let mut pipes: Vec<Pipeline> = configs
             .iter()
             .zip(states.drain(..))
@@ -568,7 +564,7 @@ pub fn run_sampled_fanout(
                 p
             })
             .collect();
-        let mut src = BorrowedSource { initial_sp: scratch.reg(Reg::SP), emu: &mut scratch };
+        let mut src = BorrowedSource { initial_sp: emu.reg(Reg::SP), emu: &mut emu };
         drive_fanout(&mut pipes, &mut src, budget, fanout).unwrap_or_else(|e| fault(e));
         for (slot, pipe) in measured.iter_mut().zip(pipes) {
             let (stats, st) = pipe.finish_into_state();
@@ -582,13 +578,12 @@ pub fn run_sampled_fanout(
         // boundary at the measurement edge keeps a transient interval (the
         // cold program start) from having its average stretched over
         // instructions it did not measure.
-        let end_pos = scratch.steps();
+        let end_pos = emu.steps();
         let meas_end = (pos + measure_to).min(end_pos);
         represented.push(meas_end - stratum_start);
         stratum_start = meas_end;
         detailed += end_pos - pos;
         intervals += 1;
-        std::mem::swap(&mut emu, &mut scratch);
     }
 
     // Finish the functional run so the reported total is exact.
@@ -861,7 +856,7 @@ mod tests {
     #[test]
     fn sampled_intervals_reproduce_continuous_windows() {
         // With a ramp past the pipeline's path-dependence horizon, an
-        // interval measured from a checkpoint restart is bit-identical to
+        // interval measured from a cold-pipeline restart is bit-identical to
         // the same window measured inside one continuous detailed run.
         let p = kernel();
         let cfg = CpuConfig::wide16();

@@ -10,7 +10,10 @@
 //! 2. **Workload validation.** Each benchmark prints a checksum through the
 //!    `putint` system call; tests compare it against a known-good value.
 //! 3. **Reference-behaviour characterization.** The classification helpers
-//!    ([`AccessMethod`], [`Retired::mem`]) drive the paper's Figures 1–3.
+//!    ([`AccessMethod`], [`MemAccess`]) drive the paper's Figures 1–3, and
+//!    the traffic tables replay the same reference stream; both take it
+//!    from [`Emulator::step_observe`] through a [`StepObserver`], which
+//!    skips building the [`Retired`] record.
 //!
 //! # Example
 //!
@@ -40,7 +43,7 @@ mod retired;
 mod stream;
 mod trace;
 
-pub use machine::{Checkpoint, EmuError, Emulator, RunOutcome};
+pub use machine::{EmuError, Emulator, RunOutcome, StepObserver};
 pub use memory::Memory;
 pub use retired::{AccessMethod, ControlFlow, MemAccess, Retired, SpUpdate};
 pub use stream::{LiveSource, RecordRing, RecordSource, SalvageReport, StreamError, TraceSource};

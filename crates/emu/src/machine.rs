@@ -59,6 +59,65 @@ pub enum RunOutcome {
     StepLimit,
 }
 
+/// Receives the stack-relevant events of each instruction that
+/// [`Emulator::step_observe`] commits, without a [`Retired`] record being
+/// written.
+pub trait StepObserver {
+    /// The instruction wrote `$sp`. When one instruction also references
+    /// memory, this comes first.
+    fn sp_update(&mut self, update: SpUpdate);
+
+    /// The instruction referenced memory; `sp_before` is `$sp` before it
+    /// executed.
+    fn mem(&mut self, access: MemAccess, sp_before: u64);
+}
+
+/// How the stepping core hands a committed instruction to its caller. The
+/// core is monomorphized per sink and assembles only what the sink's
+/// constants ask for: [`Emulator::run`] (`()`) nothing,
+/// [`Emulator::step_observe`] the `$sp` update and memory reference, and
+/// [`Emulator::step_record`] (`Retired`) the full record.
+trait Sink {
+    /// Assemble the `$sp` update and the memory reference.
+    const EVENTS: bool = true;
+    /// Also assemble the control-flow outcome and the full record.
+    const RECORD: bool = false;
+
+    #[inline]
+    fn sp_update(&mut self, _update: SpUpdate) {}
+
+    #[inline]
+    fn mem(&mut self, _access: MemAccess, _sp_before: u64) {}
+
+    #[inline]
+    fn record(&mut self, _r: Retired) {}
+}
+
+impl Sink for () {
+    const EVENTS: bool = false;
+}
+
+impl Sink for Retired {
+    const RECORD: bool = true;
+
+    #[inline]
+    fn record(&mut self, r: Retired) {
+        *self = r;
+    }
+}
+
+impl<O: StepObserver> Sink for O {
+    #[inline]
+    fn sp_update(&mut self, update: SpUpdate) {
+        StepObserver::sp_update(self, update);
+    }
+
+    #[inline]
+    fn mem(&mut self, access: MemAccess, sp_before: u64) {
+        StepObserver::mem(self, access, sp_before);
+    }
+}
+
 /// The functional emulator. See the [crate docs](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct Emulator {
@@ -70,40 +129,6 @@ pub struct Emulator {
     output: Vec<u8>,
     halted: bool,
     steps: u64,
-}
-
-/// A point-in-time snapshot of the full architectural state of an
-/// [`Emulator`]: registers, PC, resident memory pages, syscall output,
-/// halt flag, and the retired-instruction count.
-///
-/// The decoded text image is *not* part of the snapshot — it is immutable
-/// and shared by reference count, so [`Emulator::restore`] keeps whatever
-/// image the target machine already holds. Restoring a checkpoint into an
-/// emulator built from a different program is therefore a logic error
-/// (guarded by a debug assertion on the image identity).
-///
-/// Snapshot cost is dominated by cloning resident memory pages (4 KiB
-/// each); the benchmarks' working sets are tens of pages, so a checkpoint
-/// is microseconds, cheap enough to take once per sampled interval.
-#[derive(Debug, Clone)]
-pub struct Checkpoint {
-    regs: [u64; 32],
-    pc: u64,
-    mem: Memory,
-    output: Vec<u8>,
-    halted: bool,
-    steps: u64,
-    /// Identity of the decoded image the snapshot was taken under, for the
-    /// cross-program debug assertion in [`Emulator::restore`].
-    image: Arc<[Inst]>,
-}
-
-impl Checkpoint {
-    /// Retired-instruction count at the moment the snapshot was taken.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
 }
 
 impl Emulator {
@@ -194,7 +219,11 @@ impl Emulator {
         String::from_utf8_lossy(&self.output).into_owned()
     }
 
-    /// Executes one instruction and reports what committed.
+    /// Executes one instruction and returns its record by value. This
+    /// copies the whole [`Retired`] out on every call; it is a convenience
+    /// for tests and one-off probes. A hot loop steps in place with
+    /// [`Emulator::step_record`], or with [`Emulator::step_observe`] when it
+    /// needs only the `$sp` updates and memory references.
     ///
     /// # Errors
     ///
@@ -217,16 +246,28 @@ impl Emulator {
     /// machine is already halted; `out` is untouched on error.
     #[inline]
     pub fn step_record(&mut self, out: &mut Retired) -> Result<(), EmuError> {
-        self.step_impl::<true>(out)
+        self.step_impl(out)
     }
 
-    /// The fetch-decode-execute core, monomorphized over whether a
-    /// [`Retired`] record is materialized. Functional-only callers
-    /// ([`Emulator::run`]) use `RECORD = false` and skip assembling the
-    /// per-instruction record entirely (`out` is scratch); the
-    /// architectural effects are identical either way.
+    /// Executes one instruction and hands its `$sp` update and memory
+    /// reference, if any, to `observer`. No [`Retired`] record is built, so
+    /// functional simulations that replay only the reference stream (the
+    /// traffic tables, workload characterization) skip its cost.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`EmuError`] on bad PCs, misaligned accesses, or when the
+    /// machine is already halted; `observer` sees nothing on error.
+    #[inline]
+    pub fn step_observe<O: StepObserver>(&mut self, observer: &mut O) -> Result<(), EmuError> {
+        self.step_impl(observer)
+    }
+
+    /// The fetch-decode-execute core, monomorphized over what its caller
+    /// observes (see [`Sink`]); the architectural effects are identical
+    /// for every sink.
     #[allow(clippy::too_many_lines)]
-    fn step_impl<const RECORD: bool>(&mut self, out: &mut Retired) -> Result<(), EmuError> {
+    fn step_impl<S: Sink>(&mut self, sink: &mut S) -> Result<(), EmuError> {
         if self.halted {
             return Err(EmuError::Halted);
         }
@@ -241,6 +282,9 @@ impl Emulator {
         let mut next_pc = pc + 4;
         let mut mem_access = None;
         let mut control = None;
+        // The register the instruction writes, `$zero` when none: noting it
+        // per arm answers `Inst::writes_sp` without a second decode.
+        let mut dest = Reg::ZERO;
 
         match inst {
             Inst::Sys { func } => match func {
@@ -264,20 +308,23 @@ impl Emulator {
                     MemOp::Ldq => {
                         let v = self.mem.read_u64(addr);
                         self.set_reg(ra, v);
+                        dest = ra;
                     }
                     MemOp::Ldl => {
                         let v = self.mem.read_u32(addr) as i32 as i64 as u64;
                         self.set_reg(ra, v);
+                        dest = ra;
                     }
                     MemOp::Ldbu => {
                         let v = u64::from(self.mem.read_u8(addr));
                         self.set_reg(ra, v);
+                        dest = ra;
                     }
                     MemOp::Stq => self.mem.write_u64(addr, self.reg(ra)),
                     MemOp::Stl => self.mem.write_u32(addr, self.reg(ra) as u32),
                     MemOp::Stb => self.mem.write_u8(addr, self.reg(ra) as u8),
                 }
-                if RECORD {
+                if S::EVENTS {
                     mem_access =
                         Some(MemAccess { addr, size, is_store: op.is_store(), base: rb });
                 }
@@ -286,12 +333,14 @@ impl Emulator {
                 let d = if high { i64::from(disp) << 16 } else { i64::from(disp) };
                 let v = self.reg(rb).wrapping_add(d as u64);
                 self.set_reg(ra, v);
+                dest = ra;
             }
             Inst::Br { ra, disp, .. } => {
                 self.set_reg(ra, pc + 4);
+                dest = ra;
                 let target = (pc + 4).wrapping_add((i64::from(disp) * 4) as u64);
                 next_pc = target;
-                if RECORD {
+                if S::RECORD {
                     control = Some(ControlFlow { taken: true, target });
                 }
             }
@@ -301,7 +350,7 @@ impl Emulator {
                 if taken {
                     next_pc = target;
                 }
-                if RECORD {
+                if S::RECORD {
                     control = Some(ControlFlow { taken, target: next_pc });
                 }
             }
@@ -312,12 +361,14 @@ impl Emulator {
                     Operand::Lit(l) => u64::from(l),
                 };
                 self.set_reg(rc, op.apply(a, b));
+                dest = rc;
             }
             Inst::Jmp { ra, rb, .. } => {
                 let target = self.reg(rb) & !3;
                 self.set_reg(ra, pc + 4);
+                dest = ra;
                 next_pc = target;
-                if RECORD {
+                if S::RECORD {
                     control = Some(ControlFlow { taken: true, target });
                 }
             }
@@ -325,51 +376,32 @@ impl Emulator {
 
         self.pc = next_pc;
         self.steps += 1;
-        if RECORD {
+        if S::EVENTS {
             let sp_after = self.reg(Reg::SP);
-            let sp_update = (sp_after != sp_before || inst.writes_sp()).then(|| SpUpdate {
+            let sp_update = (dest == Reg::SP).then(|| SpUpdate {
                 old_sp: sp_before,
                 new_sp: sp_after,
                 immediate: inst.sp_immediate_adjust().is_some(),
             });
-            *out = Retired { pc, inst, next_pc, mem: mem_access, control, sp_update, sp_before };
+            if let Some(u) = sp_update {
+                sink.sp_update(u);
+            }
+            if let Some(m) = mem_access {
+                sink.mem(m, sp_before);
+            }
+            if S::RECORD {
+                sink.record(Retired {
+                    pc,
+                    inst,
+                    next_pc,
+                    mem: mem_access,
+                    control,
+                    sp_update,
+                    sp_before,
+                });
+            }
         }
         Ok(())
-    }
-
-    /// Snapshots the full architectural state (see [`Checkpoint`]).
-    #[must_use]
-    pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            regs: self.regs,
-            pc: self.pc,
-            mem: self.mem.clone(),
-            output: self.output.clone(),
-            halted: self.halted,
-            steps: self.steps,
-            image: Arc::clone(&self.decoded),
-        }
-    }
-
-    /// Restores a [`Checkpoint`], making this machine architecturally
-    /// identical to the one the snapshot was taken from. The decoded text
-    /// image is untouched (it is immutable and must match).
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the checkpoint was taken under the same decoded
-    /// image this machine runs.
-    pub fn restore(&mut self, ck: &Checkpoint) {
-        debug_assert!(
-            Arc::ptr_eq(&self.decoded, &ck.image),
-            "checkpoint restored into an emulator running a different program"
-        );
-        self.regs = ck.regs;
-        self.pc = ck.pc;
-        self.mem.clone_from(&ck.mem);
-        self.output.clone_from(&ck.output);
-        self.halted = ck.halted;
-        self.steps = ck.steps;
     }
 
     /// Runs until `halt` or until `max_steps` more instructions have
@@ -379,12 +411,11 @@ impl Emulator {
     ///
     /// Propagates any [`EmuError`] from [`Emulator::step`].
     pub fn run(&mut self, max_steps: u64) -> Result<RunOutcome, EmuError> {
-        let mut scratch = Retired::PLACEHOLDER;
         for _ in 0..max_steps {
             if self.halted {
                 return Ok(RunOutcome::Halted);
             }
-            self.step_impl::<false>(&mut scratch)?;
+            self.step_impl(&mut ())?;
         }
         Ok(if self.halted { RunOutcome::Halted } else { RunOutcome::StepLimit })
     }
@@ -583,6 +614,63 @@ mod tests {
     }
 
     #[test]
+    fn observed_events_match_the_full_record() {
+        // Every `$sp` write form (immediate adjust, register move, load
+        // into `$sp`) and every reference kind, stepped both ways.
+        let p = assemble(
+            "main:
+                lda $sp, -32($sp)
+                stq $ra, 0($sp)
+                li $t0, 7
+                stl $t0, 8($sp)
+                ldl $t1, 8($sp)
+                stb $t1, 12($sp)
+                ldbu $t2, 12($sp)
+                mov $sp, $t3
+                mov $t3, $sp
+                stq $sp, 16($sp)
+                ldq $sp, 16($sp)
+                lda $sp, 32($sp)
+                halt",
+        )
+        .unwrap();
+
+        #[derive(Debug, PartialEq)]
+        enum Event {
+            Sp(SpUpdate),
+            Mem(MemAccess, u64),
+        }
+        struct Log(Vec<Event>);
+        impl StepObserver for Log {
+            fn sp_update(&mut self, update: SpUpdate) {
+                self.0.push(Event::Sp(update));
+            }
+            fn mem(&mut self, access: MemAccess, sp_before: u64) {
+                self.0.push(Event::Mem(access, sp_before));
+            }
+        }
+
+        let mut recorded = Emulator::new(&p);
+        let mut observed = Emulator::new(&p);
+        let mut log = Log(Vec::new());
+        let mut r = Retired::PLACEHOLDER;
+        while !recorded.is_halted() {
+            recorded.step_record(&mut r).unwrap();
+            observed.step_observe(&mut log).unwrap();
+            assert_eq!(r.sp_update.is_some(), r.inst.writes_sp(), "at pc {:#x}", r.pc);
+            let expected: Vec<Event> = r
+                .sp_update
+                .map(Event::Sp)
+                .into_iter()
+                .chain(r.mem.map(|m| Event::Mem(m, r.sp_before)))
+                .collect();
+            assert_eq!(log.0.drain(..).collect::<Vec<_>>(), expected, "at pc {:#x}", r.pc);
+        }
+        assert_eq!(observed.steps(), recorded.steps());
+        assert_eq!(observed.reg(Reg::SP), STACK_BASE);
+    }
+
+    #[test]
     fn step_after_halt_errors() {
         let mut emu = Emulator::new(&assemble("main: halt").unwrap());
         emu.step().unwrap();
@@ -601,60 +689,6 @@ mod tests {
         );
         assert_eq!(emu.run(100).unwrap(), RunOutcome::StepLimit);
         assert_eq!(emu.steps(), 100);
-    }
-
-    #[test]
-    fn checkpoint_restore_replays_identically() {
-        let p = assemble(
-            "main:
-                li $t0, 10
-                li $a0, 0
-            .loop:
-                addq $a0, $t0, $a0
-                stq $a0, -8($sp)
-                subq $t0, 1, $t0
-                bne $t0, .loop
-                ldq $a0, -8($sp)
-                putint
-                halt",
-        )
-        .unwrap();
-        let mut emu = Emulator::new(&p);
-        emu.run(7).unwrap();
-        let ck = emu.checkpoint();
-        assert_eq!(ck.steps(), 7);
-
-        // Reference: record the rest of the run from the checkpoint.
-        let reference: Vec<Retired> = std::iter::from_fn(|| {
-            (!emu.is_halted()).then(|| emu.step().expect("steps"))
-        })
-        .collect();
-        let reference_out = emu.output_string();
-
-        // Diverge a second machine well past the snapshot, then restore.
-        let mut other = Emulator::new(&p);
-        other.run(20).unwrap();
-        other.restore(&ck);
-        assert_eq!(other.steps(), 7);
-        let replay: Vec<Retired> = std::iter::from_fn(|| {
-            (!other.is_halted()).then(|| other.step().expect("steps"))
-        })
-        .collect();
-        assert_eq!(replay, reference, "restored stream diverged");
-        assert_eq!(other.output_string(), reference_out);
-        assert_eq!(other.output_string(), "55\n");
-    }
-
-    #[test]
-    fn checkpoint_of_halted_machine_stays_halted() {
-        let p = assemble("main: halt").unwrap();
-        let mut emu = Emulator::new(&p);
-        emu.step().unwrap();
-        let ck = emu.checkpoint();
-        let mut target = Emulator::new(&p);
-        target.restore(&ck);
-        assert!(target.is_halted());
-        assert_eq!(target.step(), Err(EmuError::Halted));
     }
 
     #[test]

@@ -64,16 +64,24 @@ impl Memory {
         self.pages.len()
     }
 
-    /// Arena slot of `page_no`, if the page is resident.
-    #[inline]
+    /// Arena slot of `page_no`, if the page is resident. The translation
+    /// cache probe is forced inline into every access (it is the emulator's
+    /// hottest path, and the inliner otherwise outlines it once enough
+    /// callers exist); the page-table walk on a miss stays out of line.
+    #[inline(always)]
     fn lookup(&self, page_no: u64) -> Option<u32> {
-        let way = &self.tlb[(page_no as usize) & (TLB_WAYS - 1)];
-        let (tag, slot) = way.get();
+        let (tag, slot) = self.tlb[(page_no as usize) & (TLB_WAYS - 1)].get();
         if tag == page_no {
             return Some(slot);
         }
+        self.lookup_miss(page_no)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn lookup_miss(&self, page_no: u64) -> Option<u32> {
         let slot = *self.index.get(&page_no)?;
-        way.set((page_no, slot));
+        self.tlb[(page_no as usize) & (TLB_WAYS - 1)].set((page_no, slot));
         Some(slot)
     }
 

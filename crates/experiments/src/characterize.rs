@@ -1,6 +1,6 @@
 //! Functional-pass workload characterization (Figures 1–3 substrate).
 
-use svf_emu::{AccessMethod, Emulator};
+use svf_emu::{AccessMethod, Emulator, MemAccess, SpUpdate, StepObserver};
 use svf_isa::{MemRegion, Program, STACK_BASE};
 use svf_workloads::{Scale, Workload};
 
@@ -94,27 +94,29 @@ impl CharStats {
     }
 }
 
-/// Runs `program` functionally and classifies every committed reference.
-///
-/// # Panics
-///
-/// Panics if the program faults — workloads are validated not to.
-#[must_use]
-pub fn characterize_program(program: &Program, max_insts: u64) -> CharStats {
-    let mut emu = Emulator::new(program);
-    let heap_base = emu.heap_base();
-    let mut st = CharStats::default();
-    let mut raw_depths: Vec<(u64, u64)> = Vec::new();
-    while !emu.is_halted() && emu.steps() < max_insts {
-        let r = emu.step().expect("workload must not fault");
-        if let Some(u) = r.sp_update {
-            let depth_qw = STACK_BASE.saturating_sub(u.new_sp) / 8;
-            raw_depths.push((emu.steps(), depth_qw));
-            st.max_depth_bytes = st.max_depth_bytes.max(depth_qw * 8);
-        }
-        let Some(m) = r.mem else { continue };
+/// Classifies each committed reference and `$sp` update as the emulator
+/// hands it over.
+struct Classifier {
+    heap_base: u64,
+    st: CharStats,
+    /// Stack depth (quad-words) after the last `$sp` update, until the
+    /// stepping loop files it with the instruction's index.
+    new_depth: Option<u64>,
+}
+
+impl StepObserver for Classifier {
+    #[inline]
+    fn sp_update(&mut self, u: SpUpdate) {
+        let depth_qw = STACK_BASE.saturating_sub(u.new_sp) / 8;
+        self.st.max_depth_bytes = self.st.max_depth_bytes.max(depth_qw * 8);
+        self.new_depth = Some(depth_qw);
+    }
+
+    #[inline]
+    fn mem(&mut self, m: MemAccess, sp_before: u64) {
+        let st = &mut self.st;
         st.mem_refs += 1;
-        match m.region(heap_base) {
+        match m.region(self.heap_base) {
             MemRegion::Stack => {
                 match m.method() {
                     AccessMethod::Sp => st.stack_sp += 1,
@@ -122,7 +124,7 @@ pub fn characterize_program(program: &Program, max_insts: u64) -> CharStats {
                     AccessMethod::Gpr => st.stack_gpr += 1,
                 }
                 // Offset from the TOS at the time of the access.
-                let off = m.addr.saturating_sub(r.sp_before);
+                let off = m.addr.saturating_sub(sp_before);
                 st.offset_sum += off;
                 let bucket = 64 - u64::from(off.max(1).leading_zeros());
                 st.offset_log2_hist[(bucket as usize).min(32)] += 1;
@@ -132,6 +134,26 @@ pub fn characterize_program(program: &Program, max_insts: u64) -> CharStats {
             MemRegion::Text => {}
         }
     }
+}
+
+/// Runs `program` functionally and classifies every committed reference.
+///
+/// # Panics
+///
+/// Panics if the program faults — workloads are validated not to.
+#[must_use]
+pub fn characterize_program(program: &Program, max_insts: u64) -> CharStats {
+    let mut emu = Emulator::new(program);
+    let mut c =
+        Classifier { heap_base: emu.heap_base(), st: CharStats::default(), new_depth: None };
+    let mut raw_depths: Vec<(u64, u64)> = Vec::new();
+    while !emu.is_halted() && emu.steps() < max_insts {
+        emu.step_observe(&mut c).expect("workload must not fault");
+        if let Some(depth_qw) = c.new_depth.take() {
+            raw_depths.push((emu.steps(), depth_qw));
+        }
+    }
+    let mut st = c.st;
     st.instructions = emu.steps();
     // Thin the depth series evenly.
     if raw_depths.len() > MAX_DEPTH_SAMPLES {

@@ -6,7 +6,7 @@
 //! matches how the paper presents these tables.
 
 use svf::{StackValueFile, SvfConfig};
-use svf_emu::Emulator;
+use svf_emu::{Emulator, MemAccess, SpUpdate, StepObserver};
 use svf_isa::{Program, Reg};
 use svf_mem::{StackCache, StackCacheConfig};
 use svf_workloads::{all, Scale, Workload};
@@ -37,6 +37,37 @@ pub struct SwitchRow {
     pub svf_bytes_per_switch: f64,
 }
 
+/// The stack cache and the SVF, fed each committed `$sp` update and stack
+/// reference as the emulator hands it over.
+struct Replay {
+    heap_base: u64,
+    sc: StackCache,
+    svf: StackValueFile,
+}
+
+impl StepObserver for Replay {
+    #[inline]
+    fn sp_update(&mut self, u: SpUpdate) {
+        self.svf.on_sp_update(u.old_sp, u.new_sp);
+    }
+
+    #[inline]
+    fn mem(&mut self, m: MemAccess, _sp_before: u64) {
+        if m.region(self.heap_base).is_stack() {
+            self.sc.access(m.addr, m.is_store);
+            if self.svf.in_range(m.addr) {
+                if m.is_store {
+                    self.svf.store(m.addr, m.size);
+                } else {
+                    self.svf.load(m.addr, m.size);
+                }
+            }
+            // References outside the SVF window go to the D-cache and
+            // cost the SVF nothing, per the design.
+        }
+    }
+}
+
 /// Replays one workload's stack references against both structures.
 ///
 /// `switch_period` of `Some(n)` flushes both structures every `n` committed
@@ -53,39 +84,25 @@ pub fn traffic_run(
     switch_period: Option<u64>,
 ) -> (TrafficRow, SwitchRow) {
     let mut emu = Emulator::new(program);
-    let heap_base = emu.heap_base();
-    let mut sc = StackCache::new(StackCacheConfig::with_size(size_bytes));
-    let mut svf = StackValueFile::new(SvfConfig::with_size(size_bytes), emu.reg(Reg::SP));
+    let mut replay = Replay {
+        heap_base: emu.heap_base(),
+        sc: StackCache::new(StackCacheConfig::with_size(size_bytes)),
+        svf: StackValueFile::new(SvfConfig::with_size(size_bytes), emu.reg(Reg::SP)),
+    };
     let mut sw = SwitchRow::default();
     let mut sc_flush_bytes = 0u64;
     let mut svf_flush_bytes = 0u64;
     let mut next_switch = switch_period.unwrap_or(u64::MAX);
     while !emu.is_halted() {
-        let r = emu.step().expect("workload must not fault");
-        if let Some(u) = r.sp_update {
-            svf.on_sp_update(u.old_sp, u.new_sp);
-        }
-        if let Some(m) = r.mem {
-            if m.region(heap_base).is_stack() {
-                sc.access(m.addr, m.is_store);
-                if svf.in_range(m.addr) {
-                    if m.is_store {
-                        svf.store(m.addr, m.size);
-                    } else {
-                        svf.load(m.addr, m.size);
-                    }
-                }
-                // References outside the SVF window go to the D-cache and
-                // cost the SVF nothing, per the design.
-            }
-        }
+        emu.step_observe(&mut replay).expect("workload must not fault");
         if emu.steps() >= next_switch {
             next_switch += switch_period.expect("only reached with a period");
             sw.switches += 1;
-            sc_flush_bytes += sc.flush();
-            svf_flush_bytes += svf.context_switch_flush();
+            sc_flush_bytes += replay.sc.flush();
+            svf_flush_bytes += replay.svf.context_switch_flush();
         }
     }
+    let Replay { sc, svf, .. } = replay;
     if sw.switches > 0 {
         sw.sc_bytes_per_switch = sc_flush_bytes as f64 / sw.switches as f64;
         sw.svf_bytes_per_switch = svf_flush_bytes as f64 / sw.switches as f64;

@@ -4,7 +4,7 @@
 # Builds the release tree, compiles the criterion benches (compile-check
 # only — the wall-clock numbers come from the dedicated binary below), and
 # runs the `throughput` binary, which writes machine-readable rates to
-# BENCH_pr10.json (override the path with the first non-flag argument).
+# BENCH_pr12.json (override the path with the first non-flag argument).
 # PR 9 adds the sampled-vs-full pair on the longest workload: the binary
 # fails if sampled simulation falls below a 5x wall-clock speedup over
 # full detail or its IPC estimate drifts past the declared 2% bound.
@@ -13,6 +13,10 @@
 # in the report header; on a ≥4-core host the binary fails if the threaded
 # row falls below 2x the serial lockstep rate, and --compare warns when
 # the baseline came from a host with a different core count.
+# The functional traffic row (Table 3 on twolf: emulator plus stack cache
+# and SVF, no timing model) tracks the functional tables, and the report
+# records the fan-out gate's state ("unarmed: needs 4 cores, host has N"
+# on smaller hosts).
 #
 # Usage: scripts/bench.sh [output.json] [--quick] [--compare BASE.json]
 #

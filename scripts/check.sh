@@ -14,13 +14,19 @@ cargo test --workspace --release -q
 # without harness-level parallelism proves bit-identity isn't an artifact of
 # the test runner's own scheduling.
 RUST_TEST_THREADS=1 cargo test --release -q --test golden_stats
+# The end-to-end benchmark package (e2e-bench/, its own workspace) calls the
+# simulator's public API; building and testing it here turns an API change
+# it depends on into a check failure instead of a broken benchmark run.
+cargo test --release --offline -q --manifest-path e2e-bench/Cargo.toml
 cargo bench --workspace --no-run
 # Throughput smoke gate: a few quick runs per benchmark, compared against
 # the committed baseline. Quick sampling is noisy (20-30% machine-wide
 # swings on a shared box), so this catches collapses (the binary flags
 # >50% drops in --quick mode), not drifts — scripts/bench.sh does the
 # tracking-quality measurement with the strict 20% gate. The report goes to a scratch file so
-# the committed BENCH_pr10.json only changes when bench.sh is run on purpose.
+# the committed BENCH_*.json only change when bench.sh is run on purpose. (The
+# baseline stays BENCH_pr10.json: BENCH_pr12.json was taken in a slow spell of
+# a shared host, and rows it adds show as "new" against the older report.)
 # (The binary also asserts the sampled-vs-full contract: 5x speedup, 2% IPC.)
 smoke_out="$(mktemp /tmp/svf-bench-smoke.XXXXXX.json)"
 smoke_dir="$(mktemp -d /tmp/svf-trace-smoke.XXXXXX)"

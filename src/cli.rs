@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 
 use svf::SvfConfig;
 use svf_cpu::{CpuConfig, PredictorKind, SampleSpec, SimStats, Simulator, StackEngine};
-use svf_emu::Emulator;
+use svf_emu::{Emulator, Retired};
 use svf_isa::Program;
 use svf_mem::StackCacheConfig;
 
@@ -285,10 +285,11 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
 
     // Functional run first: program output + instruction count.
     let mut emu = Emulator::new(&program);
+    let mut r = Retired::PLACEHOLDER;
     if o.trace > 0 {
         let _ = writeln!(report, "--- first {} retired instructions ---", o.trace);
         while !emu.is_halted() && emu.steps() < o.trace.min(o.max_insts) {
-            let r = emu.step()?;
+            emu.step_record(&mut r)?;
             let fun = program.function_at(r.pc).unwrap_or("?");
             let mem = r.mem.map_or(String::new(), |m| {
                 format!(
@@ -306,7 +307,7 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
         let initial_sp = emu.reg(svf_isa::Reg::SP);
         let mut w = svf_emu::TraceWriter::new(file, program.entry, program.heap_base, initial_sp)?;
         while !emu.is_halted() && emu.steps() < o.max_insts {
-            let r = emu.step()?;
+            emu.step_record(&mut r)?;
             w.push(&r)?;
         }
         let n = w.records();
