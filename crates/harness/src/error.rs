@@ -133,17 +133,33 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// One attempt, no watchdog — the exact pre-taxonomy behaviour.
-    #[must_use]
-    pub fn none() -> RetryPolicy {
-        RetryPolicy { attempts: 1, backoff: Duration::ZERO, timeout: None }
-    }
-
     /// The sleep before retry attempt `attempt` (2-based: the sleep after
     /// the first failure precedes attempt 2). Exponential, shift-capped.
     #[must_use]
     pub fn backoff_before(&self, attempt: u32) -> Duration {
         self.backoff * (1u32 << attempt.saturating_sub(2).min(8))
+    }
+}
+
+/// The harness's one retry loop: calls `attempt` until it succeeds, fails
+/// with a non-retryable error, or `policy.attempts` tries are spent,
+/// sleeping the doubling backoff before each retry. `on_retry` runs once
+/// per failure that earns another try.
+pub(crate) fn retry<R>(
+    policy: &RetryPolicy,
+    mut attempt: impl FnMut() -> Result<R, JobError>,
+    mut on_retry: impl FnMut(),
+) -> Result<R, JobError> {
+    let mut tries = 1u32;
+    loop {
+        match attempt() {
+            Err(e) if e.retryable() && tries < policy.attempts.max(1) => {
+                on_retry();
+                tries += 1;
+                std::thread::sleep(policy.backoff_before(tries));
+            }
+            settled => return settled,
+        }
     }
 }
 
@@ -201,6 +217,45 @@ mod tests {
         assert_eq!(p.backoff_before(3), Duration::from_millis(20));
         assert_eq!(p.backoff_before(4), Duration::from_millis(40));
         assert_eq!(p.backoff_before(40), Duration::from_millis(10 * 256), "shift is capped");
-        assert_eq!(RetryPolicy::none().attempts, 1);
+    }
+
+    #[test]
+    fn retry_loop_bounds_settles_recovers_and_doubles_its_backoff() {
+        let io = || JobError::Io("transient".into());
+        // (policy.attempts, errors of the leading tries — success follows
+        // them, want tries, want success, minimum total backoff in ms at
+        // a 5 ms base).
+        let cases = [
+            // Always failing: bounded at `attempts`, and the three sleeps
+            // double (5 + 10 + 20); a flat backoff would sleep only 15.
+            (4, vec![io(); 9], 4, false, 35),
+            // Non-retryable: settles on the first try, no sleep.
+            (5, vec![JobError::Compile("syntax error".into())], 1, false, 0),
+            // Retryable and transient: recovers on the second try.
+            (3, vec![io()], 2, true, 5),
+        ];
+        for (attempts, errors, want_tries, want_ok, min_backoff_ms) in cases {
+            let policy =
+                RetryPolicy { attempts, backoff: Duration::from_millis(5), timeout: None };
+            let mut tries = 0;
+            let mut retries = 0;
+            let t0 = std::time::Instant::now();
+            let result = retry(
+                &policy,
+                || {
+                    tries += 1;
+                    errors.get(tries - 1).cloned().map_or(Ok(tries), Err)
+                },
+                || retries += 1,
+            );
+            let case = format!("attempts={attempts} errors={}", errors.len());
+            assert_eq!(tries, want_tries, "{case}: tries");
+            assert_eq!(retries, want_tries - 1, "{case}: every try but the first is a retry");
+            assert_eq!(result.is_ok(), want_ok, "{case}: {result:?}");
+            if !want_ok {
+                assert_eq!(result, Err(errors[want_tries - 1].clone()), "{case}: last error");
+            }
+            assert!(t0.elapsed() >= Duration::from_millis(min_backoff_ms), "{case}: backoff");
+        }
     }
 }

@@ -15,8 +15,8 @@
 //! | `trunc@N` | returns a truncated-trace failure | [`JobError::TraceTruncated`], final |
 //! | `abort@N` | `std::process::abort()` — a crash with no cleanup, the in-process equivalent of `kill -9` | (process dies) |
 //!
-//! Jobs with a planned fault are excluded from lockstep batches and run on
-//! the individual path, so the fault flows through the full watchdog /
+//! Jobs with a planned fault are kept out of shared lockstep batches and
+//! run as a batch of one, so the fault flows through the full watchdog /
 //! retry / classification machinery rather than poisoning a shared batch.
 //!
 //! The hook costs one relaxed atomic load per job when no fault is armed.

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use svf_cpu::{CpuConfig, SampleSpec, SampledStats, SimStats, Simulator};
+use svf_cpu::{CpuConfig, SimStats};
 use svf_isa::Program;
 use svf_workloads::{workload, Scale};
 
@@ -77,8 +77,9 @@ impl ProgramSpec {
     }
 
     /// Compiles the program this spec describes, unconditionally (no
-    /// memoization — [`Job::execute`] goes through the process-global cache
-    /// instead; use this for one-off compiles that must not be retained).
+    /// memoization — the harness compiles its jobs through the
+    /// process-global cache instead, see [`crate::compile_count`]; use this
+    /// for one-off compiles that must not be retained).
     ///
     /// # Errors
     ///
@@ -129,41 +130,6 @@ impl Job {
     #[must_use]
     pub fn key(&self) -> String {
         format!("{:04}-{}-{}", self.id, slug(&self.program.label()), slug(&self.config_label))
-    }
-
-    /// Compiles (through the process-global memo cache) and simulates this
-    /// job to completion. This is also where a planned `SVF_FAULT_PLAN`
-    /// fault fires, so injected failures traverse exactly the machinery a
-    /// real one would.
-    ///
-    /// # Errors
-    ///
-    /// Compilation failures as [`JobError::Compile`] — identical for every
-    /// job sharing the failing [`ProgramSpec`] — plus whatever the fault
-    /// plan injects (simulation itself reports divergence by panicking,
-    /// which the harness catches and classifies).
-    pub fn execute(&self) -> Result<SimStats, JobError> {
-        crate::fault::fire(self.id)?;
-        let program = crate::memo::compile_shared(&self.program)?;
-        Ok(Simulator::new(self.config.clone()).run(&program, u64::MAX))
-    }
-
-    /// Like [`Job::execute`], but under a sampling plan: the program runs
-    /// functionally end to end, only the plan's measured intervals pay
-    /// detailed-simulation cost, and the result is the stratified
-    /// whole-run estimate plus its coverage accounting (see
-    /// [`svf_cpu::run_sampled`]). Fault injection and the memoized
-    /// compile path are identical to the full-run path.
-    ///
-    /// # Errors
-    ///
-    /// Same failure surface as [`Job::execute`].
-    pub fn execute_sampled(&self, spec: &SampleSpec) -> Result<SampledStats, JobError> {
-        crate::fault::fire(self.id)?;
-        let program = crate::memo::compile_shared(&self.program)?;
-        let mut out =
-            svf_cpu::run_sampled(std::slice::from_ref(&self.config), &program, u64::MAX, spec);
-        Ok(out.pop().expect("one config in, one estimate out"))
     }
 }
 

@@ -17,12 +17,13 @@
 //!    *functional execution* is shared the same way: jobs with the same
 //!    spec form one scheduling group driven by [`svf_cpu::run_lockstep`],
 //!    so the emulator runs once per program instead of once per job, with
-//!    bit-identical results. Work runs under `catch_unwind`, so one
-//!    diverging simulation reports as [`JobOutcome::Failed`] instead of
-//!    killing the run (a panicking lockstep group re-runs its jobs
-//!    individually, isolating the diverging one); a failing or panicking
-//!    *compile* poisons only its cache entry, failing exactly the jobs
-//!    that share the spec, all with the same message.
+//!    bit-identical results. Every fresh job runs inside such a batch — a
+//!    job that must run alone is a batch of one — and work runs under
+//!    `catch_unwind`, so one diverging simulation reports as
+//!    [`JobOutcome::Failed`] instead of killing the run (a panicking
+//!    batch is bisected until the diverging job fails alone); a failing
+//!    or panicking *compile* poisons only its cache entry, failing exactly
+//!    the jobs that share the spec, all with the same message.
 //! 3. **Reassembly** — results come back in job-id order, making parallel
 //!    output bit-identical to serial output (every simulation is itself
 //!    deterministic).
@@ -51,11 +52,11 @@
 //!    traces, and process aborts at chosen job ids to test all of this.
 //!
 //! 6. **Sampled simulation** — [`Harness::with_sample`] switches every
-//!    job (solo or batched) to [`svf_cpu::run_sampled`]: the program runs
-//!    functionally end to end and only the plan's measured intervals pay
-//!    detailed cost, with the stratified whole-run estimate reported in
-//!    the ordinary [`SimStats`] shape — so sinks, resume, retries, fault
-//!    injection, and sweeps compose unchanged.
+//!    batch (a batch of one included) to [`svf_cpu::run_sampled`]: the
+//!    program runs functionally end to end and only the plan's measured
+//!    intervals pay detailed cost, with the stratified whole-run estimate
+//!    reported in the ordinary [`SimStats`] shape — so sinks, resume,
+//!    retries, fault injection, and sweeps compose unchanged.
 //!
 //! A light observability surface rides along: per-job wall clock, and a
 //! run-level progress line (jobs done/total, aggregate simulated Mcycles/s,
@@ -110,10 +111,11 @@ pub use experiment::Experiment;
 pub use fault::install_fault_plan;
 pub use job::{Job, JobOutcome, JobReport, ProgramSpec};
 pub use memo::compile_count;
-pub use pool::{parallel_map, parallel_map_with, FanoutClaim, ThreadBudget};
+pub use pool::{parallel_map, FanoutClaim, ThreadBudget};
 pub use sink::{atomic_write, RunDir};
 pub use sweep::{run_sweep, SweepOutcome, SweepPoint};
 
+use error::retry;
 use progress::Progress;
 
 /// Execution policy: how many workers, where results go, whether to narrate,
@@ -202,8 +204,8 @@ impl Harness {
 
     /// Enables or disables lockstep batching (on by default): jobs sharing
     /// a [`ProgramSpec`] are scheduled as one group riding a single
-    /// functional execution of the program ([`svf_cpu::run_lockstep`]),
-    /// instead of each job re-running the emulator. Results are
+    /// functional execution of the program ([`svf_cpu::run_lockstep`]);
+    /// off, every job is a batch of one that re-runs the emulator. Results are
     /// bit-identical either way (pinned by the workspace golden tests);
     /// lockstep trades per-job scheduling granularity for doing the
     /// functional work once per program.
@@ -243,9 +245,10 @@ impl Harness {
     /// Enables sampled simulation ([`svf_cpu::run_sampled`]): every job
     /// runs the program functionally end to end, pays detailed-simulation
     /// cost only inside the plan's measured intervals, and reports the
-    /// stratified whole-run estimate as its [`SimStats`]. Composes with
-    /// lockstep batching (the whole batch shares one sampled stream),
-    /// retries, fault injection, and sweeps. The result-file format is
+    /// stratified whole-run estimate as its [`SimStats`]. Each lockstep
+    /// batch — a batch of one included — shares one sampled stream, so
+    /// sampling composes with retries, bisection, fault injection, and
+    /// sweeps exactly like full simulation. The result-file format is
     /// unchanged, so sampled runs are resumable too — but point a sampled
     /// run at its *own* `--out` directory: the sink cannot tell an
     /// extrapolated result from an exact one.
@@ -374,11 +377,10 @@ fn group_jobs(jobs: &[Job], lockstep: bool) -> Vec<Vec<usize>> {
 }
 
 /// Executes one scheduling group: resumes what the sink already holds
-/// (re-running anything the sink reports as corrupt), pulls
-/// quarantined/fault-planned jobs onto the individual path, and batches the
-/// remaining fresh jobs through [`svf_cpu::run_lockstep`] over one shared
-/// functional execution — bisecting the batch on panic or hang. Fills
-/// `slots` and `progress` exactly like per-job execution would.
+/// (re-running anything the sink reports as corrupt), then runs the fresh
+/// jobs through [`run_batch`] — the jobs that share the program as one
+/// batch, each quarantined or fault-planned job as a batch of one — and
+/// stores and reports every result.
 #[allow(clippy::too_many_arguments)]
 fn run_group(
     jobs: &[Job],
@@ -414,40 +416,48 @@ fn run_group(
             }
         }
     }
-    // Jobs with a planned fault or a quarantine record run alone so their
-    // failure exercises (or already exercised) the per-job machinery
-    // instead of poisoning a shared batch.
-    let (mut solo, batch): (Vec<usize>, Vec<usize>) =
+    // Jobs with a planned fault or a quarantine record run as batches of
+    // one, so their failure cannot poison the shared batch. The shared
+    // batch goes first (a planted abort then leaves its results stored); a
+    // lone sharer is one more batch of one, after the isolated jobs.
+    let (isolated, shared): (Vec<usize>, Vec<usize>) =
         fresh.into_iter().partition(|&i| fault::planned(jobs[i].id) || quarantined(&jobs[i]));
-    if batch.len() >= 2 {
+    let mut batches: Vec<Vec<usize>> = isolated.into_iter().map(|i| vec![i]).collect();
+    match shared.len() {
+        0 => {}
+        1 => batches.push(shared),
+        _ => batches.insert(0, shared),
+    }
+    for batch in batches {
         let t0 = Instant::now();
         let results = run_batch(jobs, &batch, policy, progress, sample, budget);
-        let wall = t0.elapsed() / u32::try_from(batch.len()).unwrap_or(1).max(1);
+        let wall = t0.elapsed() / u32::try_from(batch.len()).unwrap_or(u32::MAX);
         for (i, result) in results {
-            let outcome = match result {
-                Ok(stats) => {
-                    store_with_retry(sink, &jobs[i], &stats, policy);
-                    JobOutcome::Completed(stats)
+            let job = &jobs[i];
+            if let (Some(sink), Ok(stats)) = (sink, &result) {
+                // A store that still fails only costs resumability (the job
+                // re-runs next time), so it warns rather than failing the job.
+                let store = || sink.store(job, stats).map_err(|e| JobError::Io(e.to_string()));
+                if let Err(e) = retry(policy, store, || {}) {
+                    eprintln!("svf-harness: cannot store {}: {e}", job.key());
                 }
-                Err(e) => JobOutcome::Failed(e),
-            };
-            deliver(i, report_for(&jobs[i], outcome, wall));
+            }
+            let outcome = result.map_or_else(JobOutcome::Failed, JobOutcome::Completed);
+            deliver(i, report_for(job, outcome, wall));
         }
-    } else {
-        solo.extend(batch);
-    }
-    for &i in &solo {
-        deliver(i, run_one_fresh(&jobs[i], sink, policy, progress, sample));
     }
 }
 
-/// The batched heart of a group: compile once (memoized), simulate every
-/// member configuration over one shared stream. A batch that panics or
-/// trips the (width-scaled) watchdog is **bisected**: each half re-runs as
-/// its own batch, recursively, until the offending member fails alone —
-/// where it goes through the full per-job retry path and is quarantined.
-/// Survivor halves keep sharing streams, so one bad configuration costs
-/// `O(log n)` re-batches rather than degrading the whole group to serial.
+/// Runs `members` — jobs sharing one program — as one lockstep batch:
+/// compile once (memoized), then simulate every member configuration over
+/// one shared stream. A batch of several that fails (a panic, an injected
+/// fault, or a hang past the width-scaled watchdog) is **bisected**: each
+/// half re-runs as its own batch, recursively, until the offending member
+/// fails alone. Survivor halves keep sharing streams, so one bad
+/// configuration costs `O(log n)` re-batches rather than degrading the
+/// whole group to serial. A batch of one retries under the policy instead,
+/// and a member whose final failure is a divergence or a hang is
+/// quarantined so it never rides a shared batch again this process.
 fn run_batch(
     jobs: &[Job],
     members: &[usize],
@@ -456,37 +466,41 @@ fn run_batch(
     sample: Option<&SampleSpec>,
     budget: &ThreadBudget,
 ) -> Vec<(usize, Result<SimStats, JobError>)> {
-    if let [i] = members {
-        return vec![(*i, execute_with_policy(&jobs[*i], policy, progress, sample))];
-    }
     let program = match memo::compile_shared(&jobs[members[0]].program) {
         Ok(p) => p,
-        // Compilation failed: every sharer fails with one message, exactly
-        // like the per-job memo path.
+        // Compilation failed: every sharer fails with one message.
         Err(e) => return members.iter().map(|&i| (i, Err(e.clone()))).collect(),
     };
-    let configs: Vec<CpuConfig> = members.iter().map(|&i| jobs[i].config.clone()).collect();
-    // N jobs ride one stream, so the watchdog budget scales with width.
-    let limit = policy.timeout.map(|t| t * u32::try_from(members.len()).unwrap_or(u32::MAX));
-    // Borrow spare budget threads for the duration of this attempt; the
-    // claim is released before any bisection so the halves re-claim for
-    // themselves.
-    let claim = budget.claim(members.len());
-    let fanout = claim.fanout();
-    progress.record_fanout(fanout);
-    let attempted = attempt_lockstep(&program, &configs, limit, sample, fanout);
-    drop(claim);
-    match attempted {
-        Ok((stats, meta)) => {
-            if let Some((detailed, fast_forwarded)) = meta {
-                progress.record_sample(detailed, fast_forwarded);
+    let attempt = || {
+        // Borrow spare budget threads for this attempt only; the claim is
+        // released before any retry or bisection, which re-claim.
+        let claim = budget.claim(members.len());
+        let fanout = claim.fanout();
+        progress.record_fanout(fanout);
+        let attempted = attempt_lockstep(jobs, members, &program, policy.timeout, sample, fanout);
+        match &attempted {
+            Ok((_, Some((detailed, fast_forwarded)))) => {
+                progress.record_sample(*detailed, *fast_forwarded);
             }
-            members.iter().copied().zip(stats.into_iter().map(Ok)).collect()
+            Err(JobError::Timeout { .. }) => progress.record_timeout(),
+            _ => {}
         }
-        Err(e) => {
-            if matches!(e, JobError::Timeout { .. }) {
-                progress.record_timeout();
+        attempted.map(|(stats, _)| stats)
+    };
+    let attempted = match members {
+        [i] => {
+            let attempted = retry(policy, attempt, || progress.record_retry());
+            if matches!(attempted, Err(JobError::Panic(_) | JobError::Timeout { .. })) {
+                quarantine(&jobs[*i]);
             }
+            attempted
+        }
+        _ => attempt(),
+    };
+    match (attempted, members) {
+        (Ok(stats), _) => members.iter().copied().zip(stats.into_iter().map(Ok)).collect(),
+        (Err(e), [i]) => vec![(*i, Err(e))],
+        (Err(_), _) => {
             let (a, b) = members.split_at(members.len() / 2);
             let mut out = run_batch(jobs, a, policy, progress, sample, budget);
             out.extend(run_batch(jobs, b, policy, progress, sample, budget));
@@ -505,125 +519,53 @@ fn report_for(job: &Job, outcome: JobOutcome, wall: Duration) -> JobReport {
     }
 }
 
-/// Executes one known-fresh job under the retry policy and stores the
-/// result. Never lets a panic escape.
-fn run_one_fresh(
-    job: &Job,
-    sink: Option<&RunDir>,
-    policy: &RetryPolicy,
-    progress: &Progress,
-    sample: Option<&SampleSpec>,
-) -> JobReport {
-    let t0 = Instant::now();
-    let outcome = match execute_with_policy(job, policy, progress, sample) {
-        Ok(stats) => {
-            store_with_retry(sink, job, &stats, policy);
-            JobOutcome::Completed(stats)
-        }
-        Err(e) => JobOutcome::Failed(e),
-    };
-    report_for(job, outcome, t0.elapsed())
-}
-
-/// One job through the full retry loop: attempts (watchdogged if the policy
-/// asks) until success, a non-retryable failure, or the attempt budget runs
-/// out. A job whose *final* failure is a divergence or a hang is
-/// quarantined so it never rides a lockstep batch again this process.
-fn execute_with_policy(
-    job: &Job,
-    policy: &RetryPolicy,
-    progress: &Progress,
-    sample: Option<&SampleSpec>,
-) -> Result<SimStats, JobError> {
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        let result = attempt_job(job, policy.timeout, sample);
-        match result {
-            Ok((stats, meta)) => {
-                if let Some((detailed, fast_forwarded)) = meta {
-                    progress.record_sample(detailed, fast_forwarded);
-                }
-                return Ok(stats);
-            }
-            Err(e) => {
-                if matches!(e, JobError::Timeout { .. }) {
-                    progress.record_timeout();
-                }
-                if e.retryable() && attempt < policy.attempts.max(1) {
-                    progress.record_retry();
-                    thread::sleep(policy.backoff_before(attempt + 1));
-                    continue;
-                }
-                if matches!(e, JobError::Panic(_) | JobError::Timeout { .. }) {
-                    quarantine(job);
-                }
-                return Err(e);
-            }
-        }
-    }
-}
-
 /// `(detailed, fast-forwarded)` instruction counts of one sampled
 /// execution, reported to the progress line. `None` for full runs.
 type SampleMeta = Option<(u64, u64)>;
 
-/// One execution attempt, panic-caught, optionally under a watchdog.
-/// Sampled attempts carry their detailed/fast-forwarded instruction split
-/// back alongside the estimate.
-fn attempt_job(
-    job: &Job,
-    timeout: Option<Duration>,
-    sample: Option<&SampleSpec>,
-) -> Result<(SimStats, SampleMeta), JobError> {
-    let job = job.clone();
-    let sample = sample.copied();
-    let work = move || match &sample {
-        None => job.execute().map(|s| (s, None)),
-        Some(spec) => job.execute_sampled(spec).map(|s| {
-            let meta = Some((s.detailed_insts, s.fast_forwarded()));
-            (s.stats, meta)
-        }),
-    };
-    let Some(limit) = timeout else {
-        return catch_unwind(AssertUnwindSafe(work))
-            .unwrap_or_else(|p| Err(JobError::from_panic(p.as_ref())));
-    };
-    watchdog(limit, work)
-}
-
-/// One lockstep-batch attempt, panic-caught, optionally under a watchdog.
-/// With a sampling plan the whole batch rides one sampled stream
-/// ([`svf_cpu::run_sampled_fanout`]) instead of one full stream; the
-/// schedule is shared, so one `(detailed, fast-forwarded)` pair describes
-/// every member. `fanout` is the number of timing threads the batch may
-/// spread its pipelines over (1 = the classic serial advance); results are
-/// bit-identical at any fanout, and a panic on any timing thread surfaces
-/// here with its original payload, so bisection and quarantine behave
-/// exactly as they do on the serial path.
+/// One lockstep-batch attempt over `members`, panic-caught, optionally
+/// under a watchdog whose limit scales with the batch width (N jobs ride
+/// one stream). The attempt first fires any `SVF_FAULT_PLAN` fault planned
+/// for a member, so injected failures traverse exactly the machinery a
+/// real one would. With a sampling plan the whole batch rides one sampled
+/// stream ([`svf_cpu::run_sampled_fanout`]) instead of one full stream;
+/// the schedule is shared, so one `(detailed, fast-forwarded)` pair
+/// describes every member. `fanout` is the number of timing threads the
+/// batch may spread its pipelines over (1 = the classic serial advance);
+/// results are bit-identical at any fanout, and a panic on any timing
+/// thread surfaces here with its original payload, so bisection and
+/// quarantine behave exactly as they do on the serial path.
 fn attempt_lockstep(
+    jobs: &[Job],
+    members: &[usize],
     program: &Arc<Program>,
-    configs: &[CpuConfig],
     timeout: Option<Duration>,
     sample: Option<&SampleSpec>,
     fanout: usize,
 ) -> Result<(Vec<SimStats>, SampleMeta), JobError> {
+    let ids: Vec<usize> = members.iter().map(|&i| jobs[i].id).collect();
+    let configs: Vec<CpuConfig> = members.iter().map(|&i| jobs[i].config.clone()).collect();
     let program = Arc::clone(program);
-    let configs = configs.to_vec();
     let sample = sample.copied();
-    let work = move || match &sample {
-        None => Ok((svf_cpu::run_lockstep_fanout(&configs, &program, u64::MAX, fanout), None)),
-        Some(spec) => {
-            let sampled = svf_cpu::run_sampled_fanout(&configs, &program, u64::MAX, spec, fanout);
-            let meta = sampled.first().map(|s| (s.detailed_insts, s.fast_forwarded()));
-            Ok((sampled.into_iter().map(|s| s.stats).collect(), meta))
+    let work = move || {
+        for id in ids {
+            fault::fire(id)?;
         }
+        Ok(match &sample {
+            None => (svf_cpu::run_lockstep_fanout(&configs, &program, u64::MAX, fanout), None),
+            Some(spec) => {
+                let sampled =
+                    svf_cpu::run_sampled_fanout(&configs, &program, u64::MAX, spec, fanout);
+                let meta = sampled.first().map(|s| (s.detailed_insts, s.fast_forwarded()));
+                (sampled.into_iter().map(|s| s.stats).collect(), meta)
+            }
+        })
     };
     let Some(limit) = timeout else {
         return catch_unwind(AssertUnwindSafe(work))
             .unwrap_or_else(|p| Err(JobError::from_panic(p.as_ref())));
     };
-    watchdog(limit, work)
+    watchdog(limit * u32::try_from(members.len()).unwrap_or(u32::MAX), work)
 }
 
 /// Runs `work` on a helper thread and waits at most `limit` for its result.
@@ -648,27 +590,6 @@ fn watchdog<R: Send + 'static>(
         Err(_) => Err(JobError::Timeout {
             millis: u64::try_from(limit.as_millis()).unwrap_or(u64::MAX),
         }),
-    }
-}
-
-/// Stores one result, retrying transient filesystem failures under the
-/// job's own policy. A store that still fails only costs resumability (the
-/// job re-runs next time), so it warns rather than failing the job.
-fn store_with_retry(sink: Option<&RunDir>, job: &Job, stats: &SimStats, policy: &RetryPolicy) {
-    let Some(sink) = sink else { return };
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match sink.store(job, stats) {
-            Ok(()) => return,
-            Err(_) if attempt < policy.attempts.max(1) => {
-                thread::sleep(policy.backoff_before(attempt + 1));
-            }
-            Err(e) => {
-                eprintln!("svf-harness: cannot store {}: {e}", job.key());
-                return;
-            }
-        }
     }
 }
 

@@ -12,7 +12,7 @@
 //!
 //! A failing or panicking compilation must fail **only the jobs that need
 //! that program** — not the worker pool. Each cache entry is an
-//! `Arc<OnceLock<Result<…>>>` cell: the winning thread compiles inside
+//! `Arc`-shared `OnceLock<Result<…>>` cell: the winning thread compiles inside
 //! `get_or_init` with the panic caught and stored as the `Err` value
 //! (poisoned-entry semantics). Every sharer — concurrent or later — then
 //! observes the same `Err` with the same message, exactly as if it had
@@ -50,9 +50,15 @@ pub(crate) fn key(spec: &ProgramSpec) -> Key {
 }
 
 /// One cache cell: settled exactly once, shared by every job with the spec.
-type Slot = Arc<OnceLock<Result<Arc<Program>, JobError>>>;
+#[derive(Default)]
+struct Slot {
+    program: OnceLock<Result<Arc<Program>, JobError>>,
+    /// Compilations this slot performed. Unlike [`compile_count`], other
+    /// specs compiling concurrently cannot move it.
+    compiles: AtomicU64,
+}
 
-static CACHE: OnceLock<Mutex<HashMap<Key, Slot>>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<HashMap<Key, Arc<Slot>>>> = OnceLock::new();
 
 /// Count of actual MiniC compilations performed through the cache — the
 /// test hook asserting that a C×W matrix compiles each workload once.
@@ -78,19 +84,24 @@ pub fn compile_count() -> u64 {
 /// [`JobError::Compile`] / [`JobError::Panic`], stored in the entry, and
 /// repeated verbatim to every sharer of the spec.
 pub(crate) fn compile_shared(spec: &ProgramSpec) -> Result<Arc<Program>, JobError> {
-    let slot = {
-        let mut map = CACHE.get_or_init(Mutex::default).lock().expect("memo cache mutex");
-        Arc::clone(map.entry(key(spec)).or_default())
-    };
-    slot.get_or_init(|| {
-        COMPILES.fetch_add(1, Ordering::Relaxed);
-        match catch_unwind(AssertUnwindSafe(|| spec.compile())) {
-            Ok(Ok(program)) => Ok(Arc::new(program)),
-            Ok(Err(e)) => Err(JobError::Compile(e)),
-            Err(payload) => Err(JobError::from_panic(payload.as_ref())),
-        }
-    })
-    .clone()
+    let slot = slot(spec);
+    slot.program
+        .get_or_init(|| {
+            COMPILES.fetch_add(1, Ordering::Relaxed);
+            slot.compiles.fetch_add(1, Ordering::Relaxed);
+            match catch_unwind(AssertUnwindSafe(|| spec.compile())) {
+                Ok(Ok(program)) => Ok(Arc::new(program)),
+                Ok(Err(e)) => Err(JobError::Compile(e)),
+                Err(payload) => Err(JobError::from_panic(payload.as_ref())),
+            }
+        })
+        .clone()
+}
+
+/// The cache slot for `spec`, created empty on first lookup.
+fn slot(spec: &ProgramSpec) -> Arc<Slot> {
+    let mut map = CACHE.get_or_init(Mutex::default).lock().expect("memo cache mutex");
+    Arc::clone(map.entry(key(spec)).or_default())
 }
 
 #[cfg(test)]
@@ -98,8 +109,12 @@ mod tests {
     use super::*;
 
     // Sources unique to this module: the cache is process-global and cargo
-    // runs test threads concurrently, so shared fixtures would make the
-    // compile-count assertions racy.
+    // runs test threads concurrently, so each test counts the compiles of
+    // its own slot rather than the process-wide counter.
+
+    fn compiles_of(spec: &ProgramSpec) -> u64 {
+        slot(spec).compiles.load(Ordering::Relaxed)
+    }
 
     #[test]
     fn same_spec_compiles_once_and_shares_the_image() {
@@ -107,21 +122,19 @@ mod tests {
             "memo-unit-share",
             "int main() { print(41 + 1); return 0; }",
         );
-        let before = compile_count();
         let a = compile_shared(&spec).expect("compiles");
         let b = compile_shared(&spec).expect("compiles");
         assert!(Arc::ptr_eq(&a, &b), "one image, shared");
-        assert_eq!(compile_count() - before, 1, "second call was a cache hit");
+        assert_eq!(compiles_of(&spec), 1, "second call was a cache hit");
     }
 
     #[test]
     fn failed_compile_is_poisoned_not_retried() {
         let spec = ProgramSpec::source("memo-unit-broken", "int main( {");
-        let before = compile_count();
         let e1 = compile_shared(&spec).expect_err("must fail");
         let e2 = compile_shared(&spec).expect_err("must fail again");
         assert_eq!(e1, e2, "sharers observe the identical message");
-        assert_eq!(compile_count() - before, 1, "failure is cached, not retried");
+        assert_eq!(compiles_of(&spec), 1, "failure is cached, not retried");
     }
 
     #[test]

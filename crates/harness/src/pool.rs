@@ -1,13 +1,13 @@
 //! The worker pool: a shared atomic work queue drained by scoped threads,
-//! with per-item panic isolation, failure classification, and bounded
-//! retry for retryable failures.
+//! with per-item panic isolation and failure classification, plus the
+//! thread budget shared between job workers and intra-batch fan-out.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-use crate::error::{JobError, RetryPolicy};
+use crate::error::JobError;
 
 /// Arbiter for one machine-wide thread budget shared between job-level
 /// workers and intra-batch timing fan-out.
@@ -108,27 +108,6 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_with(workers, items, &RetryPolicy::none(), |item| Ok(f(item)))
-}
-
-/// [`parallel_map`] for fallible work under a [`RetryPolicy`]: an `Err`
-/// that is [`retryable`](JobError::retryable) (or a panic classified as
-/// retryable, i.e. injected) is re-attempted up to `policy.attempts` times
-/// with exponential backoff before the slot settles. Non-retryable
-/// failures settle immediately. `policy.timeout` is **not** applied here —
-/// a generic borrowed closure cannot be abandoned mid-flight; the job
-/// runner in [`crate::Harness`] owns watchdog duty.
-pub fn parallel_map_with<T, R, F>(
-    workers: usize,
-    items: &[T],
-    policy: &RetryPolicy,
-    f: F,
-) -> Vec<Result<R, JobError>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> Result<R, JobError> + Sync,
-{
     let workers = workers.clamp(1, items.len().max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Result<R, JobError>>>> =
@@ -138,18 +117,8 @@ where
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                let mut attempt = 0u32;
-                let result = loop {
-                    attempt += 1;
-                    let result = catch_unwind(AssertUnwindSafe(|| f(item)))
-                        .unwrap_or_else(|p| Err(JobError::from_panic(p.as_ref())));
-                    match result {
-                        Err(e) if e.retryable() && attempt < policy.attempts.max(1) => {
-                            thread::sleep(policy.backoff_before(attempt + 1));
-                        }
-                        settled => break settled,
-                    }
-                };
+                let result = catch_unwind(AssertUnwindSafe(|| f(item)))
+                    .map_err(|p| JobError::from_panic(p.as_ref()));
                 *slots[i].lock().expect("result slot") = Some(result);
             });
         }
@@ -163,8 +132,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU32;
-    use std::time::Duration;
 
     #[test]
     fn ordered_results_any_worker_count() {
@@ -197,43 +164,6 @@ mod tests {
     fn empty_input_is_fine() {
         let out: Vec<Result<u64, JobError>> = parallel_map(4, &[], |x: &u64| *x);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn retryable_failures_recover_within_the_budget() {
-        // Every odd item fails once with a retryable error, then succeeds.
-        let items: Vec<u32> = (0..8).collect();
-        let tries: Vec<AtomicU32> = items.iter().map(|_| AtomicU32::new(0)).collect();
-        let policy = RetryPolicy {
-            attempts: 3,
-            backoff: Duration::from_millis(1),
-            timeout: None,
-        };
-        let out = parallel_map_with(4, &items, &policy, |&x| {
-            let attempt = tries[x as usize].fetch_add(1, Ordering::Relaxed);
-            if x % 2 == 1 && attempt == 0 {
-                return Err(JobError::Io("transient".into()));
-            }
-            Ok(x * 10)
-        });
-        for (i, r) in out.iter().enumerate() {
-            assert_eq!(*r, Ok(i as u32 * 10), "item {i} settled successfully");
-            let want = if i % 2 == 1 { 2 } else { 1 };
-            assert_eq!(tries[i].load(Ordering::Relaxed), want, "item {i} attempt count");
-        }
-    }
-
-    #[test]
-    fn non_retryable_failures_settle_immediately() {
-        let items = [0u32];
-        let tries = AtomicU32::new(0);
-        let policy = RetryPolicy { attempts: 5, backoff: Duration::ZERO, timeout: None };
-        let out = parallel_map_with(1, &items, &policy, |_| {
-            tries.fetch_add(1, Ordering::Relaxed);
-            Err::<u32, _>(JobError::Compile("syntax error".into()))
-        });
-        assert!(matches!(out[0], Err(JobError::Compile(_))));
-        assert_eq!(tries.load(Ordering::Relaxed), 1, "compile errors never retry");
     }
 
     #[test]
@@ -290,19 +220,5 @@ mod tests {
         assert_eq!(claim.fanout(), 3);
         drop(claim);
         assert_eq!(budget.spare(), 2);
-    }
-
-    #[test]
-    fn retry_budget_is_bounded() {
-        let items = [0u32];
-        let tries = AtomicU32::new(0);
-        let policy =
-            RetryPolicy { attempts: 3, backoff: Duration::from_millis(1), timeout: None };
-        let out = parallel_map_with(1, &items, &policy, |_| {
-            tries.fetch_add(1, Ordering::Relaxed);
-            Err::<u32, _>(JobError::Io("always down".into()))
-        });
-        assert!(matches!(out[0], Err(JobError::Io(_))));
-        assert_eq!(tries.load(Ordering::Relaxed), 3, "exactly `attempts` tries");
     }
 }

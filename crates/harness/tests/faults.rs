@@ -15,7 +15,7 @@ use std::process::Command;
 use std::sync::Mutex;
 use std::time::Duration;
 
-use svf_cpu::CpuConfig;
+use svf_cpu::{CpuConfig, SampleSpec};
 use svf_harness::{
     install_fault_plan, Experiment, Harness, JobError, JobOutcome, ProgramSpec,
 };
@@ -125,6 +125,40 @@ fn retryable_faults_recover_and_match_the_clean_run() {
 }
 
 #[test]
+fn sampled_runs_recover_from_faults_like_full_runs() {
+    // Faulted jobs leave the shared batch and run as sampled batches of
+    // one; recovery must match a clean sampled run bit for bit, and a hang
+    // must trip the watchdog and retry exactly as a full run does.
+    let spec = SampleSpec::parse("mode=random,seed=7,period=10k,interval=2k,warmup=1k,ramp=500")
+        .expect("plan parses");
+    let exp = healthy_experiment("sampled-faults", 4);
+    with_plan("", || {
+        let clean = Harness::serial().with_sample(spec).run(&exp);
+        let clean_stats: Vec<_> = clean.stats().into_iter().cloned().collect();
+        assert!(clean.summary.contains("sampled"), "sampled for real: {}", clean.summary);
+
+        install_fault_plan("panic@0,io@2");
+        let report = Harness::serial().with_sample(spec).run(&exp);
+        assert!(report.failures().is_empty(), "all recovered: {}", report.summary);
+        for (i, s) in report.stats().iter().enumerate() {
+            assert_eq!(**s, clean_stats[i], "job {i}: sampled recovery is bit-identical");
+        }
+        assert!(report.summary.contains("retried"), "{}", report.summary);
+
+        install_fault_plan("hang@1:60000");
+        let report = Harness::serial()
+            .with_sample(spec)
+            .with_timeout(Duration::from_millis(250))
+            .with_retries(2)
+            .run(&exp);
+        assert!(report.failures().is_empty(), "retry recovered: {}", report.summary);
+        assert_eq!(report.stats()[1], &clean_stats[1], "post-timeout retry is bit-identical");
+        assert!(report.summary.contains("timed out"), "{}", report.summary);
+        assert!(report.summary.contains("retried"), "{}", report.summary);
+    });
+}
+
+#[test]
 fn truncated_trace_fault_is_final_despite_retry_budget() {
     let exp = healthy_experiment("trunc", 2);
     with_plan("trunc@0", || {
@@ -206,7 +240,7 @@ fn quarantined_lockstep_batch_matches_no_lockstep_bit_for_bit() {
             }
         }
         // The member is now quarantined: re-running the same lockstep
-        // experiment keeps it on the individual path and reproduces the
+        // experiment runs it as a batch of one and reproduces the
         // identical outcome (nothing poisons the healthy batch).
         let again = Harness::parallel().with_lockstep(true).run(&build("q-lockstep-2"));
         for i in [0, 1, 3] {
@@ -263,7 +297,7 @@ fn threaded_lockstep_quarantines_a_panicking_pipeline_thread_like_serial() {
             }
         }
         // The quarantine record is shared machinery: a threaded re-run
-        // keeps the member on the individual path exactly like serial.
+        // runs the member as a batch of one exactly like serial.
         let again = Harness::parallel()
             .with_workers(1)
             .with_threads(8)

@@ -148,7 +148,7 @@ fn lockstep_and_per_job_execution_are_bit_identical() {
 #[test]
 fn diverging_config_inside_a_lockstep_group_is_isolated() {
     // A zero-width machine deadlocks the pipeline mid-batch. The group
-    // panics as a whole, falls back to per-job execution, and only the
+    // panics as a whole, is bisected down to batches of one, and only the
     // diverging configuration reports failure.
     let mut exp = Experiment::new("lockstep-isolation");
     exp.push(ProgramSpec::source("shared", TINY), "4-wide", CpuConfig::wide4());

@@ -9,6 +9,12 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test --workspace -q
 cargo test --workspace --release -q
+# The harness unit tests share process-global caches (compile memo,
+# quarantine, fault plan) across concurrent test threads; repeat them so a
+# test that races another's global state fails here instead of flaking later.
+for _ in 1 2 3 4 5; do
+    cargo test -q -p svf-harness --lib
+done
 # Golden snapshots once more on a single test thread: the threaded-lockstep
 # golden test spawns its own timing threads (fanout 1/2/4/8), and running it
 # without harness-level parallelism proves bit-identity isn't an artifact of
