@@ -19,12 +19,12 @@ fn ideal(mut c: CpuConfig) -> CpuConfig {
 }
 
 fn svf(mut c: CpuConfig) -> CpuConfig {
-    c.stack_engine = StackEngine::svf_8kb();
+    c.stack_engine = StackEngine::Svf;
     c
 }
 
 fn stack_cache(mut c: CpuConfig) -> CpuConfig {
-    c.stack_engine = StackEngine::stack_cache_8kb();
+    c.stack_engine = StackEngine::StackCache;
     c
 }
 
@@ -50,7 +50,7 @@ fn bench_configs(c: &mut Criterion, group: &str, configs: &[(&str, CpuConfig)]) 
 /// Figure 5: baseline vs ideal SVF across widths (plus 16-wide gshare).
 fn fig5(c: &mut Criterion) {
     let gshare = |mut cfg: CpuConfig| {
-        cfg.predictor = PredictorKind::Gshare { history_bits: 12 };
+        cfg.predictor = PredictorKind::Gshare;
         cfg
     };
     bench_configs(
@@ -97,7 +97,8 @@ fn fig6(c: &mut Criterion) {
 /// Figure 7: baseline ports vs stack cache vs SVF (with and without squash).
 fn fig7(c: &mut Criterion) {
     let mut nosq = CpuConfig::wide16().with_ports(2, 2);
-    nosq.stack_engine = StackEngine::Svf { cfg: svf::SvfConfig::kb8(), no_squash: true };
+    nosq.stack_engine = StackEngine::Svf;
+    nosq.svf_no_squash = true;
     bench_configs(
         c,
         "fig7",

@@ -31,7 +31,7 @@ fn pipeline_baseline(c: &mut Criterion) {
 fn pipeline_svf(c: &mut Criterion) {
     let program = stack_kernel();
     let mut cfg = CpuConfig::wide16().with_ports(2, 2);
-    cfg.stack_engine = StackEngine::svf_8kb();
+    cfg.stack_engine = StackEngine::Svf;
     c.bench_function("hotpath/pipeline-svf-stack-kernel", |b| {
         b.iter(|| {
             let stats = Simulator::new(cfg.clone()).run(&program, u64::MAX);
@@ -66,7 +66,7 @@ fn fig5_sweep_point(c: &mut Criterion) {
         .expect("compiles");
     let base = CpuConfig::wide16();
     let mut svf = CpuConfig::wide16().with_ports(2, 2);
-    svf.stack_engine = StackEngine::svf_8kb();
+    svf.stack_engine = StackEngine::Svf;
     c.bench_function("hotpath/fig5-point-bzip2", |b| {
         b.iter(|| {
             let b_cycles = Simulator::new(base.clone()).run(&program, u64::MAX).cycles;

@@ -170,7 +170,7 @@ fn main() -> ExitCode {
     };
 
     let mut svf_cfg = CpuConfig::wide16().with_ports(2, 2);
-    svf_cfg.stack_engine = StackEngine::svf_8kb();
+    svf_cfg.stack_engine = StackEngine::Svf;
     let base_cfg = CpuConfig::wide16();
     let sweep_base = CpuConfig::wide16().with_ports(2, 0);
     let sweep = svf_bench::sweep_configs();

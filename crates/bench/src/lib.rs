@@ -99,7 +99,7 @@ pub fn stack_kernel() -> Program {
 }
 
 /// The six-configuration sweep pinned by the golden-statistics matrix
-/// (`tests/golden_stats.rs`), resolved from the config-space preset
+/// (`tests/golden_stats.rs`), built from the config-space preset
 /// registry: three stack-engine variants and three cache-geometry
 /// variants. The lockstep benchmarks run all six against one shared
 /// functional stream; the per-config benchmarks run them separately —
@@ -116,7 +116,6 @@ pub fn sweep_configs() -> Vec<CpuConfig> {
         .map(|name| {
             svf_configspace::registry::require_preset(name)
                 .unwrap_or_else(|e| panic!("{e}"))
-                .resolve()
         })
         .collect()
 }
@@ -265,7 +264,7 @@ pub fn predictor_churn(n: u64) -> u64 {
         }
     }
 
-    let mut p = Predictor::new(PredictorKind::Gshare { history_bits: 12 });
+    let mut p = Predictor::new(PredictorKind::Gshare, 12);
     let mut x = 0xB12A_D0C5u64;
     let mut correct = 0u64;
     for i in 0..n {

@@ -1,16 +1,14 @@
-//! The declarative machine description and its field table.
+//! The field table: every [`CpuConfig`] field by name, with its checks.
 
-use svf::SvfConfig;
 use svf_cpu::{CpuConfig, PredictorKind, StackEngine};
-use svf_mem::{CacheConfig, HierarchyConfig, StackCacheConfig};
 
 use crate::value::Value;
 
-/// Every field of [`MicroArchConfig`], in serialization order. This is the
-/// single authority on what the config space contains: serialization emits
-/// the fields in this order, overlays and sweep axes may only name fields
-/// listed here, and [`MicroArchConfig::get`]/[`MicroArchConfig::set`] cover
-/// exactly this list (a unit test pins the bijection).
+/// Every field of the machine, in serialization order. This is the single
+/// authority on what the config space contains: serialization emits the
+/// fields in this order, overlays and sweep axes may only name fields
+/// listed here, and [`get`]/[`set`] cover exactly this list (a unit test
+/// pins the bijection).
 pub const FIELDS: &[&str] = &[
     "width",
     "ifq_size",
@@ -49,438 +47,369 @@ pub const FIELDS: &[&str] = &[
     "mem_latency",
 ];
 
-/// The accepted `predictor` values.
-pub const PREDICTORS: &[&str] = &["perfect", "gshare"];
+/// The accepted `predictor` spellings.
+pub const PREDICTORS: &[(&str, PredictorKind)] =
+    &[("perfect", PredictorKind::Perfect), ("gshare", PredictorKind::Gshare)];
 
-/// The accepted `stack_engine` values.
-pub const STACK_ENGINES: &[&str] = &["none", "svf", "stack-cache", "ideal"];
+/// The accepted `stack_engine` spellings.
+pub const STACK_ENGINES: &[(&str, StackEngine)] = &[
+    ("none", StackEngine::None),
+    ("svf", StackEngine::Svf),
+    ("stack-cache", StackEngine::StackCache),
+    ("ideal", StackEngine::IdealSvf),
+];
 
-/// A fully declarative machine description: every pipeline width, queue
-/// depth, functional-unit count, latency, predictor parameter, cache
-/// geometry, and SVF parameter is a named scalar field.
+/// The largest cache, SVF or stack-cache size (and line size) a field
+/// accepts: 1 GiB, far past any machine of the paper's era.
+const MAX_STRUCTURE_BYTES: u64 = 1 << 30;
+
+/// The largest `gshare_history_bits`: a 16 M-entry pattern history table.
+const MAX_GSHARE_HISTORY_BITS: u64 = 24;
+
+/// What one integer field may hold, checked on each write on its own.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// Any value.
+    Any,
+    /// At least one (widths, queue depths, unit counts).
+    Positive,
+    /// A power of two from the given floor up to [`MAX_STRUCTURE_BYTES`].
+    Pow2(u64),
+    /// Within the inclusive bounds.
+    Range(u64, u64),
+}
+
+impl Rule {
+    /// `n` when the rule admits it, else a message naming `field`.
+    fn check(self, field: &str, n: u64) -> Result<u64, String> {
+        let (ok, want) = match self {
+            Rule::Any => (true, String::new()),
+            Rule::Positive => (n >= 1, "at least 1".to_string()),
+            Rule::Pow2(min) => (
+                n.is_power_of_two() && (min..=MAX_STRUCTURE_BYTES).contains(&n),
+                format!("a power of two from {min} to {MAX_STRUCTURE_BYTES}"),
+            ),
+            Rule::Range(lo, hi) => ((lo..=hi).contains(&n), format!("from {lo} to {hi}")),
+        };
+        if ok {
+            Ok(n)
+        } else {
+            Err(format!("{field} must be {want}, got {n}"))
+        }
+    }
+}
+
+/// A mutable view of one field, typed by its storage.
+enum Slot<'a> {
+    Usize(&'a mut usize, Rule),
+    U64(&'a mut u64, Rule),
+    U32(&'a mut u32, Rule),
+    Bool(&'a mut bool),
+    Engine(&'a mut StackEngine),
+    Predictor(&'a mut PredictorKind),
+}
+
+/// The one name → field map behind [`get`] and [`set`].
+fn slot<'a>(cfg: &'a mut CpuConfig, field: &str) -> Option<Slot<'a>> {
+    use Rule::{Any, Positive, Pow2, Range};
+    use Slot::{Bool, U32, U64, Usize};
+    let h = &mut cfg.hierarchy;
+    Some(match field {
+        "width" => Usize(&mut cfg.width, Positive),
+        "ifq_size" => Usize(&mut cfg.ifq_size, Positive),
+        "ruu_size" => Usize(&mut cfg.ruu_size, Positive),
+        "lsq_size" => Usize(&mut cfg.lsq_size, Positive),
+        "int_alus" => Usize(&mut cfg.int_alus, Positive),
+        "int_mults" => Usize(&mut cfg.int_mults, Positive),
+        "dl1_ports" => Usize(&mut cfg.dl1_ports, Positive),
+        "stack_ports" => Usize(&mut cfg.stack_ports, Any),
+        "store_forward_latency" => U64(&mut cfg.store_forward_latency, Any),
+        "mul_latency" => U64(&mut cfg.mul_latency, Any),
+        "div_latency" => U64(&mut cfg.div_latency, Any),
+        "redirect_penalty" => U64(&mut cfg.redirect_penalty, Any),
+        "squash_penalty" => U64(&mut cfg.squash_penalty, Any),
+        "no_addr_calc_for_stack" => Bool(&mut cfg.no_addr_calc_for_stack),
+        "predictor" => Slot::Predictor(&mut cfg.predictor),
+        "gshare_history_bits" => {
+            U32(&mut cfg.gshare_history_bits, Range(0, MAX_GSHARE_HISTORY_BITS))
+        }
+        "stack_engine" => Slot::Engine(&mut cfg.stack_engine),
+        "svf_bytes" => U64(&mut cfg.svf.capacity_bytes, Pow2(8)),
+        "svf_no_squash" => Bool(&mut cfg.svf_no_squash),
+        "stack_cache_bytes" => U64(&mut cfg.stack_cache.size_bytes, Pow2(1)),
+        "stack_cache_line_bytes" => U64(&mut cfg.stack_cache.line_bytes, Pow2(8)),
+        "stack_cache_hit_latency" => U64(&mut cfg.stack_cache.hit_latency, Any),
+        "il1_bytes" => U64(&mut h.il1.size_bytes, Pow2(1)),
+        "il1_assoc" => U32(&mut h.il1.assoc, Range(1, 16)),
+        "il1_line_bytes" => U64(&mut h.il1.line_bytes, Pow2(8)),
+        "il1_hit_latency" => U64(&mut h.il1.hit_latency, Any),
+        "dl1_bytes" => U64(&mut h.dl1.size_bytes, Pow2(1)),
+        "dl1_assoc" => U32(&mut h.dl1.assoc, Range(1, 16)),
+        "dl1_line_bytes" => U64(&mut h.dl1.line_bytes, Pow2(8)),
+        "dl1_hit_latency" => U64(&mut h.dl1.hit_latency, Any),
+        "l2_bytes" => U64(&mut h.l2.size_bytes, Pow2(1)),
+        "l2_assoc" => U32(&mut h.l2.assoc, Range(1, 16)),
+        "l2_line_bytes" => U64(&mut h.l2.line_bytes, Pow2(8)),
+        "l2_hit_latency" => U64(&mut h.l2.hit_latency, Any),
+        "mem_latency" => U64(&mut h.mem_latency, Any),
+        _ => return None,
+    })
+}
+
+/// The spelling of an enum value in its table.
+fn name_of<T: PartialEq>(table: &[(&'static str, T)], value: &T) -> &'static str {
+    table.iter().find(|(_, v)| v == value).map(|(name, _)| *name).expect("every variant is spelled")
+}
+
+/// The enum value `value` spells in its table.
+fn spelled<T: Copy>(field: &str, value: &Value, table: &[(&str, T)]) -> Result<T, String> {
+    let s = value.as_str().ok_or_else(|| format!("{field} wants a string, got {value}"))?;
+    table.iter().find(|(name, _)| *name == s).map(|(_, v)| *v).ok_or_else(|| {
+        let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        format!("{field} must be one of {}, got {s:?}", names.join("|"))
+    })
+}
+
+/// Reads one field by name. Returns `None` for unknown field names (the
+/// name authority is [`FIELDS`]).
+#[must_use]
+pub fn get(cfg: &CpuConfig, field: &str) -> Option<Value> {
+    // One table serves both directions: read through a scratch copy.
+    let mut scratch = cfg.clone();
+    Some(match slot(&mut scratch, field)? {
+        Slot::Usize(v, _) => Value::Int(*v as u64),
+        Slot::U64(v, _) => Value::Int(*v),
+        Slot::U32(v, _) => Value::Int(u64::from(*v)),
+        Slot::Bool(v) => Value::Bool(*v),
+        Slot::Engine(e) => Value::Str(name_of(STACK_ENGINES, e).to_string()),
+        Slot::Predictor(p) => Value::Str(name_of(PREDICTORS, p).to_string()),
+    })
+}
+
+/// Writes one field by name, checking the value on its own: type, enum
+/// spelling, and range (sizes and line sizes are powers of two up to
+/// 1 GiB, lines and the SVF at least 8 bytes, associativities 1–16,
+/// `gshare_history_bits` at most 24, widths, queues and unit counts at
+/// least 1). Cache geometry spans fields, so it is checked once per
+/// finished config instead: by [`Overlay::apply`](crate::Overlay::apply),
+/// [`from_toml`] and the sweep specs.
 ///
-/// Unlike [`CpuConfig`] (the resolved, nested form the simulator consumes),
-/// this struct is *flat and data-driven*: fields are addressable by name
-/// (see [`FIELDS`]), serializable to a TOML document, and composable by
-/// [`Overlay`](crate::Overlay) deltas. [`MicroArchConfig::resolve`] lowers
-/// it to the simulator's form.
+/// # Errors
 ///
-/// Engine-specific parameters (`svf_*`, `stack_cache_*`,
-/// `gshare_history_bits`) are always present and always serialized; they
-/// simply go unused when the selecting field (`stack_engine`, `predictor`)
-/// points elsewhere. That keeps overlay composition order-insensitive
-/// *within* a field: selecting `stack_engine = "svf"` before or after
-/// setting `svf_bytes` resolves identically.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MicroArchConfig {
-    /// Decode = issue = commit width.
-    pub width: u64,
-    /// Instruction fetch queue capacity.
-    pub ifq_size: u64,
-    /// RUU (unified RS+ROB) capacity.
-    pub ruu_size: u64,
-    /// Load/store queue capacity.
-    pub lsq_size: u64,
-    /// Number of integer ALUs.
-    pub int_alus: u64,
-    /// Number of integer multiply/divide units.
-    pub int_mults: u64,
-    /// L1 data cache ports ("R" in the paper's `(R+S)` notation).
-    pub dl1_ports: u64,
-    /// Stack-structure ports ("S" in `(R+S)`).
-    pub stack_ports: u64,
-    /// Store-to-load forwarding latency through the LSQ.
-    pub store_forward_latency: u64,
-    /// Integer multiply latency.
-    pub mul_latency: u64,
-    /// Integer divide/remainder latency.
-    pub div_latency: u64,
-    /// Cycles from branch resolution until fetch restarts.
-    pub redirect_penalty: u64,
-    /// Fetch-stall cycles charged per §3.2 collision squash.
-    pub squash_penalty: u64,
-    /// Figure 6's `no_addr_cal_op` relaxation.
-    pub no_addr_calc_for_stack: bool,
-    /// Branch predictor: `"perfect"` or `"gshare"`.
-    pub predictor: String,
-    /// log2 PHT size for the gshare predictor (unused when perfect).
-    pub gshare_history_bits: u64,
-    /// Stack engine: `"none"`, `"svf"`, `"stack-cache"`, or `"ideal"`.
-    pub stack_engine: String,
-    /// SVF capacity in bytes (used when `stack_engine = "svf"`).
-    pub svf_bytes: u64,
-    /// Disable the §5.3.1 collision squash (used when `stack_engine = "svf"`).
-    pub svf_no_squash: bool,
-    /// Stack-cache capacity in bytes (used when `stack_engine = "stack-cache"`).
-    pub stack_cache_bytes: u64,
-    /// Stack-cache line size in bytes.
-    pub stack_cache_line_bytes: u64,
-    /// Stack-cache hit latency in cycles.
-    pub stack_cache_hit_latency: u64,
-    /// Instruction-L1 capacity in bytes.
-    pub il1_bytes: u64,
-    /// Instruction-L1 associativity.
-    pub il1_assoc: u64,
-    /// Instruction-L1 line size in bytes.
-    pub il1_line_bytes: u64,
-    /// Instruction-L1 hit latency in cycles.
-    pub il1_hit_latency: u64,
-    /// Data-L1 capacity in bytes.
-    pub dl1_bytes: u64,
-    /// Data-L1 associativity.
-    pub dl1_assoc: u64,
-    /// Data-L1 line size in bytes.
-    pub dl1_line_bytes: u64,
-    /// Data-L1 hit latency in cycles.
-    pub dl1_hit_latency: u64,
-    /// Unified-L2 capacity in bytes.
-    pub l2_bytes: u64,
-    /// Unified-L2 associativity.
-    pub l2_assoc: u64,
-    /// Unified-L2 line size in bytes.
-    pub l2_line_bytes: u64,
-    /// Unified-L2 hit latency in cycles.
-    pub l2_hit_latency: u64,
-    /// Flat main-memory latency in CPU cycles.
-    pub mem_latency: u64,
+/// Unknown field names and rejected values, with a message naming the
+/// field — a misspelled overlay key can never be silently dropped. A
+/// failed write leaves the config unchanged.
+pub fn set(cfg: &mut CpuConfig, field: &str, value: &Value) -> Result<(), String> {
+    let slot = slot(cfg, field).ok_or_else(|| format!("unknown config field {field:?}"))?;
+    let int = |rule: Rule| {
+        let n = value.as_int().ok_or_else(|| format!("{field} wants an integer, got {value}"))?;
+        rule.check(field, n)
+    };
+    let narrow = |_| format!("{field} is out of range, got {value}");
+    match slot {
+        Slot::Usize(v, rule) => *v = usize::try_from(int(rule)?).map_err(narrow)?,
+        Slot::U64(v, rule) => *v = int(rule)?,
+        Slot::U32(v, rule) => *v = u32::try_from(int(rule)?).map_err(narrow)?,
+        Slot::Bool(v) => {
+            *v = value.as_bool().ok_or_else(|| format!("{field} wants a bool, got {value}"))?;
+        }
+        Slot::Engine(e) => *e = spelled(field, value, STACK_ENGINES)?,
+        Slot::Predictor(p) => *p = spelled(field, value, PREDICTORS)?,
+    }
+    Ok(())
 }
 
-impl Default for MicroArchConfig {
-    /// The paper's Table 2 16-wide baseline: dual-ported DL1, no stack
-    /// structure, perfect prediction — byte-for-byte what
-    /// `CpuConfig::wide16()` hardwires.
-    fn default() -> MicroArchConfig {
-        MicroArchConfig {
-            width: 16,
-            ifq_size: 64,
-            ruu_size: 256,
-            lsq_size: 128,
-            int_alus: 16,
-            int_mults: 4,
-            dl1_ports: 2,
-            stack_ports: 0,
-            store_forward_latency: 3,
-            mul_latency: 7,
-            div_latency: 20,
-            redirect_penalty: 2,
-            squash_penalty: 15,
-            no_addr_calc_for_stack: false,
-            predictor: "perfect".to_string(),
-            gshare_history_bits: 12,
-            stack_engine: "none".to_string(),
-            svf_bytes: 8 << 10,
-            svf_no_squash: false,
-            stack_cache_bytes: 8 << 10,
-            stack_cache_line_bytes: 32,
-            stack_cache_hit_latency: 2,
-            il1_bytes: 256 << 10,
-            il1_assoc: 8,
-            il1_line_bytes: 64,
-            il1_hit_latency: 1,
-            dl1_bytes: 64 << 10,
-            dl1_assoc: 4,
-            dl1_line_bytes: 32,
-            dl1_hit_latency: 3,
-            l2_bytes: 512 << 10,
-            l2_assoc: 4,
-            l2_line_bytes: 64,
-            l2_hit_latency: 16,
-            mem_latency: 60,
+/// The checks that span fields, run once on each finished config (after a
+/// whole overlay, TOML document or sweep point, so field order never
+/// matters): every cache's `bytes / (assoc × line)` and the stack cache's
+/// `bytes / line` must be a non-zero power of two.
+///
+/// # Errors
+///
+/// Names the structure whose geometry does not divide.
+pub(crate) fn validate(cfg: &CpuConfig) -> Result<(), String> {
+    let h = &cfg.hierarchy;
+    let sc = &cfg.stack_cache;
+    let structures = [
+        ("il1", h.il1.size_bytes, h.il1.line_bytes.saturating_mul(u64::from(h.il1.assoc))),
+        ("dl1", h.dl1.size_bytes, h.dl1.line_bytes.saturating_mul(u64::from(h.dl1.assoc))),
+        ("l2", h.l2.size_bytes, h.l2.line_bytes.saturating_mul(u64::from(h.l2.assoc))),
+        ("stack_cache", sc.size_bytes, sc.line_bytes),
+    ];
+    for (name, bytes, set_bytes) in structures {
+        let sets = bytes.checked_div(set_bytes).unwrap_or(0);
+        if !sets.is_power_of_two() {
+            return Err(format!(
+                "{name}: {bytes} bytes in {set_bytes}-byte sets gives {sets} sets, \
+                 want a non-zero power of two"
+            ));
         }
+    }
+    Ok(())
+}
+
+/// The hardware budget of the configured stack structure in bytes — the
+/// cost axis of the Pareto sweeps (IPC vs. dedicated stack storage). `none`
+/// costs nothing; the ideal (infinite) SVF is `u64::MAX` so it can never
+/// sit on a finite frontier.
+#[must_use]
+pub fn stack_structure_bytes(cfg: &CpuConfig) -> u64 {
+    match cfg.stack_engine {
+        StackEngine::None => 0,
+        StackEngine::Svf => cfg.svf.capacity_bytes,
+        StackEngine::StackCache => cfg.stack_cache.size_bytes,
+        StackEngine::IdealSvf => u64::MAX,
     }
 }
 
-/// Validates an enum-valued field against its accepted spellings.
-fn check_enum(field: &str, value: &str, accepted: &[&str]) -> Result<(), String> {
-    if accepted.contains(&value) {
-        Ok(())
-    } else {
-        Err(format!("{field} must be one of {}, got {value:?}", accepted.join("|")))
+/// Serializes every field (in [`FIELDS`] order) as a TOML document.
+/// Cache display names are not fields; they keep their role names.
+#[must_use]
+pub fn to_toml(cfg: &CpuConfig) -> String {
+    let mut out = String::from("# svf-configspace machine config\n");
+    for field in FIELDS {
+        let v = get(cfg, field).expect("FIELDS and get() agree");
+        out.push_str(&format!("{field} = {}\n", v.to_toml()));
     }
+    out
 }
 
-impl MicroArchConfig {
-    /// Reads one field by name. Returns `None` for unknown field names
-    /// (the name authority is [`FIELDS`]).
-    #[must_use]
-    pub fn get(&self, field: &str) -> Option<Value> {
-        Some(match field {
-            "width" => Value::Int(self.width),
-            "ifq_size" => Value::Int(self.ifq_size),
-            "ruu_size" => Value::Int(self.ruu_size),
-            "lsq_size" => Value::Int(self.lsq_size),
-            "int_alus" => Value::Int(self.int_alus),
-            "int_mults" => Value::Int(self.int_mults),
-            "dl1_ports" => Value::Int(self.dl1_ports),
-            "stack_ports" => Value::Int(self.stack_ports),
-            "store_forward_latency" => Value::Int(self.store_forward_latency),
-            "mul_latency" => Value::Int(self.mul_latency),
-            "div_latency" => Value::Int(self.div_latency),
-            "redirect_penalty" => Value::Int(self.redirect_penalty),
-            "squash_penalty" => Value::Int(self.squash_penalty),
-            "no_addr_calc_for_stack" => Value::Bool(self.no_addr_calc_for_stack),
-            "predictor" => Value::Str(self.predictor.clone()),
-            "gshare_history_bits" => Value::Int(self.gshare_history_bits),
-            "stack_engine" => Value::Str(self.stack_engine.clone()),
-            "svf_bytes" => Value::Int(self.svf_bytes),
-            "svf_no_squash" => Value::Bool(self.svf_no_squash),
-            "stack_cache_bytes" => Value::Int(self.stack_cache_bytes),
-            "stack_cache_line_bytes" => Value::Int(self.stack_cache_line_bytes),
-            "stack_cache_hit_latency" => Value::Int(self.stack_cache_hit_latency),
-            "il1_bytes" => Value::Int(self.il1_bytes),
-            "il1_assoc" => Value::Int(self.il1_assoc),
-            "il1_line_bytes" => Value::Int(self.il1_line_bytes),
-            "il1_hit_latency" => Value::Int(self.il1_hit_latency),
-            "dl1_bytes" => Value::Int(self.dl1_bytes),
-            "dl1_assoc" => Value::Int(self.dl1_assoc),
-            "dl1_line_bytes" => Value::Int(self.dl1_line_bytes),
-            "dl1_hit_latency" => Value::Int(self.dl1_hit_latency),
-            "l2_bytes" => Value::Int(self.l2_bytes),
-            "l2_assoc" => Value::Int(self.l2_assoc),
-            "l2_line_bytes" => Value::Int(self.l2_line_bytes),
-            "l2_hit_latency" => Value::Int(self.l2_hit_latency),
-            "mem_latency" => Value::Int(self.mem_latency),
-            _ => return None,
-        })
-    }
-
-    /// Writes one field by name, type- and enum-checked.
-    ///
-    /// # Errors
-    ///
-    /// Unknown field names, type mismatches, and unrecognized enum
-    /// spellings are rejected with a message naming the field — a
-    /// misspelled overlay key can never be silently dropped.
-    pub fn set(&mut self, field: &str, value: &Value) -> Result<(), String> {
-        let int = || value.as_int().ok_or_else(|| format!("{field} wants an integer, got {value}"));
-        let boolean =
-            || value.as_bool().ok_or_else(|| format!("{field} wants a bool, got {value}"));
-        let string =
-            || value.as_str().ok_or_else(|| format!("{field} wants a string, got {value}"));
-        match field {
-            "width" => self.width = int()?,
-            "ifq_size" => self.ifq_size = int()?,
-            "ruu_size" => self.ruu_size = int()?,
-            "lsq_size" => self.lsq_size = int()?,
-            "int_alus" => self.int_alus = int()?,
-            "int_mults" => self.int_mults = int()?,
-            "dl1_ports" => self.dl1_ports = int()?,
-            "stack_ports" => self.stack_ports = int()?,
-            "store_forward_latency" => self.store_forward_latency = int()?,
-            "mul_latency" => self.mul_latency = int()?,
-            "div_latency" => self.div_latency = int()?,
-            "redirect_penalty" => self.redirect_penalty = int()?,
-            "squash_penalty" => self.squash_penalty = int()?,
-            "no_addr_calc_for_stack" => self.no_addr_calc_for_stack = boolean()?,
-            "predictor" => {
-                let v = string()?;
-                check_enum(field, v, PREDICTORS)?;
-                self.predictor = v.to_string();
-            }
-            "gshare_history_bits" => self.gshare_history_bits = int()?,
-            "stack_engine" => {
-                let v = string()?;
-                check_enum(field, v, STACK_ENGINES)?;
-                self.stack_engine = v.to_string();
-            }
-            "svf_bytes" => self.svf_bytes = int()?,
-            "svf_no_squash" => self.svf_no_squash = boolean()?,
-            "stack_cache_bytes" => self.stack_cache_bytes = int()?,
-            "stack_cache_line_bytes" => self.stack_cache_line_bytes = int()?,
-            "stack_cache_hit_latency" => self.stack_cache_hit_latency = int()?,
-            "il1_bytes" => self.il1_bytes = int()?,
-            "il1_assoc" => self.il1_assoc = int()?,
-            "il1_line_bytes" => self.il1_line_bytes = int()?,
-            "il1_hit_latency" => self.il1_hit_latency = int()?,
-            "dl1_bytes" => self.dl1_bytes = int()?,
-            "dl1_assoc" => self.dl1_assoc = int()?,
-            "dl1_line_bytes" => self.dl1_line_bytes = int()?,
-            "dl1_hit_latency" => self.dl1_hit_latency = int()?,
-            "l2_bytes" => self.l2_bytes = int()?,
-            "l2_assoc" => self.l2_assoc = int()?,
-            "l2_line_bytes" => self.l2_line_bytes = int()?,
-            "l2_hit_latency" => self.l2_hit_latency = int()?,
-            "mem_latency" => self.mem_latency = int()?,
-            other => return Err(format!("unknown config field {other:?}")),
+/// Deserializes a TOML document written by [`to_toml`] (or a hand-written
+/// partial one: omitted fields keep their [`CpuConfig::wide16`] values,
+/// exactly like an overlay over the baseline).
+///
+/// # Errors
+///
+/// Unknown keys, rejected values, inconsistent cache geometry, and TOML
+/// syntax errors.
+pub fn from_toml(text: &str) -> Result<CpuConfig, String> {
+    let doc = crate::toml::parse(text)?;
+    let mut cfg = CpuConfig::wide16();
+    for item in &doc.items {
+        if !item.section.is_empty() {
+            return Err(format!("unexpected section [{}] in a machine config", item.section));
         }
-        Ok(())
+        let v = item
+            .value
+            .as_scalar()
+            .ok_or_else(|| format!("{} wants a scalar, got an array", item.key))?;
+        set(&mut cfg, &item.key, v)?;
     }
-
-    /// Lowers the declarative form to the nested [`CpuConfig`] the
-    /// simulator consumes. Cache display names are role-based (`IL1`,
-    /// `DL1`, `L2`); they appear only in geometry panic messages.
-    ///
-    /// # Errors
-    ///
-    /// Rejects unresolvable enum spellings (unreachable for configs built
-    /// through [`MicroArchConfig::set`], which validates on write).
-    pub fn try_resolve(&self) -> Result<CpuConfig, String> {
-        let predictor = match self.predictor.as_str() {
-            "perfect" => PredictorKind::Perfect,
-            "gshare" => PredictorKind::Gshare {
-                history_bits: u32::try_from(self.gshare_history_bits)
-                    .map_err(|_| "gshare_history_bits out of range".to_string())?,
-            },
-            other => return Err(format!("unknown predictor {other:?}")),
-        };
-        let stack_engine = match self.stack_engine.as_str() {
-            "none" => StackEngine::None,
-            "svf" => StackEngine::Svf {
-                cfg: SvfConfig::with_size(self.svf_bytes),
-                no_squash: self.svf_no_squash,
-            },
-            "stack-cache" => StackEngine::StackCache(StackCacheConfig {
-                size_bytes: self.stack_cache_bytes,
-                line_bytes: self.stack_cache_line_bytes,
-                hit_latency: self.stack_cache_hit_latency,
-            }),
-            "ideal" => StackEngine::IdealSvf,
-            other => return Err(format!("unknown stack_engine {other:?}")),
-        };
-        let cache = |name: &'static str, bytes: u64, assoc: u64, line: u64, hit: u64| {
-            Ok::<CacheConfig, String>(CacheConfig {
-                size_bytes: bytes,
-                assoc: u32::try_from(assoc).map_err(|_| format!("{name} assoc out of range"))?,
-                line_bytes: line,
-                hit_latency: hit,
-                name,
-            })
-        };
-        let usize_of = |field: &str, v: u64| {
-            usize::try_from(v).map_err(|_| format!("{field} out of range"))
-        };
-        Ok(CpuConfig {
-            width: usize_of("width", self.width)?,
-            ifq_size: usize_of("ifq_size", self.ifq_size)?,
-            ruu_size: usize_of("ruu_size", self.ruu_size)?,
-            lsq_size: usize_of("lsq_size", self.lsq_size)?,
-            int_alus: usize_of("int_alus", self.int_alus)?,
-            int_mults: usize_of("int_mults", self.int_mults)?,
-            dl1_ports: usize_of("dl1_ports", self.dl1_ports)?,
-            stack_ports: usize_of("stack_ports", self.stack_ports)?,
-            store_forward_latency: self.store_forward_latency,
-            mul_latency: self.mul_latency,
-            div_latency: self.div_latency,
-            hierarchy: HierarchyConfig {
-                il1: cache("IL1", self.il1_bytes, self.il1_assoc, self.il1_line_bytes, self.il1_hit_latency)?,
-                dl1: cache("DL1", self.dl1_bytes, self.dl1_assoc, self.dl1_line_bytes, self.dl1_hit_latency)?,
-                l2: cache("L2", self.l2_bytes, self.l2_assoc, self.l2_line_bytes, self.l2_hit_latency)?,
-                mem_latency: self.mem_latency,
-            },
-            stack_engine,
-            predictor,
-            no_addr_calc_for_stack: self.no_addr_calc_for_stack,
-            redirect_penalty: self.redirect_penalty,
-            squash_penalty: self.squash_penalty,
-        })
-    }
-
-    /// [`MicroArchConfig::try_resolve`], panicking on invalid enum
-    /// spellings — for configs built through the validating constructors
-    /// (presets, overlays, deserialization), which cannot produce them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an enum field holds an unrecognized spelling.
-    #[must_use]
-    pub fn resolve(&self) -> CpuConfig {
-        self.try_resolve().unwrap_or_else(|e| panic!("unresolvable MicroArchConfig: {e}"))
-    }
-
-    /// The hardware budget of the configured stack structure in bytes —
-    /// the cost axis of the Pareto sweeps (IPC vs. dedicated stack
-    /// storage). `none` costs nothing; the ideal (infinite) SVF is
-    /// `u64::MAX` so it can never sit on a finite frontier.
-    #[must_use]
-    pub fn stack_structure_bytes(&self) -> u64 {
-        match self.stack_engine.as_str() {
-            "svf" => self.svf_bytes,
-            "stack-cache" => self.stack_cache_bytes,
-            "ideal" => u64::MAX,
-            _ => 0,
-        }
-    }
-
-    /// Serializes every field (in [`FIELDS`] order) as a TOML document.
-    #[must_use]
-    pub fn to_toml(&self) -> String {
-        let mut out = String::from("# svf-configspace MicroArchConfig\n");
-        for field in FIELDS {
-            let v = self.get(field).expect("FIELDS and get() agree");
-            out.push_str(&format!("{field} = {}\n", v.to_toml()));
-        }
-        out
-    }
-
-    /// Deserializes a TOML document written by [`MicroArchConfig::to_toml`]
-    /// (or a hand-written partial one: omitted fields keep their
-    /// [`Default`] values, exactly like an overlay over the baseline).
-    ///
-    /// # Errors
-    ///
-    /// Unknown keys, type mismatches, enum misspellings, and TOML syntax
-    /// errors are rejected.
-    pub fn from_toml(text: &str) -> Result<MicroArchConfig, String> {
-        let doc = crate::toml::parse(text)?;
-        let mut cfg = MicroArchConfig::default();
-        for item in &doc.items {
-            if !item.section.is_empty() {
-                return Err(format!(
-                    "unexpected section [{}] in a MicroArchConfig document",
-                    item.section
-                ));
-            }
-            let v = item
-                .value
-                .as_scalar()
-                .ok_or_else(|| format!("{} wants a scalar, got an array", item.key))?;
-            cfg.set(&item.key, v)?;
-        }
-        Ok(cfg)
-    }
+    validate(&cfg)?;
+    Ok(cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn fields_and_accessors_are_a_bijection() {
-        let mut cfg = MicroArchConfig::default();
-        for field in FIELDS {
-            let v = cfg.get(field).unwrap_or_else(|| panic!("get covers {field}"));
-            cfg.set(field, &v).unwrap_or_else(|e| panic!("set covers {field}: {e}"));
-        }
-        assert_eq!(cfg, MicroArchConfig::default(), "get→set is the identity");
-        assert!(cfg.get("no_such_field").is_none());
-        assert!(cfg.set("no_such_field", &Value::Int(1)).is_err());
+    fn int(n: u64) -> Value {
+        Value::Int(n)
     }
 
     #[test]
-    fn default_resolves_to_the_hardwired_wide16() {
-        assert_eq!(MicroArchConfig::default().resolve(), CpuConfig::wide16());
+    fn fields_and_accessors_are_a_bijection() {
+        let mut cfg = CpuConfig::wide16();
+        for field in FIELDS {
+            let v = get(&cfg, field).unwrap_or_else(|| panic!("get covers {field}"));
+            set(&mut cfg, field, &v).unwrap_or_else(|e| panic!("set covers {field}: {e}"));
+        }
+        assert_eq!(cfg, CpuConfig::wide16(), "get→set is the identity");
+        assert!(get(&cfg, "no_such_field").is_none());
+        assert!(set(&mut cfg, "no_such_field", &int(1)).is_err());
     }
 
     #[test]
     fn enum_fields_reject_misspellings() {
-        let mut cfg = MicroArchConfig::default();
-        assert!(cfg.set("stack_engine", &Value::Str("svvf".into())).is_err());
-        assert!(cfg.set("predictor", &Value::Str("oracle".into())).is_err());
-        assert!(cfg.set("width", &Value::Str("wide".into())).is_err());
-        assert!(cfg.set("svf_no_squash", &Value::Int(1)).is_err());
-        assert_eq!(cfg, MicroArchConfig::default(), "failed sets leave no trace");
+        let mut cfg = CpuConfig::wide16();
+        assert!(set(&mut cfg, "stack_engine", &Value::Str("svvf".into())).is_err());
+        assert!(set(&mut cfg, "predictor", &Value::Str("oracle".into())).is_err());
+        assert!(set(&mut cfg, "width", &Value::Str("wide".into())).is_err());
+        assert!(set(&mut cfg, "svf_no_squash", &int(1)).is_err());
+        assert_eq!(cfg, CpuConfig::wide16(), "failed sets leave no trace");
     }
 
     #[test]
     fn stack_structure_cost_tracks_the_engine() {
-        let mut cfg = MicroArchConfig::default();
-        assert_eq!(cfg.stack_structure_bytes(), 0);
-        cfg.set("stack_engine", &Value::Str("svf".into())).unwrap();
-        cfg.set("svf_bytes", &Value::Int(4096)).unwrap();
-        assert_eq!(cfg.stack_structure_bytes(), 4096);
-        cfg.set("stack_engine", &Value::Str("stack-cache".into())).unwrap();
-        assert_eq!(cfg.stack_structure_bytes(), 8 << 10);
-        cfg.set("stack_engine", &Value::Str("ideal".into())).unwrap();
-        assert_eq!(cfg.stack_structure_bytes(), u64::MAX);
+        let mut cfg = CpuConfig::wide16();
+        assert_eq!(stack_structure_bytes(&cfg), 0);
+        set(&mut cfg, "stack_engine", &Value::Str("svf".into())).unwrap();
+        set(&mut cfg, "svf_bytes", &int(4096)).unwrap();
+        assert_eq!(stack_structure_bytes(&cfg), 4096);
+        set(&mut cfg, "stack_engine", &Value::Str("stack-cache".into())).unwrap();
+        assert_eq!(stack_structure_bytes(&cfg), 8 << 10);
+        set(&mut cfg, "stack_engine", &Value::Str("ideal".into())).unwrap();
+        assert_eq!(stack_structure_bytes(&cfg), u64::MAX);
+    }
+
+    /// Seed behaviour: a 3 KB DL1 panicked in `Cache::new`.
+    #[test]
+    fn non_power_of_two_cache_size_is_rejected() {
+        let err = set(&mut CpuConfig::wide16(), "dl1_bytes", &int(3 << 10)).unwrap_err();
+        assert!(err.contains("dl1_bytes") && err.contains("power of two"), "{err}");
+    }
+
+    /// Seed behaviour: `l2_assoc = 0` divided by zero.
+    #[test]
+    fn zero_associativity_is_rejected() {
+        let err = set(&mut CpuConfig::wide16(), "l2_assoc", &int(0)).unwrap_err();
+        assert!(err.contains("l2_assoc"), "{err}");
+        assert!(set(&mut CpuConfig::wide16(), "l2_assoc", &int(17)).is_err());
+    }
+
+    /// Seed behaviour: a 4-byte stack-cache line tripped an assert.
+    #[test]
+    fn line_sizes_below_eight_bytes_are_rejected() {
+        let err = set(&mut CpuConfig::wide16(), "stack_cache_line_bytes", &int(4)).unwrap_err();
+        assert!(err.contains("stack_cache_line_bytes"), "{err}");
+    }
+
+    /// Seed behaviour: `svf_bytes = 12` silently built a 1-entry SVF.
+    #[test]
+    fn svf_size_must_be_a_power_of_two_multiple_of_eight() {
+        let mut cfg = CpuConfig::wide16();
+        assert!(set(&mut cfg, "svf_bytes", &int(12)).is_err());
+        assert!(set(&mut cfg, "svf_bytes", &int(4)).is_err());
+        set(&mut cfg, "svf_bytes", &int(8)).expect("one entry, asked for exactly");
+    }
+
+    /// Seed behaviour: 70 history bits silently built a 64-entry table.
+    #[test]
+    fn gshare_history_bits_are_bounded() {
+        let mut cfg = CpuConfig::wide16();
+        let err = set(&mut cfg, "gshare_history_bits", &int(70)).unwrap_err();
+        assert!(err.contains("gshare_history_bits"), "{err}");
+        assert!(set(&mut cfg, "gshare_history_bits", &int(MAX_GSHARE_HISTORY_BITS + 1)).is_err());
+        set(&mut cfg, "gshare_history_bits", &int(MAX_GSHARE_HISTORY_BITS)).expect("in range");
+    }
+
+    #[test]
+    fn widths_and_unit_counts_are_positive() {
+        let mut cfg = CpuConfig::wide16();
+        assert!(set(&mut cfg, "width", &int(0)).unwrap_err().contains("width"));
+        set(&mut cfg, "stack_ports", &int(0)).expect("no stack ports is the baseline");
+    }
+
+    #[test]
+    fn validate_checks_cache_geometry_across_fields() {
+        let mut cfg = CpuConfig::wide16();
+        validate(&cfg).expect("the baseline is consistent");
+        set(&mut cfg, "dl1_assoc", &int(3)).expect("3 ways is fine on its own");
+        assert!(validate(&cfg).unwrap_err().contains("dl1"));
+        set(&mut cfg, "dl1_assoc", &int(4)).unwrap();
+        set(&mut cfg, "stack_cache_line_bytes", &int(16 << 10)).expect("a line on its own");
+        assert!(validate(&cfg).unwrap_err().contains("stack_cache"), "line beyond the size");
+    }
+
+    #[test]
+    fn from_toml_checks_geometry_once_at_the_end() {
+        let err = from_toml("dl1_bytes = 1k\ndl1_assoc = 16\ndl1_line_bytes = 128\n")
+            .expect_err("1k / (16 × 128) is no set at all");
+        assert!(err.contains("dl1"), "{err}");
+        // 64 bytes under the baseline's 4 × 32-byte sets is inconsistent
+        // until the later lines shrink the sets: only the end state counts.
+        let ok = from_toml("dl1_bytes = 64\ndl1_assoc = 1\ndl1_line_bytes = 8\n")
+            .expect("8 sets once the document is whole");
+        assert_eq!(ok.hierarchy.dl1.size_bytes, 64);
     }
 }

@@ -2,27 +2,28 @@
 //!
 //! Everything the simulator's machine model can vary — pipeline widths,
 //! queue depths, FU counts and latencies, predictor choice, cache
-//! geometry, and the SVF/stack-cache parameters — is a named field of
-//! [`MicroArchConfig`], serializable to a small TOML subset and
-//! composable as `base + overlay` deltas:
+//! geometry, and the SVF/stack-cache parameters — is a field of
+//! [`svf_cpu::CpuConfig`], and this crate names every one of them: a
+//! machine serializes to a small TOML subset and composes as
+//! `base + overlay` deltas:
 //!
 //! ```
 //! use svf_configspace::{registry, Overlay};
 //!
 //! let base = registry::require_preset("svf").unwrap();
-//! let tweaked = Overlay::parse("{svf_bytes: 4k, stack_ports: 4}")
+//! let machine = Overlay::parse("{svf_bytes: 4k, stack_ports: 4}")
 //!     .unwrap()
-//!     .apply(&base)
+//!     .apply(&base) // a CpuConfig, ready for the simulator
 //!     .unwrap();
-//! let cpu_config = tweaked.resolve(); // the form the simulator consumes
-//! assert_eq!(cpu_config.stack_ports, 4);
+//! assert_eq!(machine.stack_ports, 4);
+//! assert_eq!(machine.svf.capacity_bytes, 4 << 10);
 //! ```
 //!
 //! The crate has four layers:
 //!
-//! - [`config`]: the flat field table ([`FIELDS`]) and the
-//!   [`MicroArchConfig`] struct with by-name `get`/`set`, TOML round-trip,
-//!   and `resolve()` down to [`svf_cpu::CpuConfig`];
+//! - [`config`]: the field table ([`FIELDS`]) with by-name [`get`]/[`set`]
+//!   and their checks, the cross-field cache-geometry check, and the
+//!   TOML round-trip [`to_toml`]/[`from_toml`];
 //! - [`overlay`]: ordered last-write-wins field deltas ([`Overlay`]);
 //! - [`registry`]: the named presets reproducing every machine the
 //!   experiments used to hardwire, each expressed as an overlay recipe;
@@ -40,7 +41,9 @@ pub mod spec;
 pub mod toml;
 pub mod value;
 
-pub use config::{MicroArchConfig, FIELDS, PREDICTORS, STACK_ENGINES};
+pub use config::{
+    from_toml, get, set, stack_structure_bytes, to_toml, FIELDS, PREDICTORS, STACK_ENGINES,
+};
 pub use overlay::Overlay;
 pub use spec::{Axis, Mode, SweepSpec};
 pub use value::Value;

@@ -3,7 +3,9 @@
 
 use std::fmt;
 
-use crate::config::MicroArchConfig;
+use svf_cpu::CpuConfig;
+
+use crate::config;
 use crate::value::Value;
 
 /// An ordered list of field assignments applied on top of a base config.
@@ -72,17 +74,21 @@ impl Overlay {
         Ok(overlay)
     }
 
-    /// Applies the overlay to a base config, in order, last write winning.
+    /// Applies the overlay to a base config, in order, last write winning,
+    /// then checks the finished config's cache geometry once (so the order
+    /// of the assignments never matters).
     ///
     /// # Errors
     ///
-    /// Fails (leaving no partial result) on unknown field names, type
-    /// mismatches, or enum misspellings.
-    pub fn apply(&self, base: &MicroArchConfig) -> Result<MicroArchConfig, String> {
+    /// Fails (leaving no partial result) on unknown field names, values
+    /// [`config::set`] rejects, or cache geometry that does not divide
+    /// into a power-of-two number of sets.
+    pub fn apply(&self, base: &CpuConfig) -> Result<CpuConfig, String> {
         let mut cfg = base.clone();
         for (field, value) in &self.assigns {
-            cfg.set(field, value)?;
+            config::set(&mut cfg, field, value)?;
         }
+        config::validate(&cfg)?;
         Ok(cfg)
     }
 
@@ -121,7 +127,7 @@ mod tests {
             Overlay::parse("ruu_size=128 stack_ports=4").is_err(),
             "pairs without commas error loudly instead of misparsing"
         );
-        let cfg = a.apply(&MicroArchConfig::default()).expect("applies");
+        let cfg = a.apply(&CpuConfig::wide16()).expect("applies");
         assert_eq!(cfg.ruu_size, 128);
         assert_eq!(cfg.stack_ports, 4);
     }
@@ -129,10 +135,10 @@ mod tests {
     #[test]
     fn last_write_wins_and_nothing_drops() {
         let o = Overlay::parse("ruu_size=64, ruu_size=128").expect("parses");
-        let cfg = o.apply(&MicroArchConfig::default()).expect("applies");
+        let cfg = o.apply(&CpuConfig::wide16()).expect("applies");
         assert_eq!(cfg.ruu_size, 128, "last write wins");
         let bad = Overlay::parse("ruu_siez=64").expect("parse defers name checks");
-        let err = bad.apply(&MicroArchConfig::default()).expect_err("unknown field");
+        let err = bad.apply(&CpuConfig::wide16()).expect_err("unknown field");
         assert!(err.contains("ruu_siez"), "{err}");
         assert!(Overlay::parse("ruu_size").is_err(), "pair without a value");
     }
@@ -141,9 +147,26 @@ mod tests {
     fn then_composes_in_order() {
         let a = Overlay::parse("svf_bytes=4k").unwrap();
         let b = Overlay::parse("svf_bytes=8k, stack_engine=svf").unwrap();
-        let cfg = a.then(b).apply(&MicroArchConfig::default()).unwrap();
-        assert_eq!(cfg.svf_bytes, 8192);
-        assert_eq!(cfg.stack_engine, "svf");
+        let cfg = a.then(b).apply(&CpuConfig::wide16()).unwrap();
+        assert_eq!(cfg.svf.capacity_bytes, 8192);
+        assert_eq!(cfg.stack_engine, svf_cpu::StackEngine::Svf);
+    }
+
+    #[test]
+    fn engine_parameters_compose_in_either_order() {
+        let before = Overlay::parse("svf_bytes=2k, stack_engine=svf").unwrap();
+        let after = Overlay::parse("stack_engine=svf, svf_bytes=2k").unwrap();
+        let base = CpuConfig::wide16();
+        assert_eq!(before.apply(&base).unwrap(), after.apply(&base).unwrap());
+    }
+
+    #[test]
+    fn geometry_is_checked_on_the_finished_config() {
+        let base = CpuConfig::wide16();
+        let err = Overlay::parse("dl1_assoc=3").unwrap().apply(&base).unwrap_err();
+        assert!(err.contains("dl1"), "{err}");
+        let shrink = Overlay::parse("dl1_bytes=64, dl1_assoc=1, dl1_line_bytes=8").unwrap();
+        assert_eq!(shrink.apply(&base).unwrap().hierarchy.dl1.size_bytes, 64);
     }
 
     #[test]

@@ -3,12 +3,14 @@
 //! recipe.
 //!
 //! The registry is itself data: each preset is an overlay string over the
-//! Table 2 16-wide default, parsed by the same [`Overlay`] machinery sweep
-//! specs and the CLI use. Unit tests pin each preset against the original
-//! hardwired `CpuConfig` construction, and the repo-level golden-stats
-//! suite pins the resolved machines to bit-identical `SimStats`.
+//! Table 2 16-wide baseline ([`CpuConfig::wide16`]), parsed by the same
+//! [`Overlay`] machinery sweep specs and the CLI use. Unit tests pin each
+//! preset against the original hardwired `CpuConfig` construction, and the
+//! repo-level golden-stats suite pins the machines to bit-identical
+//! `SimStats`.
 
-use crate::config::MicroArchConfig;
+use svf_cpu::CpuConfig;
+
 use crate::overlay::Overlay;
 
 /// `(name, overlay-over-default, description)` for every preset, in
@@ -53,8 +55,8 @@ pub fn presets() -> Vec<&'static str> {
     PRESETS.iter().map(|(name, _, _)| *name).collect()
 }
 
-/// The overlay a preset applies over [`MicroArchConfig::default`], if the
-/// name is registered.
+/// The overlay a preset applies over [`CpuConfig::wide16`], if the name is
+/// registered.
 #[must_use]
 pub fn preset_overlay(name: &str) -> Option<Overlay> {
     let (_, overlay, _) = PRESETS.iter().find(|(n, _, _)| *n == name)?;
@@ -63,9 +65,9 @@ pub fn preset_overlay(name: &str) -> Option<Overlay> {
 
 /// Builds a preset by name.
 #[must_use]
-pub fn preset(name: &str) -> Option<MicroArchConfig> {
+pub fn preset(name: &str) -> Option<CpuConfig> {
     let overlay = preset_overlay(name)?;
-    Some(overlay.apply(&MicroArchConfig::default()).expect("registry overlays apply"))
+    Some(overlay.apply(&CpuConfig::wide16()).expect("registry overlays apply"))
 }
 
 /// Builds a preset by name, or fails with a message listing what exists —
@@ -74,7 +76,7 @@ pub fn preset(name: &str) -> Option<MicroArchConfig> {
 /// # Errors
 ///
 /// Unknown preset names.
-pub fn require_preset(name: &str) -> Result<MicroArchConfig, String> {
+pub fn require_preset(name: &str) -> Result<CpuConfig, String> {
     preset(name)
         .ok_or_else(|| format!("unknown config preset {name:?} (have: {})", presets().join(", ")))
 }
@@ -96,11 +98,11 @@ pub fn listing() -> String {
 
 #[cfg(test)]
 mod tests {
-    use svf_cpu::{CpuConfig, StackEngine};
+    use svf_cpu::StackEngine;
 
     use super::*;
 
-    /// Swaps in the role-based DL1 display name the registry resolves to,
+    /// Swaps in the role-based DL1 display name the registry builds with,
     /// so hardwired variants that only differ by `CacheConfig::name`
     /// ("DL1x2", "DL1s") compare equal on substance.
     fn with_role_names(mut cfg: CpuConfig) -> CpuConfig {
@@ -112,7 +114,7 @@ mod tests {
     fn every_overlay_parses_and_applies() {
         for (name, _, _) in PRESETS {
             let cfg = preset(name).unwrap_or_else(|| panic!("{name} registered"));
-            cfg.try_resolve().unwrap_or_else(|e| panic!("{name} resolves: {e}"));
+            crate::config::validate(&cfg).unwrap_or_else(|e| panic!("{name} is consistent: {e}"));
         }
         assert!(preset("no-such-machine").is_none());
         assert!(require_preset("no-such-machine").unwrap_err().contains("wide16"));
@@ -120,25 +122,25 @@ mod tests {
 
     #[test]
     fn table2_presets_match_the_hardwired_machines() {
-        assert_eq!(preset("wide4").unwrap().resolve(), CpuConfig::wide4());
-        assert_eq!(preset("wide8").unwrap().resolve(), CpuConfig::wide8());
-        assert_eq!(preset("wide16").unwrap().resolve(), CpuConfig::wide16());
-        assert_eq!(preset("base").unwrap().resolve(), CpuConfig::wide16());
+        assert_eq!(preset("wide4").unwrap(), CpuConfig::wide4());
+        assert_eq!(preset("wide8").unwrap(), CpuConfig::wide8());
+        assert_eq!(preset("wide16").unwrap(), CpuConfig::wide16());
+        assert_eq!(preset("base").unwrap(), CpuConfig::wide16());
     }
 
     #[test]
     fn golden_stats_presets_match_the_hardwired_machines() {
         let mut sc = CpuConfig::wide16().with_ports(2, 2);
-        sc.stack_engine = StackEngine::stack_cache_8kb();
-        assert_eq!(preset("stack-cache").unwrap().resolve(), sc);
+        sc.stack_engine = StackEngine::StackCache;
+        assert_eq!(preset("stack-cache").unwrap(), sc);
 
         let mut svf = CpuConfig::wide16().with_ports(2, 2);
-        svf.stack_engine = StackEngine::svf_8kb();
-        assert_eq!(preset("svf").unwrap().resolve(), svf);
+        svf.stack_engine = StackEngine::Svf;
+        assert_eq!(preset("svf").unwrap(), svf);
 
         let mut dl1x2 = CpuConfig::wide16();
         dl1x2.hierarchy.dl1 = svf_mem::CacheConfig::dl1_128k();
-        assert_eq!(preset("base-dl1x2").unwrap().resolve(), with_role_names(dl1x2));
+        assert_eq!(preset("base-dl1x2").unwrap(), with_role_names(dl1x2));
 
         let mut dl1s = CpuConfig::wide16();
         dl1s.hierarchy.dl1 = svf_mem::CacheConfig {
@@ -148,23 +150,23 @@ mod tests {
             hit_latency: 3,
             name: "DL1s",
         };
-        assert_eq!(preset("base-dl1-4k").unwrap().resolve(), with_role_names(dl1s));
+        assert_eq!(preset("base-dl1-4k").unwrap(), with_role_names(dl1s));
 
         let mut sc64 = CpuConfig::wide16().with_ports(2, 2);
-        sc64.stack_engine = StackEngine::StackCache(svf_mem::StackCacheConfig::with_size(64));
-        assert_eq!(preset("stack-cache-64b").unwrap().resolve(), sc64);
+        sc64.stack_engine = StackEngine::StackCache;
+        sc64.stack_cache = svf_mem::StackCacheConfig::with_size(64);
+        assert_eq!(preset("stack-cache-64b").unwrap(), sc64);
     }
 
     #[test]
     fn ideal_and_nosquash_variants() {
-        let ideal = preset("ideal").unwrap().resolve();
+        let ideal = preset("ideal").unwrap();
         assert_eq!(ideal.stack_engine, StackEngine::IdealSvf);
         assert_eq!(ideal.stack_ports, 0, "the ideal SVF needs no ports");
-        let ns = preset("svf-nosquash").unwrap().resolve();
-        assert!(
-            matches!(ns.stack_engine, StackEngine::Svf { no_squash: true, .. }),
-            "nosquash selects the squash-free SVF"
-        );
+        let mut ns = CpuConfig::wide16().with_ports(2, 2);
+        ns.stack_engine = StackEngine::Svf;
+        ns.svf_no_squash = true;
+        assert_eq!(preset("svf-nosquash").unwrap(), ns, "nosquash selects the squash-free SVF");
     }
 
     #[test]

@@ -26,9 +26,11 @@
 //!
 //! Points are addressed by an index vector (one index per axis, in axis
 //! order); [`SweepSpec::config_at`] lowers an index vector to a concrete
-//! [`MicroArchConfig`].
+//! [`CpuConfig`].
 
-use crate::config::{MicroArchConfig, FIELDS};
+use svf_cpu::CpuConfig;
+
+use crate::config::{self, FIELDS};
 use crate::registry;
 use crate::toml::{self, Entry};
 use crate::value::Value;
@@ -74,8 +76,8 @@ pub struct SweepSpec {
     pub mode: Mode,
     /// Name of the base preset the axes overlay.
     pub base_name: String,
-    /// The resolved base config.
-    pub base: MicroArchConfig,
+    /// The base preset's machine.
+    pub base: CpuConfig,
     /// Workload names (validated by the harness, which owns the workload
     /// registry).
     pub workloads: Vec<String>,
@@ -233,10 +235,10 @@ impl SweepSpec {
         // Pre-validate every axis value against the base config so a bad
         // value fails at parse time, not at point 977 of the expansion.
         for axis in &axes {
-            let mut scratch = base.clone();
             for v in &axis.values {
-                scratch
-                    .set(&axis.field, v)
+                let mut probe = base.clone();
+                config::set(&mut probe, &axis.field, v)
+                    .and_then(|()| config::validate(&probe))
                     .map_err(|e| format!("axis {}: {e}", axis.field))?;
             }
         }
@@ -268,8 +270,9 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Rejects index vectors of the wrong arity or with out-of-range
-    /// entries.
-    pub fn config_at(&self, idx: &[usize]) -> Result<MicroArchConfig, String> {
+    /// entries, and points whose axis values combine into a cache geometry
+    /// that does not divide into a power-of-two number of sets.
+    pub fn config_at(&self, idx: &[usize]) -> Result<CpuConfig, String> {
         if idx.len() != self.axes.len() {
             return Err(format!(
                 "index vector has {} entries for {} axes",
@@ -283,8 +286,9 @@ impl SweepSpec {
                 .values
                 .get(i)
                 .ok_or_else(|| format!("axis {} has no value #{i}", axis.field))?;
-            cfg.set(&axis.field, v)?;
+            config::set(&mut cfg, &axis.field, v)?;
         }
+        config::validate(&cfg).map_err(|e| format!("point {}: {e}", self.label_at(idx)))?;
         Ok(cfg)
     }
 
@@ -439,9 +443,9 @@ mod tests {
         assert_eq!(grid[1], [0, 1], "last axis fastest");
         assert_eq!(grid[11], [3, 2]);
         let cfg = spec.config_at(&grid[11]).expect("lowers");
-        assert_eq!(cfg.svf_bytes, 8 << 10);
+        assert_eq!(cfg.svf.capacity_bytes, 8 << 10);
         assert_eq!(cfg.stack_ports, 4);
-        assert_eq!(cfg.stack_engine, "svf", "base preset carries through");
+        assert_eq!(cfg.stack_engine, svf_cpu::StackEngine::Svf, "base preset carries through");
         assert_eq!(spec.label_at(&grid[1]), "svf_bytes=1024 stack_ports=2");
     }
 
@@ -540,5 +544,28 @@ mod tests {
                 .is_err(),
             "axis listed twice"
         );
+    }
+
+    /// Seed behaviour: a 3 KB DL1 axis parsed, then panicked per job.
+    #[test]
+    fn bad_axis_values_fail_at_parse_time() {
+        let spec = SPEC.replace("stack_ports = [1, 2, 4]", "dl1_bytes = [3k, 64k]");
+        let err = SweepSpec::from_toml(&spec).expect_err("3k is no cache size");
+        assert!(err.contains("dl1_bytes"), "{err}");
+        let spec = SPEC.replace("stack_ports = [1, 2, 4]", "dl1_assoc = [3, 4]");
+        let err = SweepSpec::from_toml(&spec).expect_err("3 ways do not divide 64k");
+        assert!(err.contains("dl1"), "{err}");
+    }
+
+    #[test]
+    fn points_combining_into_bad_geometry_are_errors() {
+        let spec = SPEC.replace(
+            "svf_bytes = [1k, 2k, 4k, 8k]\nstack_ports = [1, 2, 4]",
+            "dl1_bytes = [1k, 64k]\ndl1_line_bytes = [32, 512]",
+        );
+        let spec = SweepSpec::from_toml(&spec).expect("each value fits the base alone");
+        spec.config_at(&[0, 0]).expect("1k in 4 × 32 B sets");
+        let err = spec.config_at(&[0, 1]).expect_err("1k in 4 × 512 B sets");
+        assert!(err.contains("dl1_bytes=1024 dl1_line_bytes=512"), "{err}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The container ships no serde/toml crates, so the config space carries
 //! its own codec for the two documents it owns: flat `key = value` config
-//! files ([`crate::MicroArchConfig`]) and sweep specs with one level of
+//! files ([`crate::to_toml`]) and sweep specs with one level of
 //! `[section]` nesting and scalar arrays ([`crate::SweepSpec`]). Supported
 //! grammar, a strict subset of TOML:
 //!

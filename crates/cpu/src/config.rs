@@ -1,47 +1,29 @@
 //! Machine-model configuration (the paper's Table 2 plus stack engines).
 //!
-//! This is the *imperative* config the simulator consumes. The
-//! `svf-configspace` crate layers a fully declarative description on top
-//! (every field named, serializable to TOML, composable via overlays) with
-//! a preset registry reproducing the machines below bit-identically —
-//! experiments and sweeps should build configs there, not by hand here.
+//! [`CpuConfig`] is the only machine configuration. The `svf-configspace`
+//! crate addresses its fields by name (TOML round-trip, overlays, sweep
+//! axes) and holds the preset registry reproducing the machines below
+//! bit-identically — experiments and sweeps should build configs there,
+//! not by hand here.
 
 use svf::SvfConfig;
 use svf_mem::{HierarchyConfig, StackCacheConfig};
 
-/// Which structure (if any) services stack references.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Which structure (if any) services stack references. Each structure's
+/// geometry lives beside it in [`CpuConfig`] (`svf`, `svf_no_squash`,
+/// `stack_cache`), always stored and used only when selected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StackEngine {
     /// Conventional baseline: everything goes through the data L1.
     None,
     /// Decoupled stack cache (Cho/Yew/Lee): stack-region references are
     /// steered to a dedicated direct-mapped cache backed by the L2.
-    StackCache(StackCacheConfig),
+    StackCache,
     /// The stack value file.
-    Svf {
-        /// SVF geometry.
-        cfg: SvfConfig,
-        /// Disable the gpr-store→sp-load collision squash (paper §5.3.1:
-        /// a code generator tailored for the SVF avoids the pattern).
-        no_squash: bool,
-    },
+    Svf,
     /// Figure 5 limit study: infinite SVF, unlimited ports, every stack
     /// reference morphs to a register move.
     IdealSvf,
-}
-
-impl StackEngine {
-    /// The paper's standard 8 KB SVF with squashes enabled.
-    #[must_use]
-    pub fn svf_8kb() -> StackEngine {
-        StackEngine::Svf { cfg: SvfConfig::kb8(), no_squash: false }
-    }
-
-    /// The paper's standard 8 KB decoupled stack cache.
-    #[must_use]
-    pub fn stack_cache_8kb() -> StackEngine {
-        StackEngine::StackCache(StackCacheConfig::kb8())
-    }
 }
 
 /// Branch predictor selection.
@@ -51,11 +33,8 @@ pub enum PredictorKind {
     /// isolate memory-system effects from front-end effects).
     Perfect,
     /// Gshare with 2-bit counters, plus a BTB for indirect jumps and a
-    /// return-address stack.
-    Gshare {
-        /// log2 of the pattern-history-table size (also history length).
-        history_bits: u32,
-    },
+    /// return-address stack; sized by [`CpuConfig::gshare_history_bits`].
+    Gshare,
 }
 
 /// Full machine configuration.
@@ -87,8 +66,20 @@ pub struct CpuConfig {
     pub hierarchy: HierarchyConfig,
     /// Stack engine.
     pub stack_engine: StackEngine,
+    /// SVF geometry (used when `stack_engine` is [`StackEngine::Svf`]).
+    pub svf: SvfConfig,
+    /// Disable the gpr-store→sp-load collision squash (paper §5.3.1: a code
+    /// generator tailored for the SVF avoids the pattern). Used when
+    /// `stack_engine` is [`StackEngine::Svf`].
+    pub svf_no_squash: bool,
+    /// Stack-cache geometry (used when `stack_engine` is
+    /// [`StackEngine::StackCache`]).
+    pub stack_cache: StackCacheConfig,
     /// Branch predictor.
     pub predictor: PredictorKind,
+    /// log2 of the gshare pattern-history-table size, also the history
+    /// length (used when `predictor` is [`PredictorKind::Gshare`]).
+    pub gshare_history_bits: u32,
     /// Figure 6's `no_addr_cal_op`: `$sp`-relative memory references lose
     /// their base-register dependence (early address resolution in decode)
     /// while still going through the normal D-cache path.
@@ -118,7 +109,11 @@ impl CpuConfig {
             div_latency: 20,
             hierarchy: HierarchyConfig::default(),
             stack_engine: StackEngine::None,
+            svf: SvfConfig::kb8(),
+            svf_no_squash: false,
+            stack_cache: StackCacheConfig::kb8(),
             predictor: PredictorKind::Perfect,
+            gshare_history_bits: 12,
             no_addr_calc_for_stack: false,
             redirect_penalty: 2,
             squash_penalty: 15,
@@ -155,6 +150,15 @@ impl CpuConfig {
             self.hierarchy.dl1.hit_latency = 4;
         }
         self
+    }
+
+    /// The identity. Presets, overlays and TOML documents all produce a
+    /// finished `CpuConfig`, so there is nothing left to resolve; this is
+    /// kept only for the end-to-end benchmark (`e2e-bench`), which calls
+    /// `spec.config_at(&idx)?.resolve()`. Remove the two together.
+    #[must_use]
+    pub fn resolve(&self) -> CpuConfig {
+        self.clone()
     }
 }
 

@@ -36,7 +36,7 @@
 //! )?;
 //! let baseline = Simulator::new(CpuConfig::wide16()).run(&program, 1_000_000);
 //! let mut svf_cfg = CpuConfig::wide16();
-//! svf_cfg.stack_engine = StackEngine::svf_8kb();
+//! svf_cfg.stack_engine = StackEngine::Svf;
 //! svf_cfg.stack_ports = 2;
 //! let with_svf = Simulator::new(svf_cfg).run(&program, 1_000_000);
 //! assert!(with_svf.cycles <= baseline.cycles, "the SVF never hurts here");

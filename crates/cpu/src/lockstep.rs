@@ -607,9 +607,9 @@ mod tests {
 
     fn config_set() -> Vec<CpuConfig> {
         let mut svf_cfg = CpuConfig::wide16().with_ports(2, 2);
-        svf_cfg.stack_engine = StackEngine::svf_8kb();
+        svf_cfg.stack_engine = StackEngine::Svf;
         let mut sc_cfg = CpuConfig::wide8().with_ports(2, 2);
-        sc_cfg.stack_engine = StackEngine::stack_cache_8kb();
+        sc_cfg.stack_engine = StackEngine::StackCache;
         vec![CpuConfig::wide16(), svf_cfg, sc_cfg, CpuConfig::wide4()]
     }
 

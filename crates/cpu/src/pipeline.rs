@@ -276,21 +276,15 @@ pub(crate) struct EngineState {
 impl EngineState {
     /// Cold state for a config, exactly what [`Pipeline::new`] builds.
     pub(crate) fn new(cfg: &CpuConfig, initial_sp: u64) -> EngineState {
-        let svf = match &cfg.stack_engine {
-            StackEngine::Svf { cfg: svf_cfg, .. } => {
-                Some(StackValueFile::new(*svf_cfg, initial_sp))
-            }
-            _ => None,
-        };
-        let stack_cache = match &cfg.stack_engine {
-            StackEngine::StackCache(sc) => Some(StackCache::new(*sc)),
-            _ => None,
-        };
+        let svf = (cfg.stack_engine == StackEngine::Svf)
+            .then(|| StackValueFile::new(cfg.svf, initial_sp));
+        let stack_cache =
+            (cfg.stack_engine == StackEngine::StackCache).then(|| StackCache::new(cfg.stack_cache));
         EngineState {
             hier: Hierarchy::new(cfg.hierarchy.clone()),
             svf,
             stack_cache,
-            predictor: Predictor::new(cfg.predictor),
+            predictor: Predictor::new(cfg.predictor, cfg.gshare_history_bits),
             last_fetch_line: u64::MAX,
         }
     }
@@ -316,7 +310,6 @@ pub(crate) struct Pipeline<'a> {
     cfg: &'a CpuConfig,
     hier: Hierarchy,
     svf: Option<StackValueFile>,
-    no_squash: bool,
     stack_cache: Option<StackCache>,
     predictor: Predictor,
     stats: SimStats,
@@ -400,16 +393,11 @@ impl<'a> Pipeline<'a> {
     /// starts empty; sampled simulation uses this to begin each measured
     /// interval with warm caches/predictor but a cold pipeline.
     pub(crate) fn from_state(cfg: &'a CpuConfig, state: EngineState) -> Pipeline<'a> {
-        let no_squash = match &cfg.stack_engine {
-            StackEngine::Svf { no_squash, .. } => *no_squash,
-            _ => false,
-        };
         let ring = cfg.ruu_size.next_power_of_two().max(1);
         Pipeline {
             cfg,
             hier: state.hier,
             svf: state.svf,
-            no_squash,
             stack_cache: state.stack_cache,
             predictor: state.predictor,
             stats: SimStats::default(),
@@ -926,10 +914,10 @@ impl<'a> Pipeline<'a> {
                 StackCache,
                 IdealMorph,
             }
-            let route = match (&self.cfg.stack_engine, is_stack) {
+            let route = match (self.cfg.stack_engine, is_stack) {
                 (StackEngine::IdealSvf, true) => Route::IdealMorph,
-                (StackEngine::StackCache(_), true) => Route::StackCache,
-                (StackEngine::Svf { .. }, true) => {
+                (StackEngine::StackCache, true) => Route::StackCache,
+                (StackEngine::Svf, true) => {
                     let svf = self.svf.as_ref().expect("svf engine");
                     if !svf.in_range(addr) {
                         self.stats.svf_out_of_window += 1;
@@ -992,7 +980,7 @@ impl<'a> Pipeline<'a> {
                         // §3.2: an older non-sp store to the same address
                         // that has not issued yet is a squash hazard.
                         if let Some(d) = other_live {
-                            if self.no_squash {
+                            if self.cfg.svf_no_squash {
                                 forward_from = Some(forward_from.map_or(d, |f| f.max(d)));
                             } else {
                                 // The store is in flight, so its watch-ring
@@ -1221,7 +1209,7 @@ mod tests {
         let p = stack_kernel();
         let base = run_with(CpuConfig::wide16().with_ports(1, 0), &p);
         let mut cfg = CpuConfig::wide16().with_ports(1, 1);
-        cfg.stack_engine = StackEngine::svf_8kb();
+        cfg.stack_engine = StackEngine::Svf;
         let svf = run_with(cfg, &p);
         let speedup = svf.speedup_over(&base);
         assert!(speedup > 1.05, "expected SVF speedup on (1+1) vs (1+0), got {speedup:.3}");
@@ -1232,7 +1220,7 @@ mod tests {
     fn ideal_svf_at_least_as_fast_as_real() {
         let p = stack_kernel();
         let mut real_cfg = CpuConfig::wide16().with_ports(2, 2);
-        real_cfg.stack_engine = StackEngine::svf_8kb();
+        real_cfg.stack_engine = StackEngine::Svf;
         let real = run_with(real_cfg, &p);
         let mut ideal_cfg = CpuConfig::wide16().with_ports(2, 0);
         ideal_cfg.stack_engine = StackEngine::IdealSvf;
@@ -1263,7 +1251,7 @@ mod tests {
         );
         let perfect = run_with(CpuConfig::wide16(), &p);
         let mut g = CpuConfig::wide16();
-        g.predictor = PredictorKind::Gshare { history_bits: 12 };
+        g.predictor = PredictorKind::Gshare;
         let gshare = run_with(g, &p);
         assert_eq!(perfect.mispredicts, 0);
         assert!(gshare.mispredicts > 100, "random branches mispredict: {}", gshare.mispredicts);
@@ -1291,12 +1279,12 @@ mod tests {
             }",
         );
         let mut cfg = CpuConfig::wide16().with_ports(2, 2);
-        cfg.stack_engine = StackEngine::svf_8kb();
+        cfg.stack_engine = StackEngine::Svf;
         let s = run_with(cfg.clone(), &p);
         assert!(s.svf_squashes > 0, "expected squashes, got {}", s.svf_squashes);
 
         let mut nsq = cfg;
-        nsq.stack_engine = StackEngine::Svf { cfg: svf::SvfConfig::kb8(), no_squash: true };
+        nsq.svf_no_squash = true;
         let s2 = run_with(nsq, &p);
         assert_eq!(s2.svf_squashes, 0);
         // In no_squash mode the collision becomes an ordinary forwarding
@@ -1315,10 +1303,10 @@ mod tests {
         let p = stack_kernel();
         let base = run_with(CpuConfig::wide16().with_ports(2, 0), &p);
         let mut sc_cfg = CpuConfig::wide16().with_ports(2, 2);
-        sc_cfg.stack_engine = StackEngine::stack_cache_8kb();
+        sc_cfg.stack_engine = StackEngine::StackCache;
         let sc = run_with(sc_cfg, &p);
         let mut svf_cfg = CpuConfig::wide16().with_ports(2, 2);
-        svf_cfg.stack_engine = StackEngine::svf_8kb();
+        svf_cfg.stack_engine = StackEngine::Svf;
         let svf = run_with(svf_cfg, &p);
         assert!(sc.cycles <= base.cycles, "stack cache >= baseline");
         assert!(svf.cycles <= sc.cycles, "SVF >= stack cache");
@@ -1330,7 +1318,7 @@ mod tests {
         let p = stack_kernel();
         let base = run_with(CpuConfig::wide16(), &p);
         let mut cfg = CpuConfig::wide16().with_ports(2, 2);
-        cfg.stack_engine = StackEngine::svf_8kb();
+        cfg.stack_engine = StackEngine::Svf;
         let svf = run_with(cfg, &p);
         assert!(
             svf.dl1.accesses < base.dl1.accesses / 2,
@@ -1344,7 +1332,7 @@ mod tests {
     fn morph_fraction_is_high() {
         let p = stack_kernel();
         let mut cfg = CpuConfig::wide16().with_ports(2, 2);
-        cfg.stack_engine = StackEngine::svf_8kb();
+        cfg.stack_engine = StackEngine::Svf;
         let s = run_with(cfg, &p);
         assert!(
             s.morph_fraction() > 0.5,

@@ -28,12 +28,13 @@ pub enum Predictor {
 }
 
 impl Predictor {
-    /// Builds a predictor from the configuration.
+    /// Builds a predictor from the configuration (`history_bits` sizes a
+    /// gshare table and is ignored by the perfect predictor).
     #[must_use]
-    pub fn new(kind: PredictorKind) -> Predictor {
+    pub fn new(kind: PredictorKind, history_bits: u32) -> Predictor {
         match kind {
             PredictorKind::Perfect => Predictor::Perfect,
-            PredictorKind::Gshare { history_bits } => Predictor::Gshare(Gshare::new(history_bits)),
+            PredictorKind::Gshare => Predictor::Gshare(Gshare::new(history_bits)),
         }
     }
 
@@ -251,7 +252,7 @@ mod tests {
 
     #[test]
     fn perfect_never_mispredicts() {
-        let mut p = Predictor::new(PredictorKind::Perfect);
+        let mut p = Predictor::new(PredictorKind::Perfect, 12);
         for i in 0..100 {
             assert!(p.predict_and_update(&cond_branch(0x1000, i % 3 == 0)));
         }
@@ -259,7 +260,7 @@ mod tests {
 
     #[test]
     fn gshare_learns_a_bias() {
-        let mut p = Predictor::new(PredictorKind::Gshare { history_bits: 12 });
+        let mut p = Predictor::new(PredictorKind::Gshare, 12);
         let mut wrong = 0;
         for _ in 0..100 {
             if !p.predict_and_update(&cond_branch(0x1000, true)) {
@@ -271,7 +272,7 @@ mod tests {
 
     #[test]
     fn gshare_struggles_with_random_pattern() {
-        let mut p = Predictor::new(PredictorKind::Gshare { history_bits: 4 });
+        let mut p = Predictor::new(PredictorKind::Gshare, 4);
         // A pseudo-random pattern long enough to defeat a 4-bit history.
         let mut x = 0x12345u64;
         let mut wrong = 0;

@@ -273,16 +273,16 @@ impl WarmupSink for Warmer<'_> {
         // Memory references, steered exactly like `Pipeline::build_slot`.
         if let Some(m) = r.mem {
             let is_stack = m.region(heap_base).is_stack();
-            match (&self.cfg.stack_engine, is_stack) {
+            match (self.cfg.stack_engine, is_stack) {
                 // Ideal morphing touches no structure at all.
                 (StackEngine::IdealSvf, true) => {}
-                (StackEngine::StackCache(_), true) => {
+                (StackEngine::StackCache, true) => {
                     let sc = self.state.stack_cache.as_mut().expect("stack cache engine");
                     if !sc.access(m.addr, m.is_store) {
                         self.state.hier.l2_access(m.addr, m.is_store);
                     }
                 }
-                (StackEngine::Svf { .. }, true) => {
+                (StackEngine::Svf, true) => {
                     // Morphed and rerouted references touch the SVF (and
                     // the DL1 only on a demand fill) identically; only
                     // out-of-window references fall through to the DL1.
@@ -668,9 +668,9 @@ mod tests {
 
     fn config_set() -> Vec<CpuConfig> {
         let mut svf_cfg = CpuConfig::wide16().with_ports(2, 2);
-        svf_cfg.stack_engine = StackEngine::svf_8kb();
+        svf_cfg.stack_engine = StackEngine::Svf;
         let mut sc_cfg = CpuConfig::wide8().with_ports(2, 2);
-        sc_cfg.stack_engine = StackEngine::stack_cache_8kb();
+        sc_cfg.stack_engine = StackEngine::StackCache;
         vec![CpuConfig::wide16(), svf_cfg, sc_cfg]
     }
 

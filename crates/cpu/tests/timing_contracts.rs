@@ -94,7 +94,7 @@ fn forwarding_latency_baseline_vs_svf() {
 
     let base = run(CpuConfig::wide16(), &p);
     let mut svf_cfg = CpuConfig::wide16().with_ports(2, 2);
-    svf_cfg.stack_engine = StackEngine::svf_8kb();
+    svf_cfg.stack_engine = StackEngine::Svf;
     let svf = run(svf_cfg, &p);
 
     let chains = ITERS as f64 * 8.0;

@@ -81,12 +81,6 @@ pub fn matrix_for(
     run_rows(&Experiment::matrix_for(name, configs, scale, benches), configs.len())
 }
 
-/// Back-compat alias for [`matrix`] with an anonymous experiment name.
-#[must_use]
-pub fn run_matrix(configs: &[(&str, CpuConfig)], scale: Scale) -> Vec<(String, Vec<SimStats>)> {
-    matrix("matrix", configs, scale)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

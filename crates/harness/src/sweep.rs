@@ -14,7 +14,7 @@
 //! Every evaluated point lands in `points.csv` (one row per point ×
 //! workload, plus the axis columns); the frontier lands in `pareto.csv`
 //! (aggregate IPC, cost, and the axis columns). Cost is
-//! [`MicroArchConfig::stack_structure_bytes`]; IPC aggregates as total
+//! [`svf_configspace::stack_structure_bytes`]; IPC aggregates as total
 //! committed instructions over total cycles across the spec's workloads.
 //!
 //! # Crash-safe resume
@@ -34,7 +34,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use svf_configspace::{MicroArchConfig, SweepSpec};
+use svf_configspace::SweepSpec;
+use svf_cpu::CpuConfig;
 use svf_workloads::Scale;
 
 use crate::sink::atomic_write;
@@ -48,8 +49,8 @@ pub struct SweepPoint {
     pub index: Vec<usize>,
     /// Human label (`"svf_bytes=1024 stack_ports=2"`).
     pub label: String,
-    /// The declarative config at this point.
-    pub config: MicroArchConfig,
+    /// The machine at this point.
+    pub config: CpuConfig,
     /// `(workload, cycles, committed)` per workload, in spec order.
     pub runs: Vec<(String, u64, u64)>,
     /// Stack-structure hardware cost in bytes (the Pareto cost axis).
@@ -322,7 +323,7 @@ fn evaluate(
         let mut exp = Experiment::new(format!("{}-r{round}", spec.name));
         let mut configs = Vec::with_capacity(fresh.len());
         for &b in &fresh {
-            configs.push(spec.config_at(&batch[b])?.resolve());
+            configs.push(spec.config_at(&batch[b])?);
         }
         for workload in &spec.workloads {
             for (&b, cfg) in fresh.iter().zip(&configs) {
@@ -364,7 +365,7 @@ fn evaluate(
         points.push(SweepPoint {
             index: idx.clone(),
             label: spec.label_at(idx),
-            cost_bytes: config.stack_structure_bytes(),
+            cost_bytes: svf_configspace::stack_structure_bytes(&config),
             config,
             runs,
         });
@@ -471,7 +472,7 @@ mod tests {
         SweepPoint {
             index,
             label: String::new(),
-            config: MicroArchConfig::default(),
+            config: CpuConfig::wide16(),
             runs: vec![("w".to_string(), cycles, committed)],
             cost_bytes: cost,
         }
@@ -502,7 +503,7 @@ mod tests {
         let empty = SweepPoint {
             index: vec![],
             label: String::new(),
-            config: MicroArchConfig::default(),
+            config: CpuConfig::wide16(),
             runs: vec![],
             cost_bytes: 0,
         };

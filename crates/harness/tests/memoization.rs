@@ -16,9 +16,9 @@ use svf_workloads::Scale;
 #[test]
 fn matrix_compiles_each_workload_exactly_once() {
     let mut sc = CpuConfig::wide16().with_ports(2, 2);
-    sc.stack_engine = StackEngine::stack_cache_8kb();
+    sc.stack_engine = StackEngine::StackCache;
     let mut svf = CpuConfig::wide16().with_ports(2, 2);
-    svf.stack_engine = StackEngine::svf_8kb();
+    svf.stack_engine = StackEngine::Svf;
     let configs = [
         ("base", CpuConfig::wide16()),
         ("stack-cache", sc),

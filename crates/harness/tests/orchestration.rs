@@ -27,7 +27,7 @@ int main() {
 
 fn tiny_experiment(name: &str) -> Experiment {
     let mut svf = CpuConfig::wide16().with_ports(2, 2);
-    svf.stack_engine = StackEngine::svf_8kb();
+    svf.stack_engine = StackEngine::Svf;
     let mut exp = Experiment::new(name);
     for (label, cfg) in [
         ("4-wide", CpuConfig::wide4()),
@@ -247,7 +247,7 @@ fn csv_sinks_are_byte_identical_across_worker_counts() {
 #[test]
 fn workload_matrix_deterministic_across_worker_counts() {
     let mut svf = CpuConfig::wide16().with_ports(2, 2);
-    svf.stack_engine = StackEngine::svf_8kb();
+    svf.stack_engine = StackEngine::Svf;
     let configs =
         [("base", CpuConfig::wide16().with_ports(2, 0)), ("svf-2p", svf)];
     let exp = Experiment::matrix("matrix-determinism", &configs, Scale::Test);

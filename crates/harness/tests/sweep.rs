@@ -65,7 +65,7 @@ fn grid_sweep_runs_and_emits_csv() {
     assert!(outcome.summary.contains("compiles=1"), "{}", outcome.summary);
     assert!(!outcome.frontier.is_empty());
     for &i in &outcome.frontier {
-        assert_eq!(outcome.points[i].cost_bytes, outcome.points[i].config.svf_bytes);
+        assert_eq!(outcome.points[i].cost_bytes, outcome.points[i].config.svf.capacity_bytes);
     }
 
     let dir = tmp_root("grid");

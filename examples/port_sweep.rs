@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         for svf_ports in [1usize, 2, 4] {
             let mut cfg = CpuConfig::wide16().with_ports(dl1_ports, svf_ports);
-            cfg.stack_engine = StackEngine::svf_8kb();
+            cfg.stack_engine = StackEngine::Svf;
             let s = Simulator::new(cfg).run(&program, u64::MAX);
             println!(
                 "{:<14} {:>12} {:>7.2} {:>8.3}x",

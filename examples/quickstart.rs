@@ -59,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. ...versus the same machine with an 8 KB dual-ported SVF.
     let mut svf_cfg = CpuConfig::wide16().with_ports(2, 2);
-    svf_cfg.stack_engine = StackEngine::svf_8kb();
+    svf_cfg.stack_engine = StackEngine::Svf;
     let with_svf = Simulator::new(svf_cfg).run(&program, u64::MAX);
     println!(
         "with SVF   : {:>9} cycles  IPC {:.2}  (DL1 accesses: {}, morphed refs: {})",

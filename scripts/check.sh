@@ -65,6 +65,18 @@ cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.svft" \
 diff -u "$smoke_dir/live.txt" "$smoke_dir/replay.txt" \
     || { echo "trace replay diverged from live run" >&2; exit 1; }
 echo "trace capture->replay smoke: identical timing report"
+# Bad-config smoke: a machine the simulator cannot build (a 3 KB DL1 has no
+# power-of-two set count) must be a named error with exit 1, never a panic.
+bad_status=0
+cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.c" \
+    --config wide16+dl1_bytes=3k > /dev/null 2> "$smoke_dir/bad-config.err" || bad_status=$?
+if [ "$bad_status" -ne 1 ] || ! grep -q 'dl1' "$smoke_dir/bad-config.err" \
+    || grep -q 'panicked' "$smoke_dir/bad-config.err"; then
+    echo "bad-config smoke: want exit 1 naming dl1, got $bad_status:" >&2
+    cat "$smoke_dir/bad-config.err" >&2
+    exit 1
+fi
+echo "bad-config smoke: rejected with a named error"
 # Sampled-simulation smoke: the same program once in full detail and once
 # under a seeded random sampling plan, through the real CLI. The estimate
 # must land within 2% IPC of the full run while paying detailed cost for

@@ -1,14 +1,11 @@
 //! `svf-sim` — compile and simulate a MiniC (`.c`) or assembly (`.s`)
-//! program on the SVF reproduction's cycle simulator. See `--help`.
+//! program, or replay a `.svft` trace, on the SVF reproduction's cycle
+//! simulator. See `--help`.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!(
-            "usage: svf-sim <file.c|file.s> [--engine none|svf|svf-nosquash|stack-cache|ideal]\n\
-             \x20      [--width 4|8|16] [--ports R+S] [--svf-kb N] [--gshare] [--naive]\n\
-             \x20      [--max-insts N] [--profile] [--disasm] [--compare]"
-        );
+        eprint!("{}", svf_repro::cli::USAGE);
         std::process::exit(2);
     }
     match svf_repro::cli::run_cli(&args) {

@@ -1,63 +1,57 @@
-//! Implementation of the `svf-sim` command-line driver.
+//! Implementation of the `svf-sim` command-line driver; [`USAGE`] lists
+//! its flags.
 //!
-//! ```text
-//! svf-sim <file.c|file.s> [options]
-//!   --config NAME[+k=v,...]                            named preset from the config-space
-//!                                                      registry, with an optional overlay
-//!                                                      (e.g. --config svf+svf_bytes=4k);
-//!                                                      excludes the hand flags below
-//!   --list-configs                                     print the preset registry and exit
-//!   --engine none|svf|svf-nosquash|stack-cache|ideal   stack engine (default svf)
-//!   --width 4|8|16                                     machine width (default 16)
-//!   --ports R+S                                        D-cache + stack ports (default 2+2)
-//!   --svf-kb N                                         SVF/stack-cache capacity (default 8)
-//!   --gshare                                           gshare predictor (default perfect)
-//!   --naive                                            disable compiler optimizations
-//!   --max-insts N                                      instruction budget
-//!   --sample SPEC                                      sampled simulation: detailed intervals
-//!                                                      over a functional fast-forward
-//!                                                      (key=value pairs: period, interval,
-//!                                                      warmup, ramp, tail, intervals, mode,
-//!                                                      seed; empty = defaults)
-//!   --threads T                                        timing thread budget: with --compare the
-//!                                                      machine and its baseline advance as one
-//!                                                      lockstep pair over a shared functional
-//!                                                      stream on up to T threads (bit-identical
-//!                                                      to the serial runs; no effect on a
-//!                                                      single-machine run or trace replay)
-//!   --profile                                          print the Figures 1-3 characterization
-//!   --disasm                                           print the disassembly and exit
-//!   --compare                                          also run the (R+0) baseline and report speedup
-//!   --salvage                                          replay a truncated .svft trace up to the
-//!                                                      last complete record instead of erroring
-//! ```
+//! The machine is always a config-space preset plus an optional overlay
+//! (`--config`, default `svf`), so every machine `svf-sim` can run is one a
+//! sweep or an experiment can name too. The old hand flags map onto
+//! overlays: `--engine E` is `stack_engine=E` (`svf-nosquash` is the preset
+//! of that name), `--width 8` is the `wide8` preset, `--ports R+S` is
+//! `dl1_ports=R,stack_ports=S`, `--svf-kb N` is `svf_bytes=Nk` (or
+//! `stack_cache_bytes=Nk`) and `--gshare` is `predictor=gshare`. `--ports
+//! 4+0` also implied a 4-cycle DL1 hit; the overlay says so explicitly:
+//! `--config base+dl1_ports=4,dl1_hit_latency=4`.
 
 use std::error::Error;
 use std::fmt::Write as _;
 
-use svf::SvfConfig;
-use svf_cpu::{CpuConfig, PredictorKind, SampleSpec, SimStats, Simulator, StackEngine};
+use svf_cpu::{CpuConfig, SampleSpec, SimStats, Simulator, StackEngine};
 use svf_emu::{Emulator, Retired};
 use svf_isa::Program;
-use svf_mem::StackCacheConfig;
+
+/// The `svf-sim` usage text.
+pub const USAGE: &str = "\
+usage: svf-sim <file.c|file.s|file.svft> [options]
+  --config NAME[+k=v,...]  the machine: a registry preset with an optional overlay
+                           (default svf: 16-wide, 2+2 ports, 8 KB SVF;
+                           e.g. --config svf+svf_bytes=4k,stack_ports=4)
+  --list-configs           print the preset registry and exit
+  --naive                  disable compiler optimizations
+  --max-insts N            instruction budget
+  --sample SPEC            sampled simulation: detailed intervals over a functional
+                           fast-forward (key=value pairs: period, interval, warmup,
+                           ramp, tail, intervals, mode, seed; empty = defaults)
+  --compare                also run the machine without its stack structure
+                           (stack_engine=none, stack_ports=0) and report the speedup
+  --threads T              timing threads for the --compare pair, which advances as
+                           one lockstep batch over a shared functional stream
+                           (default 1; results are identical at any T)
+  --profile                print the Figures 1-3 characterization
+  --disasm                 print the disassembly and exit
+  --emit-asm               print the compiler's assembly and exit (MiniC only)
+  --trace N                print the first N retired instructions
+  --dump-trace PATH        write a binary .svft trace of the run
+  --salvage                replay a truncated .svft trace up to the last complete
+                           record instead of erroring
+";
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliOptions {
-    /// Input path (`.c` MiniC or `.s` assembly).
+    /// Input path (`.c` MiniC, `.s` assembly, or a `.svft` trace).
     pub path: String,
-    /// Stack engine selector.
-    pub engine: String,
-    /// Machine width.
-    pub width: usize,
-    /// D-cache ports.
-    pub dl1_ports: usize,
-    /// Stack-structure ports.
-    pub stack_ports: usize,
-    /// SVF / stack-cache capacity in KiB.
-    pub capacity_kb: u64,
-    /// Use the gshare predictor.
-    pub gshare: bool,
+    /// The machine: registry preset with an optional overlay
+    /// (`svf+svf_bytes=4k`).
+    pub config: String,
     /// Disable compiler optimizations.
     pub naive: bool,
     /// Committed-instruction budget.
@@ -65,9 +59,8 @@ pub struct CliOptions {
     /// Sampled-simulation plan (`--sample`): detailed intervals over a
     /// functional fast-forward instead of a full detailed run.
     pub sample: Option<SampleSpec>,
-    /// Timing thread budget (`--threads`): with `--compare`, the machine
-    /// and its baseline ride one lockstep pair fanned out over up to this
-    /// many threads instead of two serial runs. Bit-identical either way.
+    /// Timing thread budget (`--threads`) for the `--compare` pair's
+    /// lockstep fan-out. Bit-identical at any budget.
     pub threads: usize,
     /// Print the characterization profile.
     pub profile: bool,
@@ -75,7 +68,7 @@ pub struct CliOptions {
     pub disasm: bool,
     /// Print the compiler's assembly output and exit (MiniC inputs only).
     pub emit_asm: bool,
-    /// Also run the (R+0) baseline.
+    /// Also run the machine without its stack structure.
     pub compare: bool,
     /// Print the first N retired instructions (functional trace).
     pub trace: u64,
@@ -84,9 +77,6 @@ pub struct CliOptions {
     /// Replay truncated `.svft` traces up to the last complete record
     /// (with a warning) instead of erroring at the cut.
     pub salvage: bool,
-    /// Registry preset with an optional overlay (`svf+svf_bytes=4k`);
-    /// mutually exclusive with the hand-rolled machine flags.
-    pub config: Option<String>,
     /// Print the preset registry and exit.
     pub list_configs: bool,
 }
@@ -95,12 +85,7 @@ impl Default for CliOptions {
     fn default() -> CliOptions {
         CliOptions {
             path: String::new(),
-            engine: "svf".into(),
-            width: 16,
-            dl1_ports: 2,
-            stack_ports: 2,
-            capacity_kb: 8,
-            gshare: false,
+            config: "svf".into(),
             naive: false,
             max_insts: u64::MAX,
             sample: None,
@@ -112,7 +97,6 @@ impl Default for CliOptions {
             trace: 0,
             dump_trace: None,
             salvage: false,
-            config: None,
             list_configs: false,
         }
     }
@@ -126,35 +110,14 @@ impl Default for CliOptions {
 /// a missing input path.
 pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
     let mut o = CliOptions::default();
-    // `--config` is a whole machine; combining it with the hand flags
-    // would silently discard whichever lost, so the combination is an
-    // error rather than a precedence rule.
-    let mut hand_flags = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |name: &str| {
             it.next().map(String::as_str).ok_or(format!("{name} needs a value"))
         };
-        if ["--engine", "--width", "--ports", "--svf-kb", "--gshare"].contains(&a.as_str()) {
-            hand_flags = true;
-        }
         match a.as_str() {
-            "--config" => o.config = Some(value("--config")?.to_string()),
+            "--config" => o.config = value("--config")?.to_string(),
             "--list-configs" => o.list_configs = true,
-            "--engine" => o.engine = value("--engine")?.to_string(),
-            "--width" => {
-                o.width = value("--width")?.parse().map_err(|_| "bad --width")?;
-                if ![4, 8, 16].contains(&o.width) {
-                    return Err("--width must be 4, 8 or 16".into());
-                }
-            }
-            "--ports" => {
-                let v = value("--ports")?;
-                let (r, s) = v.split_once('+').ok_or("--ports wants R+S, e.g. 2+2")?;
-                o.dl1_ports = r.parse().map_err(|_| "bad R in --ports")?;
-                o.stack_ports = s.parse().map_err(|_| "bad S in --ports")?;
-            }
-            "--svf-kb" => o.capacity_kb = value("--svf-kb")?.parse().map_err(|_| "bad --svf-kb")?,
             "--max-insts" => {
                 o.max_insts = value("--max-insts")?.parse().map_err(|_| "bad --max-insts")?;
             }
@@ -165,7 +128,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
                     return Err("--threads must be at least 1".into());
                 }
             }
-            "--gshare" => o.gshare = true,
             "--naive" => o.naive = true,
             "--profile" => o.profile = true,
             "--disasm" => o.disasm = true,
@@ -178,60 +140,24 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    if o.config.is_some() && hand_flags {
-        return Err("--config selects a whole machine; drop --engine/--width/--ports/--svf-kb/--gshare".into());
-    }
     if o.path.is_empty() && !o.list_configs {
         return Err("no input file given".into());
     }
     Ok(o)
 }
 
-/// Builds the machine configuration from the options.
+/// Builds the machine from `--config`: `NAME` or `NAME+field=value,...`.
+/// The overlay rides the same parser sweep specs use, so the syntaxes
+/// cannot drift apart.
 ///
 /// # Errors
 ///
-/// Rejects unknown engine names, unknown presets, and malformed overlays.
+/// Unknown presets, malformed overlays, and values the config space
+/// rejects.
 pub fn build_config(o: &CliOptions) -> Result<CpuConfig, String> {
-    if let Some(spec) = &o.config {
-        // `NAME` or `NAME+field=value,...` — the overlay rides the same
-        // parser sweep specs use, so the syntaxes cannot drift apart.
-        let (name, overlay) = match spec.split_once('+') {
-            Some((name, overlay)) => (name, Some(overlay)),
-            None => (spec.as_str(), None),
-        };
-        let mut cfg = svf_configspace::registry::require_preset(name)?;
-        if let Some(overlay) = overlay {
-            cfg = svf_configspace::Overlay::parse(overlay)?.apply(&cfg)?;
-        }
-        return cfg.try_resolve();
-    }
-    let mut cfg = match o.width {
-        4 => CpuConfig::wide4(),
-        8 => CpuConfig::wide8(),
-        _ => CpuConfig::wide16(),
-    }
-    .with_ports(o.dl1_ports, o.stack_ports);
-    cfg.stack_engine = match o.engine.as_str() {
-        "none" => StackEngine::None,
-        "svf" => StackEngine::Svf {
-            cfg: SvfConfig::with_size(o.capacity_kb << 10),
-            no_squash: false,
-        },
-        "svf-nosquash" => StackEngine::Svf {
-            cfg: SvfConfig::with_size(o.capacity_kb << 10),
-            no_squash: true,
-        },
-        "stack-cache" => {
-            StackEngine::StackCache(StackCacheConfig::with_size(o.capacity_kb << 10))
-        }
-        "ideal" => StackEngine::IdealSvf,
-        other => return Err(format!("unknown engine `{other}`")),
-    };
-    if o.gshare {
-        cfg.predictor = PredictorKind::Gshare { history_bits: 12 };
-    }
-    Ok(cfg)
+    let (name, overlay) = o.config.split_once('+').unwrap_or((&o.config, ""));
+    let preset = svf_configspace::registry::require_preset(name)?;
+    svf_configspace::Overlay::parse(overlay)?.apply(&preset)
 }
 
 /// Compiles the input file by extension.
@@ -335,40 +261,15 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
 
     let cfg = build_config(&o)?;
     if o.compare {
-        // The baseline is the same machine with the stack structure removed.
-        // For `--config`, that is an overlay appended to the spec (overlays
-        // are last-write-wins, so it composes with any user overlay).
-        let base_opts = CliOptions {
-            engine: "none".into(),
-            stack_ports: 0,
-            config: o.config.as_ref().map(|spec| {
-                let sep = if spec.contains('+') { ',' } else { '+' };
-                format!("{spec}{sep}stack_engine=none,stack_ports=0")
-            }),
-            ..o.clone()
-        };
-        let mut base_cfg = build_config(&base_opts)?;
-        base_cfg.stack_engine = StackEngine::None;
-        // The baseline rides the same execution mode, so a sampled compare
-        // reports a sampled-vs-sampled speedup (same schedule both sides).
-        let (stats, base) = if o.threads > 1 {
-            // With a thread budget the pair shares one functional stream
-            // and fans the two timing models out across threads; the
-            // report text is identical to the serial pair below.
-            run_timed_pair(&mut report, &o, &cfg, &base_cfg, &program)
-        } else {
-            let stats = run_timed(&mut report, &o, &cfg, &program);
-            append_timing_report(&mut report, &o, &stats);
-            let base = run_timed(&mut report, &o, &base_cfg, &program);
-            (stats, base)
-        };
-        let label = match &o.config {
-            Some(spec) => format!("{spec} - stack structure"),
-            None => format!("({}+0)", o.dl1_ports),
-        };
+        // The baseline is the same machine with the stack structure removed;
+        // both ride one lockstep pair over a shared functional stream, in
+        // the same execution mode (a sampled compare is sampled-vs-sampled).
+        let base_cfg = CpuConfig { stack_engine: StackEngine::None, stack_ports: 0, ..cfg.clone() };
+        let (stats, base) = run_timed_pair(&mut report, &o, &cfg, &base_cfg, &program);
         let _ = writeln!(
             report,
-            "[baseline {label}] {} cycles, IPC {:.2} -> speedup {:.3}x",
+            "[baseline {} - stack structure] {} cycles, IPC {:.2} -> speedup {:.3}x",
+            o.config,
             base.cycles,
             base.ipc(),
             stats.speedup_over(&base)
@@ -397,10 +298,10 @@ fn run_timed(report: &mut String, o: &CliOptions, cfg: &CpuConfig, program: &Pro
     }
 }
 
-/// The `--compare` pair under a `--threads` budget: both machines ride one
-/// lockstep batch over a shared functional stream, fanned out across up to
-/// `o.threads` timing threads. Emits the same report lines, in the same
-/// order, as two serial [`run_timed`] calls — results are bit-identical.
+/// The `--compare` pair: both machines ride one lockstep batch over a
+/// shared functional stream, fanned out across up to `o.threads` timing
+/// threads. Reports the machine's lines (and each run's `SAMPLED` line);
+/// returns `(machine, baseline)` statistics.
 fn run_timed_pair(
     report: &mut String,
     o: &CliOptions,
@@ -489,11 +390,7 @@ fn replay_trace(o: &CliOptions) -> Result<String, Box<dyn Error>> {
 /// The timing lines shared by live runs and trace replays — identical
 /// stream, identical text.
 fn append_timing_report(report: &mut String, o: &CliOptions, stats: &SimStats) {
-    let machine = match &o.config {
-        Some(spec) => spec.clone(),
-        None => format!("{} {}-wide ({}+{})", o.engine, o.width, o.dl1_ports, o.stack_ports),
-    };
-    let _ = writeln!(report, "[{machine}] {} cycles, IPC {:.2}", stats.cycles, stats.ipc());
+    let _ = writeln!(report, "[{}] {} cycles, IPC {:.2}", o.config, stats.cycles, stats.ipc());
     let morphed = stats.svf_morphed_loads + stats.svf_morphed_stores;
     if morphed + stats.svf_rerouted > 0 {
         let _ = writeln!(
@@ -522,17 +419,14 @@ mod tests {
     #[test]
     fn parses_full_flag_set() {
         let o = parse_args(&args(&[
-            "prog.c", "--engine", "stack-cache", "--width", "8", "--ports", "1+4", "--svf-kb",
-            "4", "--gshare", "--naive", "--max-insts", "1000", "--profile", "--compare",
+            "prog.c", "--config", "wide8+predictor=gshare", "--naive", "--max-insts", "1000",
+            "--profile", "--compare", "--threads", "2",
         ]))
         .unwrap();
         assert_eq!(o.path, "prog.c");
-        assert_eq!(o.engine, "stack-cache");
-        assert_eq!(o.width, 8);
-        assert_eq!((o.dl1_ports, o.stack_ports), (1, 4));
-        assert_eq!(o.capacity_kb, 4);
-        assert!(o.gshare && o.naive && o.profile && o.compare);
-        assert_eq!(o.max_insts, 1000);
+        assert_eq!(o.config, "wide8+predictor=gshare");
+        assert!(o.naive && o.profile && o.compare);
+        assert_eq!((o.max_insts, o.threads), (1000, 2));
         let o = parse_args(&args(&["p.c", "--dump-trace", "t.bin", "--trace", "5"])).unwrap();
         assert_eq!(o.dump_trace.as_deref(), Some("t.bin"));
         assert_eq!(o.trace, 5);
@@ -583,38 +477,41 @@ mod tests {
     #[test]
     fn rejects_bad_input() {
         assert!(parse_args(&args(&[])).is_err());
-        assert!(parse_args(&args(&["p.c", "--width", "7"])).is_err());
-        assert!(parse_args(&args(&["p.c", "--ports", "22"])).is_err());
         assert!(parse_args(&args(&["p.c", "--bogus"])).is_err());
+        assert!(parse_args(&args(&["p.c", "--config"])).is_err(), "flag needs a value");
+        assert!(parse_args(&args(&["p.c", "--max-insts", "lots"])).is_err());
+    }
+
+    /// The machine `svf-sim` runs with no flags is the one the removed hand
+    /// flags defaulted to: 16-wide, (2+2) ports, the 8 KB SVF.
+    #[test]
+    fn default_machine_is_the_old_hand_built_default() {
+        let mut old = CpuConfig::wide16().with_ports(2, 2);
+        old.stack_engine = StackEngine::Svf;
+        old.svf = svf::SvfConfig::with_size(8 << 10);
         let o = parse_args(&args(&["p.c"])).unwrap();
-        assert!(build_config(&CliOptions { engine: "alien".into(), ..o }).is_err());
+        assert_eq!(build_config(&o).unwrap(), old);
     }
 
     #[test]
-    fn config_reflects_options() {
-        let o = parse_args(&args(&["p.c", "--engine", "ideal", "--width", "4"])).unwrap();
-        let cfg = build_config(&o).unwrap();
-        assert_eq!(cfg.width, 4);
-        assert_eq!(cfg.stack_engine, StackEngine::IdealSvf);
-        let o = parse_args(&args(&["p.c", "--gshare"])).unwrap();
-        let cfg = build_config(&o).unwrap();
-        assert!(matches!(cfg.predictor, PredictorKind::Gshare { .. }));
+    fn removed_hand_flags_are_unknown_arguments() {
+        for flag in ["--engine", "--width", "--ports", "--svf-kb", "--gshare"] {
+            let err = parse_args(&args(&["p.c", flag, "8"])).unwrap_err();
+            assert!(err.contains(flag), "{err}");
+        }
     }
 
     #[test]
     fn config_flag_resolves_presets_and_overlays() {
         let o = parse_args(&args(&["p.c", "--config", "svf"])).unwrap();
         let cfg = build_config(&o).unwrap();
-        assert!(matches!(cfg.stack_engine, StackEngine::Svf { .. }));
+        assert_eq!(cfg.stack_engine, StackEngine::Svf);
         assert_eq!((cfg.dl1_ports, cfg.stack_ports), (2, 2));
 
         let o = parse_args(&args(&["p.c", "--config", "svf+svf_bytes=4k,stack_ports=4"])).unwrap();
         let cfg = build_config(&o).unwrap();
         assert_eq!(cfg.stack_ports, 4);
-        match cfg.stack_engine {
-            StackEngine::Svf { cfg, .. } => assert_eq!(cfg.capacity_bytes, 4 << 10),
-            other => panic!("svf engine expected, got {other:?}"),
-        }
+        assert_eq!(cfg.svf.capacity_bytes, 4 << 10);
 
         let o = parse_args(&args(&["p.c", "--config", "warp-core"])).unwrap();
         assert!(build_config(&o).unwrap_err().contains("unknown config preset"));
@@ -622,11 +519,15 @@ mod tests {
         assert!(build_config(&o).is_err());
     }
 
+    /// Seed behaviour: a 3 KB DL1 panicked inside the simulator.
     #[test]
-    fn config_flag_excludes_hand_flags() {
-        let err = parse_args(&args(&["p.c", "--config", "svf", "--width", "8"])).unwrap_err();
-        assert!(err.contains("--config"), "{err}");
-        assert!(parse_args(&args(&["p.c", "--config", "svf", "--gshare"])).is_err());
+    fn bad_config_values_are_errors_not_panics() {
+        let path = std::env::temp_dir().join("svf_cli_bad_config.c");
+        std::fs::write(&path, "int main() { return 0; }").unwrap();
+        let p = path.to_str().unwrap().to_string();
+        let err = run_cli(&args(&[&p, "--config", "wide16+dl1_bytes=3k"])).unwrap_err();
+        assert!(err.to_string().contains("dl1_bytes"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -14,16 +14,17 @@ fn all_engines_commit_identical_instruction_counts() {
     emu.run(u64::MAX).expect("runs");
     let functional = emu.steps();
 
-    let engines: Vec<(&str, StackEngine)> = vec![
-        ("baseline", StackEngine::None),
-        ("stack-cache", StackEngine::stack_cache_8kb()),
-        ("svf", StackEngine::svf_8kb()),
-        ("svf-nosquash", StackEngine::Svf { cfg: svf::SvfConfig::kb8(), no_squash: true }),
-        ("ideal", StackEngine::IdealSvf),
+    let engines = [
+        ("baseline", StackEngine::None, false),
+        ("stack-cache", StackEngine::StackCache, false),
+        ("svf", StackEngine::Svf, false),
+        ("svf-nosquash", StackEngine::Svf, true),
+        ("ideal", StackEngine::IdealSvf, false),
     ];
-    for (name, engine) in engines {
+    for (name, engine, no_squash) in engines {
         let mut cfg = CpuConfig::wide16().with_ports(2, 2);
         cfg.stack_engine = engine;
+        cfg.svf_no_squash = no_squash;
         let stats = Simulator::new(cfg).run(&program, u64::MAX);
         assert_eq!(stats.committed, functional, "{name} commit count diverged");
     }
@@ -37,7 +38,7 @@ fn svf_drains_dl1_for_every_workload() {
         let program = w.compile(Scale::Test).expect("compiles");
         let base = Simulator::new(CpuConfig::wide16()).run(&program, u64::MAX);
         let mut cfg = CpuConfig::wide16().with_ports(2, 2);
-        cfg.stack_engine = StackEngine::svf_8kb();
+        cfg.stack_engine = StackEngine::Svf;
         let svf = Simulator::new(cfg).run(&program, u64::MAX);
         assert!(
             svf.dl1.accesses < base.dl1.accesses,
@@ -81,7 +82,7 @@ fn regalloc_ablation_shifts_svf_benefit() {
     let run = |program: &svf_isa::Program| {
         let base = Simulator::new(CpuConfig::wide16().with_ports(2, 0)).run(program, u64::MAX);
         let mut cfg = CpuConfig::wide16().with_ports(2, 2);
-        cfg.stack_engine = StackEngine::svf_8kb();
+        cfg.stack_engine = StackEngine::Svf;
         let svf = Simulator::new(cfg).run(program, u64::MAX);
         (svf.speedup_over(&base), svf.stack_refs as f64 / svf.committed as f64)
     };

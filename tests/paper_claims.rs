@@ -19,7 +19,7 @@ fn headline_claim_performance_and_traffic() {
     // Performance on a port-constrained machine.
     let base = Simulator::new(CpuConfig::wide16().with_ports(1, 0)).run(&p, u64::MAX);
     let mut cfg = CpuConfig::wide16().with_ports(1, 2);
-    cfg.stack_engine = StackEngine::svf_8kb();
+    cfg.stack_engine = StackEngine::Svf;
     let svf = Simulator::new(cfg).run(&p, u64::MAX);
     let speedup = svf.speedup_over(&base);
     assert!(speedup > 1.15, "headline speedup on (1+2) vs (1+0): {speedup:.3}");
@@ -62,7 +62,7 @@ fn doubling_l1_buys_nothing_svf_does() {
     big_l1.hierarchy.dl1 = svf_mem::CacheConfig::dl1_128k();
     let doubled = Simulator::new(big_l1).run(&p, u64::MAX);
     let mut svf_cfg = CpuConfig::wide16().with_ports(2, 2);
-    svf_cfg.stack_engine = StackEngine::svf_8kb();
+    svf_cfg.stack_engine = StackEngine::Svf;
     let svf = Simulator::new(svf_cfg).run(&p, u64::MAX);
 
     let l1_gain = doubled.speedup_over(&base);
@@ -103,11 +103,11 @@ fn context_switch_traffic_favors_svf() {
 fn eon_squashes_and_no_squash_removes_them() {
     let p = program("eon");
     let mut cfg = CpuConfig::wide16().with_ports(2, 2);
-    cfg.stack_engine = StackEngine::svf_8kb();
+    cfg.stack_engine = StackEngine::Svf;
     let with = Simulator::new(cfg.clone()).run(&p, u64::MAX);
     assert!(with.svf_squashes > 0, "eon must squash");
 
-    cfg.stack_engine = StackEngine::Svf { cfg: svf::SvfConfig::kb8(), no_squash: true };
+    cfg.svf_no_squash = true;
     let without = Simulator::new(cfg).run(&p, u64::MAX);
     assert_eq!(without.svf_squashes, 0);
 }
@@ -119,7 +119,7 @@ fn svf_window_captures_almost_all_stack_refs() {
     for name in ["bzip2", "twolf", "vortex", "parser"] {
         let p = program(name);
         let mut cfg = CpuConfig::wide16().with_ports(2, 2);
-        cfg.stack_engine = StackEngine::svf_8kb();
+        cfg.stack_engine = StackEngine::Svf;
         let s = Simulator::new(cfg).run(&p, u64::MAX);
         let total = s.svf_morphed_loads + s.svf_morphed_stores + s.svf_rerouted
             + s.svf_out_of_window;

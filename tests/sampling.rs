@@ -47,8 +47,7 @@ fn configs() -> Vec<(&'static str, CpuConfig)> {
         .into_iter()
         .map(|name| {
             let cfg = svf_configspace::registry::require_preset(name)
-                .unwrap_or_else(|e| panic!("{e}"))
-                .resolve();
+                .unwrap_or_else(|e| panic!("{e}"));
             (name, cfg)
         })
         .collect()
