@@ -1,6 +1,6 @@
 //! The field table: every [`CpuConfig`] field by name, with its checks.
 
-use svf_cpu::{CpuConfig, PredictorKind, StackEngine};
+use svf_cpu::{CpuConfig, PredictorKind, StackEngine, LOCKSTEP_WINDOW};
 
 use crate::value::Value;
 
@@ -221,13 +221,21 @@ pub fn set(cfg: &mut CpuConfig, field: &str, value: &Value) -> Result<(), String
 
 /// The checks that span fields, run once on each finished config (after a
 /// whole overlay, TOML document or sweep point, so field order never
-/// matters): every cache's `bytes / (assoc × line)` and the stack cache's
-/// `bytes / line` must be a non-zero power of two.
+/// matters): `ifq_size + width` must fit below the simulator's
+/// [`LOCKSTEP_WINDOW`], and every cache's `bytes / (assoc × line)` and the
+/// stack cache's `bytes / line` must be a non-zero power of two.
 ///
 /// # Errors
 ///
-/// Names the structure whose geometry does not divide.
+/// Names the fields that overflow the window, or the structure whose
+/// geometry does not divide.
 pub(crate) fn validate(cfg: &CpuConfig) -> Result<(), String> {
+    if cfg.ifq_size.saturating_add(cfg.width) >= LOCKSTEP_WINDOW {
+        return Err(format!(
+            "ifq_size {} + width {} must stay below the {LOCKSTEP_WINDOW}-record lockstep window",
+            cfg.ifq_size, cfg.width
+        ));
+    }
     let h = &cfg.hierarchy;
     let sc = &cfg.stack_cache;
     let structures = [
@@ -388,6 +396,27 @@ mod tests {
         let mut cfg = CpuConfig::wide16();
         assert!(set(&mut cfg, "width", &int(0)).unwrap_err().contains("width"));
         set(&mut cfg, "stack_ports", &int(0)).expect("no stack ports is the baseline");
+    }
+
+    /// Each field is in range on its own; only their sum overflows the
+    /// window the lockstep driver asserts on.
+    #[test]
+    fn validate_bounds_ifq_plus_width_by_the_lockstep_window() {
+        let mut cfg = CpuConfig::wide16();
+        set(&mut cfg, "ifq_size", &int(2000)).expect("a queue size on its own");
+        let err = validate(&cfg).unwrap_err();
+        assert!(err.contains("ifq_size") && err.contains("width"), "{err}");
+
+        let mut cfg = CpuConfig::wide16();
+        set(&mut cfg, "width", &int(1024)).expect("a width on its own");
+        assert!(validate(&cfg).unwrap_err().contains("lockstep window"));
+
+        let mut cfg = CpuConfig::wide16();
+        let ifq = (LOCKSTEP_WINDOW - 1 - cfg.width) as u64;
+        set(&mut cfg, "ifq_size", &int(ifq)).unwrap();
+        validate(&cfg).expect("one record below the window fits");
+        set(&mut cfg, "ifq_size", &int(ifq + 1)).unwrap();
+        assert!(validate(&cfg).is_err(), "filling the window exactly does not");
     }
 
     #[test]

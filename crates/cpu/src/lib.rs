@@ -56,7 +56,7 @@ mod sampling;
 mod stats;
 
 pub use config::{CpuConfig, PredictorKind, StackEngine};
-pub use lockstep::{run_lockstep, run_lockstep_fanout, run_lockstep_trace};
+pub use lockstep::{run_lockstep, run_lockstep_fanout, run_lockstep_trace, LOCKSTEP_WINDOW};
 pub use pipeline::Simulator;
 pub use predictor::{Gshare, Predictor};
 pub use sampling::{run_sampled, run_sampled_fanout, SampleMode, SampleSpec, SampledStats, WarmupSink};

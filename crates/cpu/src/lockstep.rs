@@ -46,11 +46,12 @@ use crate::config::CpuConfig;
 use crate::pipeline::Pipeline;
 use crate::stats::SimStats;
 
-/// Shared window capacity in records. Bounded so the window (plus its
-/// facts) stays cache-resident while the whole fan-out streams over it;
-/// must exceed the largest IFQ plus the widest fetch group so retention
-/// (`keep_from`) never blocks production.
-const WINDOW_CAPACITY: usize = 1024;
+/// Shared lockstep window capacity in records. Bounded so the window
+/// (plus its facts) stays cache-resident while the whole fan-out streams
+/// over it; every simulated machine's `ifq_size + width` must stay below it
+/// so retention (`keep_from`) never blocks production. A power of two, so
+/// the ring holds exactly this many.
+pub const LOCKSTEP_WINDOW: usize = 1024;
 
 /// `Facts::flags` bits. The low five double as the pipeline's commit
 /// flags (see [`COMMIT_FLAG_MASK`]).
@@ -336,7 +337,7 @@ pub(crate) fn drive_fanout<S: RecordSource>(
     fanout: usize,
 ) -> Result<(), StreamError> {
     let heap_base = src.heap_base();
-    let ring = RecordRing::new(WINDOW_CAPACITY, max_insts);
+    let ring = RecordRing::new(LOCKSTEP_WINDOW, max_insts);
     let capacity = (ring.mask() + 1) as usize;
     for p in pipes.iter() {
         let cfg = p.config();

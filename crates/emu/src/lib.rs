@@ -12,8 +12,9 @@
 //! 3. **Reference-behaviour characterization.** The classification helpers
 //!    ([`AccessMethod`], [`MemAccess`]) drive the paper's Figures 1–3, and
 //!    the traffic tables replay the same reference stream; both take it
-//!    from [`Emulator::step_observe`] through a [`StepObserver`], which
-//!    skips building the [`Retired`] record.
+//!    from [`Emulator::run_observe`] through a [`StepObserver`], which
+//!    skips building the [`Retired`] record and inlines the observer into
+//!    the emulator's own stepping loop.
 //!
 //! # Example
 //!

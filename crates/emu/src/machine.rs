@@ -50,7 +50,7 @@ impl fmt::Display for EmuError {
 
 impl Error for EmuError {}
 
-/// Why [`Emulator::run`] returned.
+/// Why [`Emulator::run`] or [`Emulator::run_observe`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RunOutcome {
     /// The program executed a `halt`.
@@ -60,12 +60,13 @@ pub enum RunOutcome {
 }
 
 /// Receives the stack-relevant events of each instruction that
-/// [`Emulator::step_observe`] commits, without a [`Retired`] record being
+/// [`Emulator::run_observe`] commits, without a [`Retired`] record being
 /// written.
 pub trait StepObserver {
-    /// The instruction wrote `$sp`. When one instruction also references
-    /// memory, this comes first.
-    fn sp_update(&mut self, update: SpUpdate);
+    /// The instruction wrote `$sp`. `step` is its 1-based position in the
+    /// committed stream ([`Emulator::steps`] once it has committed). When
+    /// one instruction also references memory, this comes first.
+    fn sp_update(&mut self, update: SpUpdate, step: u64);
 
     /// The instruction referenced memory; `sp_before` is `$sp` before it
     /// executed.
@@ -75,7 +76,7 @@ pub trait StepObserver {
 /// How the stepping core hands a committed instruction to its caller. The
 /// core is monomorphized per sink and assembles only what the sink's
 /// constants ask for: [`Emulator::run`] (`()`) nothing,
-/// [`Emulator::step_observe`] the `$sp` update and memory reference, and
+/// [`Emulator::run_observe`] the `$sp` update and memory reference, and
 /// [`Emulator::step_record`] (`Retired`) the full record.
 trait Sink {
     /// Assemble the `$sp` update and the memory reference.
@@ -84,7 +85,7 @@ trait Sink {
     const RECORD: bool = false;
 
     #[inline]
-    fn sp_update(&mut self, _update: SpUpdate) {}
+    fn sp_update(&mut self, _update: SpUpdate, _step: u64) {}
 
     #[inline]
     fn mem(&mut self, _access: MemAccess, _sp_before: u64) {}
@@ -108,8 +109,8 @@ impl Sink for Retired {
 
 impl<O: StepObserver> Sink for O {
     #[inline]
-    fn sp_update(&mut self, update: SpUpdate) {
-        StepObserver::sp_update(self, update);
+    fn sp_update(&mut self, update: SpUpdate, step: u64) {
+        StepObserver::sp_update(self, update, step);
     }
 
     #[inline]
@@ -222,7 +223,7 @@ impl Emulator {
     /// Executes one instruction and returns its record by value. This
     /// copies the whole [`Retired`] out on every call; it is a convenience
     /// for tests and one-off probes. A hot loop steps in place with
-    /// [`Emulator::step_record`], or with [`Emulator::step_observe`] when it
+    /// [`Emulator::step_record`], or runs [`Emulator::run_observe`] when it
     /// needs only the `$sp` updates and memory references.
     ///
     /// # Errors
@@ -247,20 +248,6 @@ impl Emulator {
     #[inline]
     pub fn step_record(&mut self, out: &mut Retired) -> Result<(), EmuError> {
         self.step_impl(out)
-    }
-
-    /// Executes one instruction and hands its `$sp` update and memory
-    /// reference, if any, to `observer`. No [`Retired`] record is built, so
-    /// functional simulations that replay only the reference stream (the
-    /// traffic tables, workload characterization) skip its cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`EmuError`] on bad PCs, misaligned accesses, or when the
-    /// machine is already halted; `observer` sees nothing on error.
-    #[inline]
-    pub fn step_observe<O: StepObserver>(&mut self, observer: &mut O) -> Result<(), EmuError> {
-        self.step_impl(observer)
     }
 
     /// The fetch-decode-execute core, monomorphized over what its caller
@@ -384,7 +371,7 @@ impl Emulator {
                 immediate: inst.sp_immediate_adjust().is_some(),
             });
             if let Some(u) = sp_update {
-                sink.sp_update(u);
+                sink.sp_update(u, self.steps);
             }
             if let Some(m) = mem_access {
                 sink.mem(m, sp_before);
@@ -409,13 +396,42 @@ impl Emulator {
     ///
     /// # Errors
     ///
-    /// Propagates any [`EmuError`] from [`Emulator::step`].
+    /// Returns an [`EmuError`] on bad PCs or misaligned accesses; the
+    /// instructions before the faulting one stay committed.
     pub fn run(&mut self, max_steps: u64) -> Result<RunOutcome, EmuError> {
+        self.run_impl(max_steps, &mut ())
+    }
+
+    /// [`Emulator::run`] that hands each committed instruction's `$sp`
+    /// update and memory reference, if any, to `observer`. No [`Retired`]
+    /// record is built, and the observer's hooks are inlined into the
+    /// stepping loop, so functional simulations that replay only the
+    /// reference stream (the traffic tables, workload characterization)
+    /// pay for neither a record nor a call per instruction. A caller that
+    /// must act between instructions (a context switch every N) runs in
+    /// chunks of N: chunking changes nothing the observer sees.
+    ///
+    /// # Errors
+    ///
+    /// As [`Emulator::run`]; `observer` has seen every instruction before
+    /// the faulting one and nothing of it.
+    pub fn run_observe<O: StepObserver>(
+        &mut self,
+        max_steps: u64,
+        observer: &mut O,
+    ) -> Result<RunOutcome, EmuError> {
+        self.run_impl(max_steps, observer)
+    }
+
+    /// The stepping loop behind [`Emulator::run`] and
+    /// [`Emulator::run_observe`], monomorphized per sink with the step
+    /// body inlined into it.
+    fn run_impl<S: Sink>(&mut self, max_steps: u64, sink: &mut S) -> Result<RunOutcome, EmuError> {
         for _ in 0..max_steps {
             if self.halted {
                 return Ok(RunOutcome::Halted);
             }
-            self.step_impl(&mut ())?;
+            self.step_impl(sink)?;
         }
         Ok(if self.halted { RunOutcome::Halted } else { RunOutcome::StepLimit })
     }
@@ -637,13 +653,13 @@ mod tests {
 
         #[derive(Debug, PartialEq)]
         enum Event {
-            Sp(SpUpdate),
+            Sp(SpUpdate, u64),
             Mem(MemAccess, u64),
         }
         struct Log(Vec<Event>);
         impl StepObserver for Log {
-            fn sp_update(&mut self, update: SpUpdate) {
-                self.0.push(Event::Sp(update));
+            fn sp_update(&mut self, update: SpUpdate, step: u64) {
+                self.0.push(Event::Sp(update, step));
             }
             fn mem(&mut self, access: MemAccess, sp_before: u64) {
                 self.0.push(Event::Mem(access, sp_before));
@@ -651,21 +667,19 @@ mod tests {
         }
 
         let mut recorded = Emulator::new(&p);
-        let mut observed = Emulator::new(&p);
-        let mut log = Log(Vec::new());
+        let mut expected = Vec::new();
         let mut r = Retired::PLACEHOLDER;
         while !recorded.is_halted() {
             recorded.step_record(&mut r).unwrap();
-            observed.step_observe(&mut log).unwrap();
             assert_eq!(r.sp_update.is_some(), r.inst.writes_sp(), "at pc {:#x}", r.pc);
-            let expected: Vec<Event> = r
-                .sp_update
-                .map(Event::Sp)
-                .into_iter()
-                .chain(r.mem.map(|m| Event::Mem(m, r.sp_before)))
-                .collect();
-            assert_eq!(log.0.drain(..).collect::<Vec<_>>(), expected, "at pc {:#x}", r.pc);
+            expected.extend(r.sp_update.map(|u| Event::Sp(u, recorded.steps())));
+            expected.extend(r.mem.map(|m| Event::Mem(m, r.sp_before)));
         }
+
+        let mut observed = Emulator::new(&p);
+        let mut log = Log(Vec::new());
+        assert_eq!(observed.run_observe(u64::MAX, &mut log), Ok(RunOutcome::Halted));
+        assert_eq!(log.0, expected);
         assert_eq!(observed.steps(), recorded.steps());
         assert_eq!(observed.reg(Reg::SP), STACK_BASE);
     }

@@ -99,17 +99,17 @@ impl CharStats {
 struct Classifier {
     heap_base: u64,
     st: CharStats,
-    /// Stack depth (quad-words) after the last `$sp` update, until the
-    /// stepping loop files it with the instruction's index.
-    new_depth: Option<u64>,
+    /// Every `$sp` update as (instruction index, depth in quad-words),
+    /// before thinning.
+    raw_depths: Vec<(u64, u64)>,
 }
 
 impl StepObserver for Classifier {
     #[inline]
-    fn sp_update(&mut self, u: SpUpdate) {
+    fn sp_update(&mut self, u: SpUpdate, step: u64) {
         let depth_qw = STACK_BASE.saturating_sub(u.new_sp) / 8;
         self.st.max_depth_bytes = self.st.max_depth_bytes.max(depth_qw * 8);
-        self.new_depth = Some(depth_qw);
+        self.raw_depths.push((step, depth_qw));
     }
 
     #[inline]
@@ -145,15 +145,9 @@ impl StepObserver for Classifier {
 pub fn characterize_program(program: &Program, max_insts: u64) -> CharStats {
     let mut emu = Emulator::new(program);
     let mut c =
-        Classifier { heap_base: emu.heap_base(), st: CharStats::default(), new_depth: None };
-    let mut raw_depths: Vec<(u64, u64)> = Vec::new();
-    while !emu.is_halted() && emu.steps() < max_insts {
-        emu.step_observe(&mut c).expect("workload must not fault");
-        if let Some(depth_qw) = c.new_depth.take() {
-            raw_depths.push((emu.steps(), depth_qw));
-        }
-    }
-    let mut st = c.st;
+        Classifier { heap_base: emu.heap_base(), st: CharStats::default(), raw_depths: Vec::new() };
+    emu.run_observe(max_insts, &mut c).expect("workload must not fault");
+    let Classifier { mut st, raw_depths, .. } = c;
     st.instructions = emu.steps();
     // Thin the depth series evenly.
     if raw_depths.len() > MAX_DEPTH_SAMPLES {

@@ -47,7 +47,7 @@ struct Replay {
 
 impl StepObserver for Replay {
     #[inline]
-    fn sp_update(&mut self, u: SpUpdate) {
+    fn sp_update(&mut self, u: SpUpdate, _step: u64) {
         self.svf.on_sp_update(u.old_sp, u.new_sp);
     }
 
@@ -76,13 +76,15 @@ impl StepObserver for Replay {
 ///
 /// # Panics
 ///
-/// Panics if the program faults (workloads are validated not to).
+/// Panics if the program faults (workloads are validated not to), or if
+/// `switch_period` is `Some(0)`.
 #[must_use]
 pub fn traffic_run(
     program: &Program,
     size_bytes: u64,
     switch_period: Option<u64>,
 ) -> (TrafficRow, SwitchRow) {
+    assert_ne!(switch_period, Some(0), "a context-switch period must be at least one instruction");
     let mut emu = Emulator::new(program);
     let mut replay = Replay {
         heap_base: emu.heap_base(),
@@ -94,7 +96,7 @@ pub fn traffic_run(
     let mut svf_flush_bytes = 0u64;
     let mut next_switch = switch_period.unwrap_or(u64::MAX);
     while !emu.is_halted() {
-        emu.step_observe(&mut replay).expect("workload must not fault");
+        emu.run_observe(next_switch - emu.steps(), &mut replay).expect("workload must not fault");
         if emu.steps() >= next_switch {
             next_switch += switch_period.expect("only reached with a period");
             sw.switches += 1;
@@ -252,5 +254,12 @@ mod tests {
         let (row, _) = traffic_run(&program, 8 << 10, None);
         assert!(row.svf_out == 0, "flat stack never spills: {}", row.svf_out);
         assert!(row.sc_in > 0, "the stack cache always pays compulsory fills");
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one instruction")]
+    fn zero_switch_period_panics_instead_of_hanging() {
+        let program = compile(workload("gzip").expect("exists"), Scale::Test);
+        let _ = traffic_run(&program, 8 << 10, Some(0));
     }
 }

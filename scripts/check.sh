@@ -31,8 +31,9 @@ cargo bench --workspace --no-run
 # >50% drops in --quick mode), not drifts — scripts/bench.sh does the
 # tracking-quality measurement with the strict 20% gate. The report goes to a scratch file so
 # the committed BENCH_*.json only change when bench.sh is run on purpose. (The
-# baseline stays BENCH_pr10.json: BENCH_pr12.json was taken in a slow spell of
-# a shared host, and rows it adds show as "new" against the older report.)
+# baseline stays BENCH_pr10.json: BENCH_pr12.json and BENCH_pr15.json were
+# taken on a shared host whose untouched rows read 10-50% below it, and rows
+# they add show as "new" against the older report.)
 # (The binary also asserts the sampled-vs-full contract: 5x speedup, 2% IPC.)
 smoke_out="$(mktemp /tmp/svf-bench-smoke.XXXXXX.json)"
 smoke_dir="$(mktemp -d /tmp/svf-trace-smoke.XXXXXX)"
@@ -65,18 +66,24 @@ cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.svft" \
 diff -u "$smoke_dir/live.txt" "$smoke_dir/replay.txt" \
     || { echo "trace replay diverged from live run" >&2; exit 1; }
 echo "trace capture->replay smoke: identical timing report"
-# Bad-config smoke: a machine the simulator cannot build (a 3 KB DL1 has no
-# power-of-two set count) must be a named error with exit 1, never a panic.
-bad_status=0
-cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.c" \
-    --config wide16+dl1_bytes=3k > /dev/null 2> "$smoke_dir/bad-config.err" || bad_status=$?
-if [ "$bad_status" -ne 1 ] || ! grep -q 'dl1' "$smoke_dir/bad-config.err" \
-    || grep -q 'panicked' "$smoke_dir/bad-config.err"; then
-    echo "bad-config smoke: want exit 1 naming dl1, got $bad_status:" >&2
-    cat "$smoke_dir/bad-config.err" >&2
-    exit 1
-fi
-echo "bad-config smoke: rejected with a named error"
+# Bad-config smoke: a machine the simulator cannot build must be a named
+# error with exit 1, never a panic. A 3 KB DL1 has no power-of-two set
+# count; a 2000-entry IFQ plus a 16-wide fetch group overflows the
+# 1024-record lockstep window.
+for bad in "dl1_bytes=3k:dl1" "ifq_size=2000:lockstep window"; do
+    overlay="${bad%%:*}"
+    want="${bad#*:}"
+    bad_status=0
+    cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.c" \
+        --config "wide16+$overlay" > /dev/null 2> "$smoke_dir/bad-config.err" || bad_status=$?
+    if [ "$bad_status" -ne 1 ] || ! grep -q "$want" "$smoke_dir/bad-config.err" \
+        || grep -q 'panicked' "$smoke_dir/bad-config.err"; then
+        echo "bad-config smoke ($overlay): want exit 1 naming $want, got $bad_status:" >&2
+        cat "$smoke_dir/bad-config.err" >&2
+        exit 1
+    fi
+done
+echo "bad-config smoke: both rejected with named errors"
 # Sampled-simulation smoke: the same program once in full detail and once
 # under a seeded random sampling plan, through the real CLI. The estimate
 # must land within 2% IPC of the full run while paying detailed cost for

@@ -527,6 +527,11 @@ mod tests {
         let p = path.to_str().unwrap().to_string();
         let err = run_cli(&args(&[&p, "--config", "wide16+dl1_bytes=3k"])).unwrap_err();
         assert!(err.to_string().contains("dl1_bytes"), "{err}");
+        // Each fits on its own but overflows the lockstep window together.
+        for overlay in ["wide16+ifq_size=2000", "wide16+width=1024"] {
+            let err = run_cli(&args(&[&p, "--config", overlay])).unwrap_err();
+            assert!(err.to_string().contains("lockstep window"), "{overlay}: {err}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 
