@@ -15,10 +15,12 @@
 //! --jobs N       simulate N jobs in parallel (default: all hardware threads)
 //! --threads T    unified thread budget: the run occupies at most T threads,
 //!                split between job workers and intra-batch timing fan-out
-//!                (jobs × fanout ≤ T; wide lockstep batches borrow idle job
-//!                slots). Without it, batches advance their pipelines
-//!                serially on their worker thread. Results are bit-identical
-//!                at any fan-out.
+//!                (jobs × fanout ≤ T). A worker that runs out of batches
+//!                donates its seat; the next batch another worker starts
+//!                (a retry or bisection half included) may claim it, while
+//!                batches already running keep their fan-out. Without it,
+//!                batches advance their pipelines serially on their worker
+//!                thread. Results are bit-identical at any fan-out.
 //! --out DIR      per-job result sink: DIR/<experiment>/<job>.csv; jobs whose
 //!                result file exists are resumed instead of re-simulated
 //!                (sweeps also journal completed points for crash-safe resume)

@@ -15,10 +15,13 @@
 //!    compilations, not C·W (see [`compile_count`]). With **lockstep
 //!    batching** (the default, see [`Harness::with_lockstep`]) the
 //!    *functional execution* is shared the same way: jobs with the same
-//!    spec form one scheduling group driven by [`svf_cpu::run_lockstep`],
-//!    so the emulator runs once per program instead of once per job, with
-//!    bit-identical results. Every fresh job runs inside such a batch — a
-//!    job that must run alone is a batch of one — and work runs under
+//!    spec form one group, and a *batch plan* cuts each group's shared
+//!    jobs into balanced lockstep batches driven by
+//!    [`svf_cpu::run_lockstep`] — at least two batches per worker, so no
+//!    worker sits idle behind one long program — and the emulator runs
+//!    once per batch instead of once per job, with bit-identical results.
+//!    Every fresh job runs inside such a batch — a job that must run alone
+//!    is a batch of one — and work runs under
 //!    `catch_unwind`, so one diverging simulation reports as
 //!    [`JobOutcome::Failed`] instead of killing the run (a panicking
 //!    batch is bisected until the diverging job fails alone); a failing
@@ -89,16 +92,15 @@ mod experiment;
 mod fault;
 mod job;
 mod memo;
+mod plan;
 mod pool;
 mod progress;
 mod sink;
 pub mod sweep;
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -116,6 +118,7 @@ pub use sink::{atomic_write, RunDir};
 pub use sweep::{run_sweep, SweepOutcome, SweepPoint};
 
 use error::retry;
+use plan::Plan;
 use progress::Progress;
 
 /// Execution policy: how many workers, where results go, whether to narrate,
@@ -175,10 +178,13 @@ impl Harness {
     /// intra-batch timing fan-out so that `jobs × fanout ≤ total`. Workers
     /// are capped at the budget; whatever the workers do not use funds a
     /// spare pool that lockstep batches claim extra timing threads from
-    /// ([`svf_cpu::run_lockstep_fanout`]), and a worker that drains the
-    /// job queue donates its seat back so wide batches still in flight can
-    /// borrow it. Without a budget every batch advances its pipelines
-    /// serially on its worker thread (fanout 1), the pre-budget behaviour.
+    /// ([`svf_cpu::run_lockstep_fanout`]) when they start. A worker that
+    /// drains the job queue donates its seat to that pool, where only the
+    /// *next* batch anyone claims can use it — a later piece of the batch
+    /// plan, a retry or a bisection half; a batch already running keeps
+    /// the fan-out it started with. Without a budget every batch advances
+    /// its pipelines serially on its worker thread (fanout 1), the
+    /// pre-budget behaviour.
     /// Results are bit-identical at any fanout (pinned by the workspace
     /// golden tests).
     #[must_use]
@@ -203,12 +209,14 @@ impl Harness {
     }
 
     /// Enables or disables lockstep batching (on by default): jobs sharing
-    /// a [`ProgramSpec`] are scheduled as one group riding a single
-    /// functional execution of the program ([`svf_cpu::run_lockstep`]);
-    /// off, every job is a batch of one that re-runs the emulator. Results are
-    /// bit-identical either way (pinned by the workspace golden tests);
-    /// lockstep trades per-job scheduling granularity for doing the
-    /// functional work once per program.
+    /// a [`ProgramSpec`] form one group, which the batch plan cuts into
+    /// contiguous batches of at most `⌈fresh jobs / (2 × workers)⌉`, each
+    /// riding a single functional execution of the program
+    /// ([`svf_cpu::run_lockstep`]); off, every job is a batch of one that
+    /// re-runs the emulator. Results are bit-identical either way (pinned
+    /// by the workspace golden tests); lockstep does the functional work
+    /// once per batch instead of once per job, and the cap keeps enough
+    /// batches in the queue to balance the workers.
     #[must_use]
     pub fn with_lockstep(mut self, on: bool) -> Harness {
         self.lockstep = on;
@@ -291,6 +299,9 @@ impl Harness {
 
     /// Runs every job of `exp` and reassembles the reports in job-id order.
     ///
+    /// Jobs the sink already holds are resumed on the calling thread; the
+    /// rest run through the batch plan (see [`Harness::with_lockstep`]).
+    ///
     /// # Panics
     ///
     /// Panics only if a result sink was requested but its directory cannot
@@ -302,149 +313,85 @@ impl Harness {
             RunDir::create(root, &exp.name)
                 .unwrap_or_else(|e| panic!("cannot create run dir under {}: {e}", root.display()))
         });
+        let sink = sink.as_ref();
         let jobs = exp.jobs();
         let progress = Progress::new(&exp.name, jobs.len(), self.progress);
-        // The scheduling unit is a *group*: all jobs sharing a program when
-        // lockstep is on (they ride one functional stream), singletons
-        // otherwise.
-        let groups = group_jobs(jobs, self.lockstep);
+        let slots: Vec<Mutex<Option<JobReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
+        let deliver = |i: usize, report: JobReport| {
+            let (cycles, resumed, failed) = match &report.outcome {
+                JobOutcome::Completed(s) => (s.cycles, false, false),
+                JobOutcome::Resumed(_) => (0, true, false),
+                JobOutcome::Failed(_) => (0, false, true),
+            };
+            progress.record(cycles, resumed, failed);
+            *slots[i].lock().expect("report slot") = Some(report);
+        };
+        // Resume what the sink already holds (re-running anything it
+        // reports as corrupt); only the fresh jobs enter the plan.
+        let fresh = |&i: &usize| match sink.map_or(Ok(None), |s| s.load_classified(&jobs[i])) {
+            Ok(Some(stats)) => {
+                deliver(i, report_for(&jobs[i], JobOutcome::Resumed(stats), Duration::ZERO));
+                false
+            }
+            Ok(None) => true,
+            Err(e) => {
+                // A damaged result file must not fail the job — re-running
+                // the simulation rewrites (repairs) it.
+                eprintln!("svf-harness: {}: {e}; re-running", jobs[i].key());
+                true
+            }
+        };
+        let groups: Vec<Vec<usize>> = plan::group_jobs(jobs, self.lockstep)
+            .into_iter()
+            .map(|g| g.into_iter().filter(fresh).collect())
+            .collect();
         // With a thread budget the job workers are capped at the budget and
         // whatever they leave unused funds intra-batch timing fan-out;
         // without one, the budget has no spare and every batch runs serial.
-        let workers = self
-            .threads
-            .map_or(self.workers, |t| self.workers.min(t))
-            .clamp(1, groups.len().max(1));
+        let workers = self.threads.map_or(self.workers, |t| self.workers.min(t));
+        // Jobs with a planned fault or a quarantine record run as batches
+        // of one, so their failure cannot poison a shared batch.
+        let plan = Plan::new(
+            groups,
+            |i| fault::planned(jobs[i].id) || quarantined(&jobs[i]),
+            workers,
+        );
+        let workers = workers.clamp(1, plan.len().max(1));
         let budget = ThreadBudget::new(self.threads.unwrap_or(workers), workers);
         progress.set_parallelism(workers, 1);
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<JobReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    loop {
-                        let g = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(idxs) = groups.get(g) else { break };
-                        run_group(
-                            jobs,
-                            idxs,
-                            sink.as_ref(),
-                            &progress,
-                            &slots,
-                            &self.policy,
-                            self.sample.as_ref(),
-                            &budget,
-                        );
+        let worker_busy = plan.drain(workers, &budget, |batch| {
+            let t0 = Instant::now();
+            let sample = self.sample.as_ref();
+            let results = run_batch(jobs, batch, &self.policy, &progress, sample, &budget);
+            let wall = t0.elapsed() / u32::try_from(batch.len()).unwrap_or(u32::MAX);
+            for (i, result) in results {
+                let job = &jobs[i];
+                if let (Some(sink), Ok(stats)) = (sink, &result) {
+                    // A store that still fails only costs resumability (the
+                    // job re-runs next time), so it warns rather than
+                    // failing the job.
+                    let store = || sink.store(job, stats).map_err(|e| JobError::Io(e.to_string()));
+                    if let Err(e) = retry(&self.policy, store, || {}) {
+                        eprintln!("svf-harness: cannot store {}: {e}", job.key());
                     }
-                    // This worker is done for good: donate its seat so wide
-                    // batches still in flight can widen their next claim.
-                    budget.worker_exited();
-                });
+                }
+                let outcome = result.map_or_else(JobOutcome::Failed, JobOutcome::Completed);
+                deliver(i, report_for(job, outcome, wall));
             }
         });
-        let summary = progress.finish();
-        RunReport {
+        let mut report = RunReport {
             name: exp.name.clone(),
             jobs: slots
                 .into_iter()
                 .map(|s| s.into_inner().expect("report slot").expect("every job visited"))
                 .collect(),
             wall: started.elapsed(),
-            summary,
-        }
-    }
-}
-
-/// Partitions job indices into scheduling groups: per-program when
-/// `lockstep` (in first-appearance order, members in id order), singletons
-/// otherwise.
-fn group_jobs(jobs: &[Job], lockstep: bool) -> Vec<Vec<usize>> {
-    if !lockstep {
-        return (0..jobs.len()).map(|i| vec![i]).collect();
-    }
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut by_program: HashMap<memo::Key, usize> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match by_program.entry(memo::key(&job.program)) {
-            Entry::Occupied(e) => groups[*e.get()].push(i),
-            Entry::Vacant(v) => {
-                v.insert(groups.len());
-                groups.push(vec![i]);
-            }
-        }
-    }
-    groups
-}
-
-/// Executes one scheduling group: resumes what the sink already holds
-/// (re-running anything the sink reports as corrupt), then runs the fresh
-/// jobs through [`run_batch`] — the jobs that share the program as one
-/// batch, each quarantined or fault-planned job as a batch of one — and
-/// stores and reports every result.
-#[allow(clippy::too_many_arguments)]
-fn run_group(
-    jobs: &[Job],
-    idxs: &[usize],
-    sink: Option<&RunDir>,
-    progress: &Progress,
-    slots: &[Mutex<Option<JobReport>>],
-    policy: &RetryPolicy,
-    sample: Option<&SampleSpec>,
-    budget: &ThreadBudget,
-) {
-    let deliver = |i: usize, report: JobReport| {
-        let (cycles, resumed, failed) = match &report.outcome {
-            JobOutcome::Completed(s) => (s.cycles, false, false),
-            JobOutcome::Resumed(_) => (0, true, false),
-            JobOutcome::Failed(_) => (0, false, true),
+            worker_busy,
+            summary: String::new(),
         };
-        progress.record(cycles, resumed, failed);
-        *slots[i].lock().expect("report slot") = Some(report);
-    };
-    let mut fresh: Vec<usize> = Vec::new();
-    for &i in idxs {
-        match sink.map_or(Ok(None), |s| s.load_classified(&jobs[i])) {
-            Ok(Some(stats)) => {
-                deliver(i, report_for(&jobs[i], JobOutcome::Resumed(stats), Duration::ZERO));
-            }
-            Ok(None) => fresh.push(i),
-            Err(e) => {
-                // A damaged result file must not fail the job — re-running
-                // the simulation rewrites (repairs) it.
-                eprintln!("svf-harness: {}: {e}; re-running", jobs[i].key());
-                fresh.push(i);
-            }
-        }
-    }
-    // Jobs with a planned fault or a quarantine record run as batches of
-    // one, so their failure cannot poison the shared batch. The shared
-    // batch goes first (a planted abort then leaves its results stored); a
-    // lone sharer is one more batch of one, after the isolated jobs.
-    let (isolated, shared): (Vec<usize>, Vec<usize>) =
-        fresh.into_iter().partition(|&i| fault::planned(jobs[i].id) || quarantined(&jobs[i]));
-    let mut batches: Vec<Vec<usize>> = isolated.into_iter().map(|i| vec![i]).collect();
-    match shared.len() {
-        0 => {}
-        1 => batches.push(shared),
-        _ => batches.insert(0, shared),
-    }
-    for batch in batches {
-        let t0 = Instant::now();
-        let results = run_batch(jobs, &batch, policy, progress, sample, budget);
-        let wall = t0.elapsed() / u32::try_from(batch.len()).unwrap_or(u32::MAX);
-        for (i, result) in results {
-            let job = &jobs[i];
-            if let (Some(sink), Ok(stats)) = (sink, &result) {
-                // A store that still fails only costs resumability (the job
-                // re-runs next time), so it warns rather than failing the job.
-                let store = || sink.store(job, stats).map_err(|e| JobError::Io(e.to_string()));
-                if let Err(e) = retry(policy, store, || {}) {
-                    eprintln!("svf-harness: cannot store {}: {e}", job.key());
-                }
-            }
-            let outcome = result.map_or_else(JobOutcome::Failed, JobOutcome::Completed);
-            deliver(i, report_for(job, outcome, wall));
-        }
+        progress.set_utilization(report.utilization());
+        report.summary = progress.finish();
+        report
     }
 }
 
@@ -625,6 +572,9 @@ pub struct RunReport {
     pub jobs: Vec<JobReport>,
     /// Total wall-clock time of the run.
     pub wall: Duration,
+    /// Busy time of each job worker: the wall clock it spent running
+    /// batches rather than waiting for the queue to drain.
+    pub worker_busy: Vec<Duration>,
     /// The final throughput summary line (also printed when progress is on).
     pub summary: String,
 }
@@ -637,6 +587,19 @@ impl RunReport {
             .iter()
             .filter_map(|j| j.outcome.failure().map(|m| (j.key.as_str(), m)))
             .collect()
+    }
+
+    /// Worker utilization: total worker busy time over `workers × wall`,
+    /// in `[0, 1]`. The summary line prints it as `util`.
+    #[must_use]
+    pub fn utilization(&self) -> f64 {
+        let capacity = self.wall.as_secs_f64() * self.worker_busy.len() as f64;
+        let busy: f64 = self.worker_busy.iter().map(Duration::as_secs_f64).sum();
+        if capacity > 0.0 {
+            busy / capacity
+        } else {
+            0.0
+        }
     }
 
     /// Number of jobs loaded from the run directory instead of simulated.

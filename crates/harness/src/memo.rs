@@ -31,7 +31,8 @@ use crate::job::ProgramSpec;
 
 /// Owned mirror of [`ProgramSpec`]'s identity, hashable for the cache map.
 /// Also the lockstep grouping key: jobs with equal keys share one program,
-/// hence one functional stream.
+/// and each lockstep batch the plan cuts from their group rides one
+/// functional stream of it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) enum Key {
     Workload { name: String, input: Option<String>, scale: Scale },

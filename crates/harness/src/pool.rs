@@ -14,12 +14,14 @@ use crate::error::JobError;
 ///
 /// A budget of `total` threads first funds the `workers` job threads; the
 /// remainder is a spare pool that lockstep batches [`claim`](Self::claim)
-/// extra timing threads from, so `jobs × fanout` never exceeds `total`.
-/// When a job worker drains the queue and exits it
-/// [returns its seat](Self::worker_exited) to the spare pool, letting wide
-/// batches that are still running borrow the idle slot for their next
-/// claim. With `total <= workers` the spare pool is empty and every claim
-/// degenerates to a serial fanout of 1.
+/// extra timing threads from as they start, so `jobs × fanout` never
+/// exceeds `total`. When a job worker drains the queue and exits it
+/// [returns its seat](Self::worker_exited) to the spare pool. Only the
+/// next claim uses it — a later piece of the batch plan, a retry or a
+/// bisection half started by a surviving worker; a batch already running
+/// keeps the fan-out it claimed. With `total <= workers` the spare pool
+/// starts empty and every claim before the first seat donation is a
+/// serial fanout of 1.
 pub struct ThreadBudget {
     spare: AtomicUsize,
 }
@@ -51,7 +53,8 @@ impl ThreadBudget {
     }
 
     /// Returns a job worker's seat to the spare pool after it drains the
-    /// queue, so in-flight batches can widen their next claim.
+    /// queue, so the next batch a surviving worker claims can fan out
+    /// wider.
     pub fn worker_exited(&self) {
         self.spare.fetch_add(1, Ordering::Release);
     }

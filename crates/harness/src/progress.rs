@@ -20,6 +20,8 @@ struct State {
     workers: usize,
     /// Widest intra-batch timing fan-out observed so far.
     max_fanout: usize,
+    /// Worker utilization, known once the workers have finished.
+    util: Option<f64>,
 }
 
 /// Shared progress tracker; workers report each finished job.
@@ -121,6 +123,12 @@ impl Progress {
         st.max_fanout = st.max_fanout.max(fanout);
     }
 
+    /// Records the finished run's worker utilization (busy time over
+    /// `workers × wall`); the summary paints it as `util`.
+    pub(crate) fn set_utilization(&self, util: f64) {
+        self.state.lock().expect("progress state").util = Some(util);
+    }
+
     /// Finishes the line and returns the run-level summary text.
     pub(crate) fn finish(&self) -> String {
         let snapshot = *self.state.lock().expect("progress state");
@@ -163,6 +171,9 @@ impl Progress {
         // unit tests that drive Progress directly — never paints `0x0`.
         if st.workers > 0 && st.max_fanout > 0 {
             line.push_str(&format!("  ({}x{} jobs x fanout)", st.workers, st.max_fanout));
+        }
+        if let Some(util) = st.util {
+            line.push_str(&format!("  (util {util:.2})"));
         }
         // Sampled coverage: only painted once a sampled execution reported,
         // so full runs keep the historical line verbatim.
@@ -310,6 +321,17 @@ mod tests {
         let line = p.finish();
         assert!(line.contains("(4x3 jobs x fanout)"), "{line}");
         assert!(line.contains("2/2 jobs"), "record_fanout must not advance done: {line}");
+    }
+
+    #[test]
+    fn utilization_appears_once_the_run_reports_it() {
+        let p = Progress::new("demo", 1, false);
+        p.set_parallelism(2, 1);
+        p.record(100, false, false);
+        assert!(!p.finish().contains("util"), "unknown until the workers finish");
+        p.set_utilization(0.934);
+        let line = p.finish();
+        assert!(line.contains("(2x1 jobs x fanout)  (util 0.93)"), "{line}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Design-space sweep execution: expand a [`SweepSpec`] into jobs, run
 //! them through the harness (one compile per workload via the memo cache,
-//! one functional stream per workload via lockstep batching), and reduce
-//! the results to a Pareto frontier of IPC versus dedicated stack-storage
-//! cost.
+//! one functional stream per lockstep batch of a workload's points), and
+//! reduce the results to a Pareto frontier of IPC versus dedicated
+//! stack-storage cost.
 //!
 //! The spec (crate `svf-configspace`) owns the sweep's *geometry* — axes,
 //! index vectors, neighbourhoods; this module owns *execution*. Grid and
@@ -174,8 +174,8 @@ fn parse_scale(name: &str) -> Result<Scale, String> {
 ///
 /// Jobs are grouped by workload (the memo key), so each workload compiles
 /// once per process and — with lockstep enabled, the default — runs one
-/// functional stream per batch regardless of how many configurations ride
-/// it.
+/// functional stream per batch; the harness's batch plan cuts a workload's
+/// points into as few batches as keep its workers balanced.
 ///
 /// # Errors
 ///

@@ -1,12 +1,15 @@
 //! Orchestration contracts: parallel runs are bit-identical to serial runs,
-//! a panicking job is isolated from its siblings, and interrupted runs
-//! resume from the run directory.
+//! a panicking job is isolated from its siblings, interrupted runs resume
+//! from the run directory, and the batch plan's split of a program's jobs
+//! across workers changes neither results, compiles nor what a crash
+//! leaves stored.
 
 use std::fs;
 use std::path::PathBuf;
+use std::process::Command;
 
 use svf_cpu::{CpuConfig, StackEngine};
-use svf_harness::{Experiment, Harness, JobOutcome, ProgramSpec};
+use svf_harness::{compile_count, Experiment, Harness, JobOutcome, ProgramSpec};
 use svf_workloads::Scale;
 
 /// A small kernel that keeps even debug-build cycle simulation quick.
@@ -238,6 +241,93 @@ fn csv_sinks_are_byte_identical_across_worker_counts() {
 
     fs::remove_dir_all(&root_serial).ok();
     fs::remove_dir_all(&root_parallel).ok();
+}
+
+/// `programs` × `configs` distinct healthy machines, program-major.
+fn split_experiment(name: &str, programs: &[&str], configs: usize) -> Experiment {
+    let widths = [CpuConfig::wide4(), CpuConfig::wide8(), CpuConfig::wide16()];
+    let mut exp = Experiment::new(name);
+    for (p, label) in programs.iter().enumerate() {
+        let source = TINY.replace("% 997", &format!("% {}", 997 - 2 * p));
+        for c in 0..configs {
+            let mut cfg = widths[c % widths.len()].clone();
+            cfg.ruu_size += c;
+            exp.push(ProgramSpec::source(label, source.clone()), &format!("cfg{c}"), cfg);
+        }
+    }
+    exp
+}
+
+/// Re-runs the named test of this binary in a child process with
+/// `SVF_SPLIT_CHILD` set (plus `env`), and returns whether it succeeded.
+/// Used where a test needs the process to itself: an exact process-global
+/// compile count, or a planted abort.
+fn run_child(test: &str, env: &[(&str, &str)]) -> bool {
+    let exe = std::env::current_exe().expect("test binary path");
+    let mut cmd = Command::new(exe);
+    cmd.args(["--exact", test, "--nocapture"]).env("SVF_SPLIT_CHILD", "1");
+    for (k, v) in env {
+        cmd.env(k, v);
+    }
+    cmd.status().expect("spawn child").success()
+}
+
+#[test]
+fn split_groups_match_serial_and_compile_each_program_once() {
+    if std::env::var_os("SVF_SPLIT_CHILD").is_none() {
+        // Alone in its process, so no other test moves the compile count.
+        let name = "split_groups_match_serial_and_compile_each_program_once";
+        assert!(run_child(name, &[]), "child run failed");
+        return;
+    }
+    // 2 programs x 8 configs at 2 workers: 16 fresh jobs cap pieces at 4,
+    // so each program's 8 jobs run as two concurrent lockstep batches.
+    let exp = split_experiment("split-compiles", &["split-a", "split-b"], 8);
+    let before = compile_count();
+    let split = Harness::parallel().with_workers(2).run(&exp);
+    assert_eq!(compile_count() - before, 2, "one compile per program, not per piece");
+    let serial = Harness::serial().run(&exp);
+    for ((a, b), job) in split.stats().iter().zip(serial.stats()).zip(exp.jobs()) {
+        assert_eq!(*a, b, "{}: a split batch changed the statistics", job.key());
+    }
+}
+
+#[test]
+fn abort_after_a_split_group_leaves_every_clean_job_stored() {
+    let name = "abort_after_a_split_group_leaves_every_clean_job_stored";
+    let exp = split_experiment("split-abort", &["split-abort"], 8);
+    if let Ok(dir) = std::env::var("SVF_SPLIT_OUT") {
+        let _ = Harness::parallel().with_workers(2).with_out_dir(&dir).run(&exp);
+        // Reached only if the planted abort failed to fire.
+        std::process::exit(0);
+    }
+    let root = tmp_root("split-abort");
+    fs::remove_dir_all(&root).ok();
+    let out = root.to_str().expect("utf-8 temp path");
+    // Job 4 aborts the process. It runs as its group's tail, after the
+    // four pieces holding the other seven jobs have stored their results.
+    let ok = run_child(name, &[("SVF_SPLIT_OUT", out), ("SVF_FAULT_PLAN", "abort@4")]);
+    assert!(!ok, "the planted abort must kill the child");
+    let mut stored: Vec<String> = fs::read_dir(root.join("split-abort"))
+        .expect("run dir exists after the crash")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .collect();
+    stored.sort();
+    let ids: Vec<&str> = stored.iter().map(|f| &f[..4]).collect();
+    assert_eq!(ids, ["0000", "0001", "0002", "0003", "0005", "0006", "0007"], "{stored:?}");
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn utilization_is_reported_and_bounded() {
+    let exp = split_experiment("utilization", &["util-a", "util-b"], 4);
+    for workers in [1, 2, 4] {
+        let report = Harness::parallel().with_workers(workers).run(&exp);
+        let util = report.utilization();
+        assert!(util > 0.0 && util <= 1.0, "{workers} workers: util {util} outside (0, 1]");
+        assert_eq!(report.worker_busy.len(), workers, "one busy time per worker");
+        assert!(report.summary.contains("(util "), "{}", report.summary);
+    }
 }
 
 /// The ISSUE-level contract on real workloads: the full experiment matrix

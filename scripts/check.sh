@@ -149,8 +149,10 @@ echo "sweep smoke: 8 configs, one compile, well-formed pareto.csv"
 # (job workers + intra-batch timing fan-out) must emit byte-identical CSVs
 # to the serial run above — the bit-identity contract of the PR 10 fan-out,
 # checked end to end through the real sweep driver.
+# `--jobs 2` pins two workers on any host, so the batch plan cuts the one
+# program's 8 jobs into four lockstep batches of two.
 cargo run --release --quiet -p svf-experiments -- \
-    --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/sweep-mt" --threads 8 \
+    --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/sweep-mt" --jobs 2 --threads 8 \
     > "$smoke_dir/sweep-mt.out"
 for f in points.csv pareto.csv; do
     cmp "$smoke_dir/sweep/$f" "$smoke_dir/sweep-mt/$f" \
@@ -160,9 +162,12 @@ echo "threaded-lockstep smoke: --threads 8 CSVs byte-identical to serial"
 # Crash-resume smoke: the same sweep with a result sink, killed mid-run by
 # a planted abort (the in-process kill -9), must resume from the sink and
 # finish with points.csv/pareto.csv byte-identical to the fault-free run
-# above; a third run must skip every point via the sweep journal.
+# above; a third run must skip every point via the sweep journal. At
+# `--jobs 2` the seven clean jobs run as split lockstep batches, and the
+# aborting job, isolated, runs only after the last of them is stored.
 if SVF_FAULT_PLAN="abort@4" cargo run --release --quiet -p svf-experiments -- \
-    --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs"
+    --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs" \
+    --jobs 2
 then
     echo "crash-resume smoke: planted abort did not kill the sweep" >&2; exit 1
 fi
@@ -170,7 +175,7 @@ fi
     || { echo "crash-resume smoke: crash should leave the 7 clean jobs stored" >&2; exit 1; }
 cargo run --release --quiet -p svf-experiments -- \
     --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs" \
-    > "$smoke_dir/resume.out"
+    --jobs 2 > "$smoke_dir/resume.out"
 for f in points.csv pareto.csv; do
     cmp "$smoke_dir/sweep/$f" "$smoke_dir/crash/$f" \
         || { echo "crash-resume smoke: $f differs from the fault-free run" >&2; exit 1; }
@@ -178,7 +183,7 @@ done
 # (to a file first: grep -q would close the pipe early and panic the binary)
 cargo run --release --quiet -p svf-experiments -- \
     --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs" \
-    > "$smoke_dir/journal.out"
+    --jobs 2 > "$smoke_dir/journal.out"
 grep -q 'resumed=8' "$smoke_dir/journal.out" \
     || { echo "crash-resume smoke: journal did not resume all 8 points" >&2; exit 1; }
 echo "crash-resume smoke: killed sweep resumed to byte-identical CSVs"
