@@ -404,8 +404,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 pub struct SampledStats {
     /// Whole-run estimate: pooled interval statistics extrapolated to the
     /// full committed count. `stats.committed` is the *exact* functional
-    /// total (not an estimate), so downstream comparisons and journals
-    /// that key on it behave as for a full run.
+    /// total (not an estimate), so downstream comparisons that key on it
+    /// behave as for a full run.
     pub stats: SimStats,
     /// Exact committed instructions of the whole (functional) run.
     pub total_insts: u64,

@@ -199,7 +199,7 @@ impl SimStats {
     /// ([`svf_mem::scale_counter`]), except
     ///
     /// * `committed`, which is set to `total_committed` **exactly** (so
-    ///   [`SimStats::speedup_over`] and resume journals keyed on committed
+    ///   [`SimStats::speedup_over`] and comparisons keyed on committed
     ///   counts keep working), and
     /// * `ruu_occupancy_max`, a peak, which is carried through unscaled.
     ///

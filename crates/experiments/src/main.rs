@@ -21,9 +21,10 @@
 //!                batches already running keep their fan-out. Without it,
 //!                batches advance their pipelines serially on their worker
 //!                thread. Results are bit-identical at any fan-out.
-//! --out DIR      per-job result sink: DIR/<experiment>/<job>.csv; jobs whose
-//!                result file exists are resumed instead of re-simulated
-//!                (sweeps also journal completed points for crash-safe resume)
+//! --out DIR      result sink: DIR/<experiment>/<content-key>.csv, keyed by
+//!                program, machine config, sampling plan and simulator
+//!                version; jobs (sweep points included) whose result file
+//!                exists are resumed instead of re-simulated
 //! --no-lockstep  simulate each job against its own emulator instead of
 //!                batching jobs that share a program over one functional
 //!                stream (bit-identical either way; for A/B timing)

@@ -5,10 +5,10 @@ use svf_workloads::{all, Scale};
 
 use crate::job::{Job, ProgramSpec};
 
-/// A named, ordered list of jobs. The order is part of the experiment's
-/// identity: job ids index into it, result files are named after it, and
-/// results are reassembled in it — so the same definition always produces
-/// the same output regardless of worker count.
+/// A named, ordered list of jobs. Job ids index into the order and results
+/// are reassembled in it — so the same definition always produces the same
+/// output regardless of worker count. Result files do not depend on it:
+/// they are named by content key (see [`crate::RunDir`]).
 #[derive(Debug, Clone)]
 pub struct Experiment {
     /// Experiment name; also the run-directory subfolder for its results.

@@ -1,6 +1,7 @@
 //! The unit of orchestrated work: one `(program, configuration)` timing
 //! simulation, and what came out of it.
 
+use std::borrow::Cow;
 use std::time::Duration;
 
 use svf_cpu::{CpuConfig, SimStats};
@@ -31,7 +32,8 @@ pub enum ProgramSpec {
     /// Ad-hoc MiniC source (used by the code-quality ablation and the
     /// partial-word extension, whose programs are not registry kernels).
     Source {
-        /// Short label used in job keys and progress output.
+        /// Short label used in display names and progress output; not
+        /// part of the program's identity.
         label: String,
         /// The MiniC source text.
         source: String,
@@ -76,16 +78,15 @@ impl ProgramSpec {
         }
     }
 
-    /// Compiles the program this spec describes, unconditionally (no
-    /// memoization — the harness compiles its jobs through the
-    /// process-global cache instead, see [`crate::compile_count`]; use this
-    /// for one-off compiles that must not be retained).
+    /// The MiniC source text this spec compiles, and whether register
+    /// promotion is on. This is the program's identity: [`ProgramSpec::compile`]
+    /// compiles exactly this, and the result sink's content key hashes it
+    /// (a `Source` label is presentation only).
     ///
     /// # Errors
     ///
-    /// Unknown workload/input names and compiler errors are reported as
-    /// strings; the harness turns them into [`JobOutcome::Failed`].
-    pub fn compile(&self) -> Result<Program, String> {
+    /// Unknown workload or input names.
+    pub fn minic(&self) -> Result<(Cow<'_, str>, bool), String> {
         match self {
             ProgramSpec::Workload { name, input, scale } => {
                 let w = workload(name).ok_or_else(|| format!("unknown workload {name:?}"))?;
@@ -97,14 +98,25 @@ impl ProgramSpec {
                         .find(|inp| inp.name == i)
                         .ok_or_else(|| format!("workload {name:?} has no input {i:?}"))?,
                 };
-                w.compile_with_input(*scale, input).map_err(|e| format!("{name}: {e}"))
+                Ok((Cow::Owned(w.source_with_input(*scale, input)), true))
             }
-            ProgramSpec::Source { label, source, regalloc } => svf_cc::compile_to_program_with(
-                source,
-                svf_cc::Options { regalloc: *regalloc, ..Default::default() },
-            )
-            .map_err(|e| format!("{label}: {e}")),
+            ProgramSpec::Source { source, regalloc, .. } => Ok((Cow::Borrowed(source), *regalloc)),
         }
+    }
+
+    /// Compiles the program this spec describes, unconditionally (no
+    /// memoization — the harness compiles its jobs through the
+    /// process-global cache instead, see [`crate::compile_count`]; use this
+    /// for one-off compiles that must not be retained).
+    ///
+    /// # Errors
+    ///
+    /// Unknown workload/input names and compiler errors are reported as
+    /// strings; the harness turns them into [`JobOutcome::Failed`].
+    pub fn compile(&self) -> Result<Program, String> {
+        let (source, regalloc) = self.minic()?;
+        svf_cc::compile_to_program_with(&source, svf_cc::Options { regalloc, ..Default::default() })
+            .map_err(|e| format!("{}: {e}", self.label()))
     }
 }
 
@@ -123,10 +135,10 @@ pub struct Job {
 }
 
 impl Job {
-    /// Stable, filesystem-safe identity of this job inside its experiment:
-    /// `<id>-<program>-<config>`. This names the job's result file in the
-    /// run directory, so it must not change across invocations of the same
-    /// experiment definition.
+    /// Display name of this job inside its experiment,
+    /// `<id>-<program>-<config>`, used in progress and failure lines. It
+    /// names nothing on disk: a result is identified by its content key
+    /// (see [`crate::RunDir`]), never by its position or labels.
     #[must_use]
     pub fn key(&self) -> String {
         format!("{:04}-{}-{}", self.id, slug(&self.program.label()), slug(&self.config_label))

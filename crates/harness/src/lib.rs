@@ -32,13 +32,16 @@
 //!    deterministic).
 //! 4. **Sinks & resume** — with an output directory configured, each job's
 //!    [`SimStats`](svf_cpu::SimStats) is written to
-//!    `<out>/<experiment>/<job-key>.csv` (atomically — temp file + rename),
-//!    and jobs whose result file already exists are *resumed* (loaded, not
-//!    re-simulated). Interrupted long runs — including runs killed
-//!    mid-flight — pick up where they stopped; delete the directory to
-//!    force a clean rerun. A result file that exists but is damaged is
-//!    reported ([`JobError::CorruptResume`]) and the job re-runs, which
-//!    repairs the file.
+//!    `<out>/<experiment>/<content-key>.csv` (atomically — temp file +
+//!    rename), and jobs whose result file already exists are *resumed*
+//!    (loaded, not re-simulated). The content key hashes the program, the
+//!    canonical config, the sampling plan and [`SIM_VERSION`] — never a
+//!    label or position — so it is the one identity for resume, sweeps and
+//!    the quarantine (see [`RunDir`]). Interrupted long runs — including
+//!    runs killed mid-flight — pick up where they stopped; delete the
+//!    directory to force a clean rerun. A result file that exists but is
+//!    damaged is reported ([`JobError::CorruptResume`]) and the job
+//!    re-runs, which repairs the file.
 //! 5. **Fault tolerance** — every failure is classified as a [`JobError`]
 //!    with principled retryability, and the [`RetryPolicy`] (see
 //!    [`Harness::with_retries`] / [`Harness::with_timeout`]) bounds how
@@ -47,7 +50,7 @@
 //!    as [`JobError::Timeout`]. A lockstep batch that panics or hangs is
 //!    **bisected**: the batch splits in half recursively until the
 //!    offending job fails alone, and that job is *quarantined*
-//!    (process-globally, by program + configuration) so later runs in the
+//!    (process-globally, by content key) so later runs in the
 //!    process never batch it again — survivors keep sharing streams
 //!    instead of all falling back to serial. The deterministic
 //!    `SVF_FAULT_PLAN` hook (see [`crate::fault`] via
@@ -100,7 +103,7 @@ pub mod sweep;
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -114,7 +117,7 @@ pub use fault::install_fault_plan;
 pub use job::{Job, JobOutcome, JobReport, ProgramSpec};
 pub use memo::compile_count;
 pub use pool::{parallel_map, FanoutClaim, ThreadBudget};
-pub use sink::{atomic_write, RunDir};
+pub use sink::{atomic_write, RunDir, SIM_VERSION};
 pub use sweep::{run_sweep, SweepOutcome, SweepPoint};
 
 use error::retry;
@@ -256,10 +259,9 @@ impl Harness {
     /// stratified whole-run estimate as its [`SimStats`]. Each lockstep
     /// batch — a batch of one included — shares one sampled stream, so
     /// sampling composes with retries, bisection, fault injection, and
-    /// sweeps exactly like full simulation. The result-file format is
-    /// unchanged, so sampled runs are resumable too — but point a sampled
-    /// run at its *own* `--out` directory: the sink cannot tell an
-    /// extrapolated result from an exact one.
+    /// sweeps exactly like full simulation. The plan is part of every
+    /// result's content key, so sampled and full results can share one
+    /// `--out` directory without either resuming the other.
     #[must_use]
     pub fn with_sample(mut self, spec: SampleSpec) -> Harness {
         self.sample = Some(spec);
@@ -284,13 +286,6 @@ impl Harness {
         self.threads
     }
 
-    /// The configured result-sink root, if any. Sweep drivers anchor their
-    /// crash-safe point journal next to it.
-    #[must_use]
-    pub fn out_dir(&self) -> Option<&Path> {
-        self.out_dir.as_deref()
-    }
-
     /// The active retry policy.
     #[must_use]
     pub fn retry_policy(&self) -> &RetryPolicy {
@@ -312,6 +307,7 @@ impl Harness {
         let sink = self.out_dir.as_deref().map(|root| {
             RunDir::create(root, &exp.name)
                 .unwrap_or_else(|e| panic!("cannot create run dir under {}: {e}", root.display()))
+                .with_sample(self.sample)
         });
         let sink = sink.as_ref();
         let jobs = exp.jobs();
@@ -353,7 +349,7 @@ impl Harness {
         // of one, so their failure cannot poison a shared batch.
         let plan = Plan::new(
             groups,
-            |i| fault::planned(jobs[i].id) || quarantined(&jobs[i]),
+            |i| fault::planned(jobs[i].id) || quarantined(&jobs[i], self.sample.as_ref()),
             workers,
         );
         let workers = workers.clamp(1, plan.len().max(1));
@@ -438,7 +434,7 @@ fn run_batch(
         [i] => {
             let attempted = retry(policy, attempt, || progress.record_retry());
             if matches!(attempted, Err(JobError::Panic(_) | JobError::Timeout { .. })) {
-                quarantine(&jobs[*i]);
+                quarantine(&jobs[*i], sample);
             }
             attempted
         }
@@ -540,27 +536,23 @@ fn watchdog<R: Send + 'static>(
     }
 }
 
-/// The lockstep quarantine: `(program, configuration)` pairs whose job
+/// The lockstep quarantine: content keys ([`RunDir`]) of jobs that
 /// diverged or hung. Process-global for the same reason the memo cache is —
 /// a later run in this process must not re-batch a known-bad member.
-static QUARANTINE: OnceLock<Mutex<HashSet<(memo::Key, String)>>> = OnceLock::new();
+static QUARANTINE: OnceLock<Mutex<HashSet<u128>>> = OnceLock::new();
 
-fn quarantine_key(job: &Job) -> (memo::Key, String) {
-    (memo::key(&job.program), format!("{:?}", job.config))
+fn quarantined(job: &Job, sample: Option<&SampleSpec>) -> bool {
+    QUARANTINE.get().is_some_and(|q| {
+        q.lock().expect("quarantine").contains(&sink::content_key(job, sample))
+    })
 }
 
-fn quarantined(job: &Job) -> bool {
-    QUARANTINE
-        .get()
-        .is_some_and(|q| q.lock().expect("quarantine").contains(&quarantine_key(job)))
-}
-
-fn quarantine(job: &Job) {
+fn quarantine(job: &Job, sample: Option<&SampleSpec>) {
     QUARANTINE
         .get_or_init(Mutex::default)
         .lock()
         .expect("quarantine")
-        .insert(quarantine_key(job));
+        .insert(sink::content_key(job, sample));
 }
 
 /// Everything one [`Harness::run`] produced, in job-id order.

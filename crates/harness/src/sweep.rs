@@ -19,14 +19,14 @@
 //!
 //! # Crash-safe resume
 //!
-//! When the harness has an output directory, every *completed point* is
-//! journaled to `<out>/<spec-name>.journal/p<slug>.csv` (atomically, via
-//! temp-file rename) the moment its batch finishes. A sweep killed
-//! mid-run — even `kill -9` — restarts by loading journaled points instead
-//! of re-simulating them; because the journal stores the exact integer
-//! `(cycles, committed)` pairs, the resumed sweep's `points.csv` and
-//! `pareto.csv` are byte-identical to an uninterrupted run's. Delete the
-//! journal directory to force a clean re-evaluation.
+//! Sweeps resume through the harness's result sink like any other run:
+//! every point of a batch is submitted, and with an output directory each
+//! job whose content-keyed result file exists loads instead of
+//! simulating. A sweep killed mid-run — even `kill -9` — restarts with
+//! only its missing jobs; because the sink stores exact integer counters,
+//! the resumed sweep's `points.csv` and `pareto.csv` are byte-identical to
+//! an uninterrupted run's. Delete the output directory to force a clean
+//! re-evaluation.
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -86,79 +86,10 @@ pub struct SweepOutcome {
     pub compiles: u64,
     /// Total timing simulations run.
     pub jobs: usize,
-    /// Points loaded from the crash-resume journal instead of simulated.
+    /// Points whose every job resumed from the result sink.
     pub resumed: usize,
     /// One human summary line (includes `compiles=N` for smoke gates).
     pub summary: String,
-}
-
-/// The sweep's crash-resume journal: one tiny CSV per completed point under
-/// `<out>/<spec-name>.journal/`, holding the exact integer results per
-/// workload. Written atomically as each batch completes, so the journal is
-/// valid at every instant — the resume protocol for sweeps, one level above
-/// the harness's per-job sink.
-#[derive(Debug)]
-struct Journal {
-    dir: PathBuf,
-    workloads: Vec<String>,
-}
-
-const JOURNAL_HEADER: &str = "workload,cycles,committed";
-
-impl Journal {
-    fn create(root: &Path, spec: &SweepSpec) -> io::Result<Journal> {
-        let dir = root.join(format!("{}.journal", spec.name));
-        fs::create_dir_all(&dir)?;
-        Ok(Journal { dir, workloads: spec.workloads.clone() })
-    }
-
-    fn point_path(&self, idx: &[usize]) -> PathBuf {
-        self.dir.join(format!("p{}.csv", point_slug(idx)))
-    }
-
-    /// Loads one journaled point's runs, validating that the file matches
-    /// this spec's workload list exactly (names, order, count). Any
-    /// mismatch or damage reads as "not journaled" — the point re-runs and
-    /// the rewrite repairs the file.
-    fn load(&self, idx: &[usize]) -> Option<Vec<(String, u64, u64)>> {
-        let text = fs::read_to_string(self.point_path(idx)).ok()?;
-        let mut lines = text.lines();
-        if lines.next()? != JOURNAL_HEADER {
-            return None;
-        }
-        let mut runs = Vec::with_capacity(self.workloads.len());
-        for want in &self.workloads {
-            let line = lines.next()?;
-            let mut cols = line.split(',');
-            let workload = cols.next()?;
-            if workload != want {
-                return None;
-            }
-            let cycles: u64 = cols.next()?.parse().ok()?;
-            let committed: u64 = cols.next()?.parse().ok()?;
-            if cols.next().is_some() {
-                return None;
-            }
-            runs.push((workload.to_string(), cycles, committed));
-        }
-        if lines.next().is_some() {
-            return None;
-        }
-        Some(runs)
-    }
-
-    /// Journals one completed point. A failed write costs only resumability
-    /// (the point re-simulates next run), so it warns rather than erroring.
-    fn store(&self, idx: &[usize], runs: &[(String, u64, u64)]) {
-        let mut text = format!("{JOURNAL_HEADER}\n");
-        for (workload, cycles, committed) in runs {
-            let _ = writeln!(text, "{workload},{cycles},{committed}");
-        }
-        let path = self.point_path(idx);
-        if let Err(e) = atomic_write(&path, &text) {
-            eprintln!("svf-harness: cannot journal {}: {e}", path.display());
-        }
-    }
 }
 
 /// Parses the spec's scale name.
@@ -185,9 +116,8 @@ fn parse_scale(name: &str) -> Result<Scale, String> {
 pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, String> {
     let scale = parse_scale(&spec.scale)?;
     // A spec's `[sampling]` section overrides the harness's plan for this
-    // sweep only — the journal stores the extrapolated integers, so resume
-    // works unchanged (but don't mix sampled and full journals in one
-    // output directory).
+    // sweep only. The plan is part of each result's content key, so a
+    // sampled sweep never resumes full results, nor the other way round.
     let sampled_harness;
     let harness = match spec.sampling {
         Some(plan) => {
@@ -199,7 +129,7 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
     // Likewise the top-level `threads` key: the spec's unified thread
     // budget (job workers + intra-batch timing fan-out) wins for this
     // sweep only. Results are bit-identical at any fan-out, so the
-    // override never changes what the journal resumes to.
+    // override never changes what resumes.
     let budgeted_harness;
     let harness = match spec.threads {
         Some(total) => {
@@ -210,15 +140,6 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
         None => harness,
     };
     let compiles_before = memo::compile_count();
-    // The journal rides the harness's sink root: no sink, no resume.
-    let journal = match harness.out_dir() {
-        Some(root) => Some(
-            Journal::create(root, spec)
-                .map_err(|e| format!("cannot create sweep journal under {}: {e}", root.display()))?,
-        ),
-        None => None,
-    };
-    let journal = journal.as_ref();
     let mut points: Vec<SweepPoint> = Vec::new();
     let mut seen: HashSet<Vec<usize>> = HashSet::new();
     let mut resumed = 0usize;
@@ -227,11 +148,11 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
     match spec.mode {
         svf_configspace::Mode::Grid => {
             let batch = spec.grid_indices()?;
-            evaluate(spec, harness, scale, batch, &mut points, &mut seen, 0, journal, &mut resumed)?;
+            evaluate(spec, harness, scale, batch, &mut points, &mut seen, 0, &mut resumed)?;
         }
         svf_configspace::Mode::Random => {
             let batch = spec.random_indices()?;
-            evaluate(spec, harness, scale, batch, &mut points, &mut seen, 0, journal, &mut resumed)?;
+            evaluate(spec, harness, scale, batch, &mut points, &mut seen, 0, &mut resumed)?;
         }
         svf_configspace::Mode::Pareto => {
             let mut batch = spec.pareto_seed_indices()?;
@@ -241,17 +162,7 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
                     break;
                 }
                 batch.truncate(budget);
-                evaluate(
-                    spec,
-                    harness,
-                    scale,
-                    batch,
-                    &mut points,
-                    &mut seen,
-                    round,
-                    journal,
-                    &mut resumed,
-                )?;
+                evaluate(spec, harness, scale, batch, &mut points, &mut seen, round, &mut resumed)?;
                 rounds_run = round;
                 // Next round: the unevaluated neighbours of today's frontier.
                 batch = frontier_of(&points)
@@ -288,11 +199,9 @@ pub fn run_sweep(spec: &SweepSpec, harness: &Harness) -> Result<SweepOutcome, St
     Ok(SweepOutcome { name: spec.name.clone(), points, frontier, compiles, jobs, resumed, summary })
 }
 
-/// Evaluates one batch of index vectors: loads journaled points, builds the
-/// workload-major experiment over the *fresh* points only, runs it, appends
-/// one [`SweepPoint`] per vector (in batch order, journaled or not, so the
-/// resulting point list is identical to an uninterrupted run's), and
-/// journals every fresh completion.
+/// Evaluates one batch of index vectors: builds the workload-major
+/// experiment over every new point, runs it (the sink resumes finished
+/// jobs), and appends one [`SweepPoint`] per vector in batch order.
 #[allow(clippy::too_many_arguments)]
 fn evaluate(
     spec: &SweepSpec,
@@ -302,70 +211,40 @@ fn evaluate(
     points: &mut Vec<SweepPoint>,
     seen: &mut HashSet<Vec<usize>>,
     round: u64,
-    journal: Option<&Journal>,
     resumed: &mut usize,
 ) -> Result<(), String> {
     let batch: Vec<Vec<usize>> = batch.into_iter().filter(|idx| seen.insert(idx.clone())).collect();
     if batch.is_empty() {
         return Ok(());
     }
-    // Split the batch into points the journal already holds and points that
-    // still need simulation.
-    let journaled: Vec<Option<Vec<(String, u64, u64)>>> =
-        batch.iter().map(|idx| journal.and_then(|j| j.load(idx))).collect();
-    let fresh: Vec<usize> =
-        (0..batch.len()).filter(|&b| journaled[b].is_none()).collect();
-    // Workload-major so each workload's jobs are contiguous — they form one
-    // lockstep group either way (grouping is by memo key), but contiguity
-    // keeps result reassembly simple: row-major [workload][fresh point].
-    let mut fresh_runs: Vec<Vec<(String, u64, u64)>> = Vec::new();
-    if !fresh.is_empty() {
-        let mut exp = Experiment::new(format!("{}-r{round}", spec.name));
-        let mut configs = Vec::with_capacity(fresh.len());
-        for &b in &fresh {
-            configs.push(spec.config_at(&batch[b])?);
-        }
-        for workload in &spec.workloads {
-            for (&b, cfg) in fresh.iter().zip(&configs) {
-                exp.push(
-                    ProgramSpec::workload(workload, scale),
-                    &format!("p{}", point_slug(&batch[b])),
-                    cfg.clone(),
-                );
-            }
-        }
-        let report = harness.run(&exp);
-        let stats = report.try_stats()?;
-        for (f, &b) in fresh.iter().enumerate() {
-            let runs: Vec<(String, u64, u64)> = spec
-                .workloads
-                .iter()
-                .enumerate()
-                .map(|(w, name)| {
-                    let s = stats[w * fresh.len() + f];
-                    (name.clone(), s.cycles, s.committed)
-                })
-                .collect();
-            if let Some(j) = journal {
-                j.store(&batch[b], &runs);
-            }
-            fresh_runs.push(runs);
+    let configs = batch.iter().map(|idx| spec.config_at(idx)).collect::<Result<Vec<_>, _>>()?;
+    // Workload-major, so results reassemble row-major: [workload][point].
+    let mut exp = Experiment::new(format!("{}-r{round}", spec.name));
+    for workload in &spec.workloads {
+        for (idx, cfg) in batch.iter().zip(&configs) {
+            exp.push(
+                ProgramSpec::workload(workload, scale),
+                &format!("p{}", point_slug(idx)),
+                cfg.clone(),
+            );
         }
     }
-    let mut fresh_runs = fresh_runs.into_iter();
-    for (b, idx) in batch.iter().enumerate() {
-        let runs = match &journaled[b] {
-            Some(runs) => {
-                *resumed += 1;
-                runs.clone()
-            }
-            None => fresh_runs.next().expect("one runs vector per fresh point"),
-        };
-        let config = spec.config_at(idx)?;
+    let report = harness.run(&exp);
+    let stats = report.try_stats()?;
+    let n = batch.len();
+    for (b, (index, config)) in batch.into_iter().zip(configs).enumerate() {
+        let jobs = (0..spec.workloads.len()).map(|w| w * n + b);
+        if jobs.clone().all(|j| report.jobs[j].outcome.is_resumed()) {
+            *resumed += 1;
+        }
+        let runs = jobs
+            .zip(&spec.workloads)
+            .map(|(j, name)| (name.clone(), stats[j].cycles, stats[j].committed))
+            .collect();
         points.push(SweepPoint {
-            index: idx.clone(),
-            label: spec.label_at(idx),
+            label: spec.label_at(&index),
             cost_bytes: svf_configspace::stack_structure_bytes(&config),
+            index,
             config,
             runs,
         });
@@ -521,42 +400,5 @@ mod tests {
     fn point_slugs_are_stable() {
         assert_eq!(point_slug(&[3, 0, 2]), "3-0-2");
         assert_eq!(point_slug(&[]), "");
-    }
-
-    #[test]
-    fn journal_round_trips_exact_integers() {
-        let dir = std::env::temp_dir()
-            .join(format!("svf-sweep-journal-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("mkdir");
-        let j = Journal {
-            dir: dir.clone(),
-            workloads: vec!["gcc".to_string(), "vortex".to_string()],
-        };
-        assert!(j.load(&[1, 2]).is_none(), "nothing journaled yet");
-        let runs = vec![
-            ("gcc".to_string(), 123_456_789_012_345, 987_654_321),
-            ("vortex".to_string(), 42, 7),
-        ];
-        j.store(&[1, 2], &runs);
-        assert_eq!(j.load(&[1, 2]), Some(runs), "exact u64 round trip");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn journal_rejects_workload_mismatch_and_damage() {
-        let dir = std::env::temp_dir()
-            .join(format!("svf-sweep-journal-bad-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("mkdir");
-        let j = Journal { dir: dir.clone(), workloads: vec!["gcc".to_string()] };
-        j.store(&[0], &[("gcc".to_string(), 10, 5)]);
-        // A spec with different workloads must not resume this point.
-        let other = Journal { dir: dir.clone(), workloads: vec!["vortex".to_string()] };
-        assert!(other.load(&[0]).is_none(), "workload mismatch rejected");
-        let extra =
-            Journal { dir: dir.clone(), workloads: vec!["gcc".to_string(), "x".to_string()] };
-        assert!(extra.load(&[0]).is_none(), "missing rows rejected");
-        fs::write(j.point_path(&[0]), "garbage\n").expect("write");
-        assert!(j.load(&[0]).is_none(), "damaged header rejected");
-        fs::remove_dir_all(&dir).ok();
     }
 }

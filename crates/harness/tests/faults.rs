@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use svf_cpu::{CpuConfig, SampleSpec};
 use svf_harness::{
-    install_fault_plan, Experiment, Harness, JobError, JobOutcome, ProgramSpec,
+    install_fault_plan, Experiment, Harness, JobError, JobOutcome, ProgramSpec, RunDir,
 };
 
 /// Serializes arm→run→disarm windows across tests in this binary.
@@ -49,16 +49,22 @@ int main() {
     return 0;
 }";
 
-/// One program under `n` distinct healthy configurations. Distinct labels
-/// per test keep the process-global memo cache and lockstep quarantine from
+/// [`TINY`] made distinct by a trailing comment. The quarantine keys on a
+/// job's content (source text, config, sampling plan), so a program per
+/// test keeps the process-global memo cache and lockstep quarantine from
 /// coupling tests to each other.
+fn tagged(tag: &str) -> ProgramSpec {
+    ProgramSpec::source(tag, format!("{TINY}\n// {tag}\n"))
+}
+
+/// One program under `n` distinct healthy configurations.
 fn healthy_experiment(tag: &str, n: usize) -> Experiment {
     let mut exp = Experiment::new(tag);
     let widths = [CpuConfig::wide4(), CpuConfig::wide8(), CpuConfig::wide16()];
     for i in 0..n {
         let mut cfg = widths[i % widths.len()].clone();
         cfg.ruu_size += i; // distinct configs, same behaviourally-healthy machine
-        exp.push(ProgramSpec::source(tag, TINY), &format!("cfg{i}"), cfg);
+        exp.push(tagged(tag), &format!("cfg{i}"), cfg);
     }
     exp
 }
@@ -213,14 +219,14 @@ fn quarantined_lockstep_batch_matches_no_lockstep_bit_for_bit() {
     // statistics must equal the per-job (`--no-lockstep`) run exactly.
     let build = |tag: &str| {
         let mut exp = Experiment::new(tag);
-        exp.push(ProgramSpec::source("quarantine", TINY), "4-wide", CpuConfig::wide4());
-        exp.push(ProgramSpec::source("quarantine", TINY), "8-wide", CpuConfig::wide8());
+        exp.push(tagged("quarantine"), "4-wide", CpuConfig::wide4());
+        exp.push(tagged("quarantine"), "8-wide", CpuConfig::wide8());
         exp.push(
-            ProgramSpec::source("quarantine", TINY),
+            tagged("quarantine"),
             "0-wide",
             CpuConfig { width: 0, ..CpuConfig::wide4() },
         );
-        exp.push(ProgramSpec::source("quarantine", TINY), "16-wide", CpuConfig::wide16());
+        exp.push(tagged("quarantine"), "16-wide", CpuConfig::wide16());
         exp
     };
     with_plan("", || {
@@ -264,14 +270,14 @@ fn threaded_lockstep_quarantines_a_panicking_pipeline_thread_like_serial() {
     // same member — with survivors bit-identical to the serial path.
     let build = |tag: &str| {
         let mut exp = Experiment::new(tag);
-        exp.push(ProgramSpec::source("mt-quarantine", TINY), "4-wide", CpuConfig::wide4());
-        exp.push(ProgramSpec::source("mt-quarantine", TINY), "8-wide", CpuConfig::wide8());
+        exp.push(tagged("mt-quarantine"), "4-wide", CpuConfig::wide4());
+        exp.push(tagged("mt-quarantine"), "8-wide", CpuConfig::wide8());
         exp.push(
-            ProgramSpec::source("mt-quarantine", TINY),
+            tagged("mt-quarantine"),
             "0-wide",
             CpuConfig { width: 0, ..CpuConfig::wide4() },
         );
-        exp.push(ProgramSpec::source("mt-quarantine", TINY), "16-wide", CpuConfig::wide16());
+        exp.push(tagged("mt-quarantine"), "16-wide", CpuConfig::wide16());
         exp
     };
     with_plan("", || {
@@ -353,13 +359,17 @@ fn killed_run_resumes_without_recomputing_completed_jobs() {
     // The crash left exactly group A's results — written atomically, so
     // both files are complete and loadable.
     let dir = root.join("crash-resume");
-    let mut survivors: Vec<String> = fs::read_dir(&dir)
+    let mut survivors: Vec<PathBuf> = fs::read_dir(&dir)
         .expect("run dir exists after the crash")
-        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .map(|e| e.expect("entry").path())
         .collect();
     survivors.sort();
     assert_eq!(survivors.len(), 2, "group A stored before the abort: {survivors:?}");
-    assert!(survivors[0].starts_with("0000-") && survivors[1].starts_with("0001-"));
+    let sink = RunDir::create(&root, "crash-resume").expect("run dir");
+    let mut group_a: Vec<PathBuf> =
+        crash_experiment().jobs()[..2].iter().map(|j| sink.job_path(j)).collect();
+    group_a.sort();
+    assert_eq!(survivors, group_a, "exactly jobs 0 and 1 survived");
 
     // Resume in-process (this process has no fault plan armed): the two
     // completed jobs load from the sink, only group B simulates, and the

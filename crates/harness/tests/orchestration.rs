@@ -1,15 +1,17 @@
 //! Orchestration contracts: parallel runs are bit-identical to serial runs,
 //! a panicking job is isolated from its siblings, interrupted runs resume
-//! from the run directory, and the batch plan's split of a program's jobs
-//! across workers changes neither results, compiles nor what a crash
-//! leaves stored.
+//! from the run directory, a result is identified by its content (an
+//! edited, relabelled, reordered or differently sampled machine resumes
+//! exactly when its content key matches), and the batch plan's split of a
+//! program's jobs across workers changes neither results, compiles nor
+//! what a crash leaves stored.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
-use svf_cpu::{CpuConfig, StackEngine};
-use svf_harness::{compile_count, Experiment, Harness, JobOutcome, ProgramSpec};
+use svf_cpu::{CpuConfig, SampleSpec, StackEngine};
+use svf_harness::{compile_count, Experiment, Harness, JobOutcome, ProgramSpec, RunDir};
 use svf_workloads::Scale;
 
 /// A small kernel that keeps even debug-build cycle simulation quick.
@@ -41,6 +43,13 @@ fn tiny_experiment(name: &str) -> Experiment {
         exp.push(ProgramSpec::source("tiny", TINY), label, cfg);
     }
     exp
+}
+
+/// [`TINY`] made distinct by a trailing comment: a diverging machine is
+/// quarantined by content key, so tests that must each see the divergence
+/// inside a batch need programs of their own.
+fn tagged(tag: &str) -> String {
+    format!("{TINY}\n// {tag}\n")
 }
 
 fn tmp_root(tag: &str) -> PathBuf {
@@ -124,7 +133,7 @@ fn panicking_simulation_reports_failed() {
     let mut exp = Experiment::new("panic");
     exp.push(ProgramSpec::source("ok", TINY), "4-wide", CpuConfig::wide4());
     let stuck = CpuConfig { width: 0, ..CpuConfig::wide4() };
-    exp.push(ProgramSpec::source("stuck", TINY), "0-wide", stuck);
+    exp.push(ProgramSpec::source("stuck", tagged("stuck")), "0-wide", stuck);
     let report = Harness::parallel().with_workers(2).run(&exp);
     assert!(report.jobs[0].outcome.stats().is_some(), "healthy job completes");
     match &report.jobs[1].outcome {
@@ -153,14 +162,11 @@ fn diverging_config_inside_a_lockstep_group_is_isolated() {
     // A zero-width machine deadlocks the pipeline mid-batch. The group
     // panics as a whole, is bisected down to batches of one, and only the
     // diverging configuration reports failure.
+    let shared = ProgramSpec::source("shared", tagged("shared"));
     let mut exp = Experiment::new("lockstep-isolation");
-    exp.push(ProgramSpec::source("shared", TINY), "4-wide", CpuConfig::wide4());
-    exp.push(
-        ProgramSpec::source("shared", TINY),
-        "0-wide",
-        CpuConfig { width: 0, ..CpuConfig::wide4() },
-    );
-    exp.push(ProgramSpec::source("shared", TINY), "16-wide", CpuConfig::wide16());
+    exp.push(shared.clone(), "4-wide", CpuConfig::wide4());
+    exp.push(shared.clone(), "0-wide", CpuConfig { width: 0, ..CpuConfig::wide4() });
+    exp.push(shared, "16-wide", CpuConfig::wide16());
     let report = Harness::parallel().with_lockstep(true).run(&exp);
     assert!(report.jobs[0].outcome.stats().is_some(), "healthy sibling completes");
     assert!(report.jobs[2].outcome.stats().is_some(), "healthy sibling completes");
@@ -186,7 +192,7 @@ fn interrupted_runs_resume_from_the_run_dir() {
     assert_eq!(files.len(), 4, "one result file per job");
 
     // Simulate an interrupted run: drop one job's result.
-    let victim = dir.join(format!("{}.csv", exp.jobs()[1].key()));
+    let victim = RunDir::create(&root, "resume").expect("run dir").job_path(&exp.jobs()[1]);
     fs::remove_file(&victim).expect("remove one result");
     let second = harness.run(&exp);
     assert_eq!(second.resumed(), 3, "only the missing job re-runs");
@@ -198,6 +204,78 @@ fn interrupted_runs_resume_from_the_run_dir() {
     fs::remove_dir_all(&root).ok();
     let third = harness.run(&exp);
     assert_eq!(third.resumed(), 0);
+    fs::remove_dir_all(&root).ok();
+}
+
+/// Which jobs of `report` resumed, in job-id order.
+fn resumed_mask(report: &svf_harness::RunReport) -> Vec<bool> {
+    report.jobs.iter().map(|j| j.outcome.is_resumed()).collect()
+}
+
+#[test]
+fn edited_config_under_the_same_label_re_simulates_only_that_job() {
+    let root = tmp_root("edit");
+    fs::remove_dir_all(&root).ok();
+    let harness = Harness::parallel().with_workers(2).with_out_dir(&root);
+    let exp = tiny_experiment("edit");
+    let _ = harness.run(&exp);
+
+    // Same labels, same order; only job 2's machine changed.
+    let mut edited = Experiment::new("edit");
+    for job in exp.jobs() {
+        let mut cfg = job.config.clone();
+        if job.id == 2 {
+            cfg.ruu_size += 8;
+        }
+        edited.push(job.program.clone(), &job.config_label, cfg);
+    }
+    let second = harness.run(&edited);
+    assert_eq!(resumed_mask(&second), [true, true, false, true], "only the edit re-runs");
+    let fresh = Harness::serial().run(&edited);
+    assert_eq!(second.stats(), fresh.stats(), "the edited machine's own stats, not stale ones");
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn relabelled_and_reordered_machines_resume_their_own_results() {
+    let root = tmp_root("relabel");
+    fs::remove_dir_all(&root).ok();
+    let harness = Harness::parallel().with_workers(2).with_out_dir(&root);
+    let exp = tiny_experiment("relabel");
+    let first = harness.run(&exp);
+
+    // The same machines and program, renamed and in reverse order.
+    let mut shuffled = Experiment::new("relabel");
+    for job in exp.jobs().iter().rev() {
+        let program = ProgramSpec::source("tiny-renamed", TINY);
+        shuffled.push(program, &format!("renamed-{}", job.id), job.config.clone());
+    }
+    let second = harness.run(&shuffled);
+    assert_eq!(second.resumed(), 4, "no machine re-simulates");
+    for (a, b) in first.stats().iter().rev().zip(second.stats()) {
+        assert_eq!(**a, *b, "each job resumes its own machine's stats");
+    }
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn sampled_and_full_runs_share_one_out_dir_without_cross_resuming() {
+    let root = tmp_root("sampled-full");
+    fs::remove_dir_all(&root).ok();
+    let plan = SampleSpec::parse("mode=random,seed=7,period=10k,interval=2k,warmup=1k,ramp=500")
+        .expect("plan parses");
+    let full = Harness::parallel().with_workers(2).with_out_dir(&root);
+    let sampled = full.clone().with_sample(plan);
+    let exp = tiny_experiment("sampled-full");
+
+    let first = sampled.run(&exp);
+    assert_eq!(first.resumed(), 0);
+    let exact = full.run(&exp);
+    assert_eq!(exact.resumed(), 0, "a full run resumes no sampled estimate");
+    assert_eq!(exact.stats(), Harness::serial().run(&exp).stats(), "full stats are exact");
+    let again = sampled.run(&exp);
+    assert_eq!(again.resumed(), 4, "a second sampled run resumes everything");
+    assert_eq!(again.stats(), first.stats());
     fs::remove_dir_all(&root).ok();
 }
 
@@ -308,13 +386,16 @@ fn abort_after_a_split_group_leaves_every_clean_job_stored() {
     // four pieces holding the other seven jobs have stored their results.
     let ok = run_child(name, &[("SVF_SPLIT_OUT", out), ("SVF_FAULT_PLAN", "abort@4")]);
     assert!(!ok, "the planted abort must kill the child");
-    let mut stored: Vec<String> = fs::read_dir(root.join("split-abort"))
+    let mut stored: Vec<PathBuf> = fs::read_dir(root.join("split-abort"))
         .expect("run dir exists after the crash")
-        .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+        .map(|e| e.expect("entry").path())
         .collect();
     stored.sort();
-    let ids: Vec<&str> = stored.iter().map(|f| &f[..4]).collect();
-    assert_eq!(ids, ["0000", "0001", "0002", "0003", "0005", "0006", "0007"], "{stored:?}");
+    let sink = RunDir::create(&root, "split-abort").expect("run dir");
+    let mut clean: Vec<PathBuf> =
+        [0, 1, 2, 3, 5, 6, 7].iter().map(|&i| sink.job_path(&exp.jobs()[i])).collect();
+    clean.sort();
+    assert_eq!(stored, clean, "every job but the aborting 4 is stored");
     fs::remove_dir_all(&root).ok();
 }
 

@@ -115,6 +115,48 @@ fn pareto_search_stays_inside_the_lattice_and_converges() {
 }
 
 #[test]
+fn interrupted_sweep_resumes_from_the_sink_to_identical_csvs() {
+    let _gate = MEMO_GATE.lock().expect("memo gate");
+    let spec = SweepSpec::from_toml(
+        "name = \"resume\"\n\
+         base = \"svf\"\n\
+         workload = \"vpr\"\n\
+         [axes]\n\
+         svf_bytes = [2k, 8k]\n\
+         stack_ports = [1, 2]\n",
+    )
+    .expect("spec parses");
+    let root = tmp_root("resume");
+    fs::remove_dir_all(&root).ok();
+    let harness = Harness::parallel().with_out_dir(root.join("runs"));
+    let csvs = |outcome: &svf_harness::SweepOutcome, tag: &str| {
+        let (points, pareto) = write_csv(&spec, outcome, &root.join(tag)).expect("csv written");
+        (fs::read(points).expect("points.csv"), fs::read(pareto).expect("pareto.csv"))
+    };
+
+    let first = run_sweep(&spec, &harness).expect("sweep runs");
+    assert_eq!(first.resumed, 0, "a cold sweep simulates everything");
+    let uninterrupted = csvs(&first, "first");
+
+    // Drop one job's result, as a run killed before storing it would.
+    let mut stored: Vec<PathBuf> = fs::read_dir(root.join("runs").join("resume-r0"))
+        .expect("sink dir")
+        .map(|e| e.expect("entry").path())
+        .collect();
+    assert_eq!(stored.len(), 4, "one result per job");
+    stored.sort();
+    fs::remove_file(&stored[0]).expect("remove one result");
+    let second = run_sweep(&spec, &harness).expect("sweep resumes");
+    assert_eq!(second.resumed, 3, "exactly one job (one point) simulates");
+    assert_eq!(csvs(&second, "second"), uninterrupted, "byte-identical CSVs");
+
+    let third = run_sweep(&spec, &harness).expect("sweep resumes");
+    assert_eq!(third.resumed, 4, "every point resumed");
+    assert!(third.summary.contains("resumed=4"), "{}", third.summary);
+    fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn sweep_failures_are_reported_not_panicked() {
     let _gate = MEMO_GATE.lock().expect("memo gate");
     let spec = SweepSpec::from_toml(

@@ -162,7 +162,7 @@ echo "threaded-lockstep smoke: --threads 8 CSVs byte-identical to serial"
 # Crash-resume smoke: the same sweep with a result sink, killed mid-run by
 # a planted abort (the in-process kill -9), must resume from the sink and
 # finish with points.csv/pareto.csv byte-identical to the fault-free run
-# above; a third run must skip every point via the sweep journal. At
+# above; a third run must resume every point from the content-keyed sink. At
 # `--jobs 2` the seven clean jobs run as split lockstep batches, and the
 # aborting job, isolated, runs only after the last of them is stored.
 if SVF_FAULT_PLAN="abort@4" cargo run --release --quiet -p svf-experiments -- \
@@ -185,6 +185,6 @@ cargo run --release --quiet -p svf-experiments -- \
     --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs" \
     --jobs 2 > "$smoke_dir/journal.out"
 grep -q 'resumed=8' "$smoke_dir/journal.out" \
-    || { echo "crash-resume smoke: journal did not resume all 8 points" >&2; exit 1; }
+    || { echo "crash-resume smoke: sink did not resume all 8 points" >&2; exit 1; }
 echo "crash-resume smoke: killed sweep resumed to byte-identical CSVs"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -18,6 +18,10 @@
 //! ```
 //!
 //! and paste the printed rows below, noting the model change in the commit.
+//! New rows also mean a new simulator: bump `svf_harness::SIM_VERSION` and
+//! update the `(version, digest)` pair in
+//! `sim_version_is_bumped_with_the_golden_rows`, so results stored by the
+//! old simulator re-simulate instead of resuming.
 //!
 //! Since PR 7 the six configurations come from the `svf-configspace`
 //! preset registry, so this suite doubles as the registry's end-to-end
@@ -220,4 +224,23 @@ fn print_golden_rows() {
             println!("    (\"{w}\", \"{label}\", \"{}\"),", s.to_csv_row());
         }
     }
+}
+
+/// Ties the result sink's `SIM_VERSION` to the rows above: regenerated rows
+/// change the digest and fail this test until the version is bumped (and
+/// the pair updated), so a model change never resumes stale results.
+#[test]
+fn sim_version_is_bumped_with_the_golden_rows() {
+    // FNV-1a-64 over every pinned row.
+    let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+    for (workload, config, row) in GOLDEN {
+        for b in format!("{workload},{config},{row}\n").bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        (svf_harness::SIM_VERSION, digest),
+        (1, 0xf2f6_6539_c885_ff1c),
+        "the golden rows changed: bump svf_harness::SIM_VERSION and update this pair"
+    );
 }
