@@ -1,7 +1,7 @@
 //! Ablation studies beyond the paper's figures.
 //!
 //! The paper fixes several design parameters (8 KB capacity, the §3.2
-//! squash recovery, compiler quality). These runners vary them:
+//! squash recovery, compiler quality). These timing drivers vary them:
 //!
 //! * [`size_sweep`] — SVF capacity 1/2/4/8/16 KB vs performance: where the
 //!   window starts missing the working set (the paper only sweeps sizes
@@ -14,10 +14,10 @@
 
 use crate::geomean;
 use crate::machine::{machine, machine_with};
-use crate::runner::{matrix, matrix_for, run_rows};
 use crate::table::ExpTable;
-use svf_cpu::CpuConfig;
-use svf_harness::{Experiment, ProgramSpec};
+use crate::timing::{over_first, speedup_table, Driver};
+use svf_cpu::{CpuConfig, SimStats};
+use svf_harness::ProgramSpec;
 use svf_workloads::{all, Scale};
 
 fn svf_cfg(capacity: u64) -> CpuConfig {
@@ -26,109 +26,110 @@ fn svf_cfg(capacity: u64) -> CpuConfig {
 
 /// SVF capacity sweep: speedup over the `(2+0)` baseline per size.
 #[must_use]
-pub fn size_sweep(scale: Scale) -> ExpTable {
+pub fn size_sweep(scale: Scale) -> Driver {
     let sizes = [1u64 << 10, 2 << 10, 4 << 10, 8 << 10, 16 << 10];
-    let headers = ["bench", "1KB", "2KB", "4KB", "8KB", "16KB"];
-    let mut t = ExpTable::new("Ablation: SVF capacity vs speedup (16-wide, 2+2)", &headers);
-    let labels: Vec<String> = sizes.iter().map(|&s| format!("SVF {}KB", s >> 10)).collect();
-    let mut configs = vec![("base (2+0)", machine("base"))];
-    configs.extend(labels.iter().zip(&sizes).map(|(l, &s)| (l.as_str(), svf_cfg(s))));
-    let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); sizes.len()];
-    for (bench, stats) in matrix("ablation-size", &configs, scale) {
-        let base = &stats[0];
-        let mut cells = vec![bench];
-        for (col, stat) in stats.iter().skip(1).enumerate() {
-            let s = stat.speedup_over(base);
-            per_col[col].push(s);
-            cells.push(format!("{s:.3}x"));
-        }
-        t.row(cells);
-    }
-    let mut avg = vec!["average".to_string()];
-    for col in &per_col {
-        avg.push(format!("{:.3}x", geomean(col)));
-    }
-    t.row(avg);
-    t.note("the deep-stack kernels (gcc, parser, crafty) need capacity; flat kernels saturate early");
-    t
+    let mut configs = vec![("base (2+0)".to_string(), machine("base"))];
+    configs.extend(sizes.iter().map(|&s| (format!("SVF {}KB", s >> 10), svf_cfg(s))));
+    Driver::matrix(&configs, scale, None, |rows| {
+        let mut t = speedup_table(
+            "Ablation: SVF capacity vs speedup (16-wide, 2+2)",
+            &["bench", "1KB", "2KB", "4KB", "8KB", "16KB"],
+            rows,
+            over_first,
+        );
+        t.note(
+            "the deep-stack kernels (gcc, parser, crafty) need capacity; flat kernels saturate early",
+        );
+        t
+    })
 }
 
 /// Squash-penalty sensitivity on the squash-prone kernels.
 #[must_use]
-pub fn squash_sensitivity(scale: Scale) -> ExpTable {
+pub fn squash_sensitivity(scale: Scale) -> Driver {
     let penalties = [5u64, 10, 15, 25, 40];
-    let mut t = ExpTable::new(
-        "Ablation: §3.2 squash recovery penalty (SVF 2+2, speedup over 2+0)",
-        &["bench", "5 cyc", "10 cyc", "15 cyc", "25 cyc", "40 cyc", "no_squash"],
-    );
-    let labels: Vec<String> = penalties.iter().map(|p| format!("SVF {p} cyc")).collect();
-    let mut configs = vec![("base (2+0)", machine("base"))];
-    configs.extend(labels.iter().zip(&penalties).map(|(l, &p)| {
-        (l.as_str(), machine_with("svf", &format!("{{squash_penalty: {p}}}")))
+    let mut configs = vec![("base (2+0)".to_string(), machine("base"))];
+    configs.extend(penalties.iter().map(|p| {
+        (format!("SVF {p} cyc"), machine_with("svf", &format!("{{squash_penalty: {p}}}")))
     }));
-    configs.push(("SVF no_squash", machine("svf-nosquash")));
+    configs.push(("SVF no_squash".to_string(), machine("svf-nosquash")));
     let benches = ["eon", "twolf", "vortex", "gcc"];
-    for (bench, stats) in matrix_for("ablation-squash", &configs, scale, &benches) {
-        let base = &stats[0];
-        let mut cells = vec![bench];
-        cells.extend(stats.iter().skip(1).map(|s| format!("{:.3}x", s.speedup_over(base))));
-        t.row(cells);
-    }
-    t.note("eon degrades with the penalty; kernels without gpr-store/sp-load collisions are flat");
-    t
+    Driver::matrix(&configs, scale, Some(&benches), |rows| {
+        let mut t = ExpTable::new(
+            "Ablation: §3.2 squash recovery penalty (SVF 2+2, speedup over 2+0)",
+            &["bench", "5 cyc", "10 cyc", "15 cyc", "25 cyc", "40 cyc", "no_squash"],
+        );
+        for (bench, stats) in rows {
+            let mut cells = vec![bench];
+            cells.extend(over_first(stats).iter().map(|s| format!("{s:.3}x")));
+            t.row(cells);
+        }
+        t.note(
+            "eon degrades with the penalty; kernels without gpr-store/sp-load collisions are flat",
+        );
+        t
+    })
 }
 
 /// Code-quality ablation: SVF benefit with the optimizing vs the naive
 /// (spill-everything) code generator.
 #[must_use]
-pub fn code_quality(scale: Scale) -> ExpTable {
-    let mut t = ExpTable::new(
-        "Ablation: compiler quality vs SVF benefit (16-wide)",
-        &["bench", "regalloc speedup", "naive speedup", "regalloc stack/inst", "naive stack/inst"],
-    );
-    // Four jobs per workload: {optimized, naive} source x {base, SVF}.
+pub fn code_quality(scale: Scale) -> Driver {
+    let rows: Vec<String> = all().iter().map(|w| w.name.to_string()).collect();
+    let mut driver = Driver::new(move |stats| {
+        let mut t = ExpTable::new(
+            "Ablation: compiler quality vs SVF benefit (16-wide)",
+            &[
+                "bench",
+                "regalloc speedup",
+                "naive speedup",
+                "regalloc stack/inst",
+                "naive stack/inst",
+            ],
+        );
+        let (mut opt_s, mut naive_s) = (Vec::new(), Vec::new());
+        let density =
+            |s: &SimStats| format!("{:.3}", s.stack_refs as f64 / s.committed.max(1) as f64);
+        // Per workload: {optimized, naive} source x {base, SVF}.
+        for (bench, s) in rows.into_iter().zip(stats.chunks(4)) {
+            let (opt, naive) = (s[1].speedup_over(&s[0]), s[3].speedup_over(&s[2]));
+            opt_s.push(opt);
+            naive_s.push(naive);
+            t.row(vec![
+                bench,
+                format!("{opt:.3}x"),
+                format!("{naive:.3}x"),
+                density(&s[1]),
+                density(&s[3]),
+            ]);
+        }
+        t.row(vec![
+            "average".to_string(),
+            format!("{:.3}x", geomean(&opt_s)),
+            format!("{:.3}x", geomean(&naive_s)),
+            String::new(),
+            String::new(),
+        ]);
+        t.note("naive code carries far more stack references; the SVF's benefit is largest there");
+        t.note(
+            "with register promotion a substantial benefit remains — the paper's claim is robust",
+        );
+        t
+    });
     // The sources are ad-hoc (not registry kernels), so the jobs carry the
-    // MiniC text itself and compile on the worker.
+    // MiniC text itself; the optimized text is the registry kernel's, so
+    // its jobs share results with every other driver's runs of the kernel.
     let base_cfg = machine("base");
-    let mut exp = Experiment::new("ablation-codegen");
     for w in all() {
         let src = w.source(scale);
         let opt = ProgramSpec::source_with(w.name, src.clone(), true);
         let naive = ProgramSpec::source_with(&format!("{}-naive", w.name), src, false);
-        exp.push(opt.clone(), "base (2+0)", base_cfg.clone());
-        exp.push(opt, "SVF (2+2)", svf_cfg(8 << 10));
-        exp.push(naive.clone(), "base (2+0)", base_cfg.clone());
-        exp.push(naive, "SVF (2+2)", svf_cfg(8 << 10));
+        driver.push(opt.clone(), "base (2+0)", base_cfg.clone());
+        driver.push(opt, "SVF (2+2)", svf_cfg(8 << 10));
+        driver.push(naive.clone(), "base (2+0)", base_cfg.clone());
+        driver.push(naive, "SVF (2+2)", svf_cfg(8 << 10));
     }
-    let mut opt_s = Vec::new();
-    let mut naive_s = Vec::new();
-    for (bench, stats) in run_rows(&exp, 4) {
-        let mut cells = vec![bench];
-        let mut densities = Vec::new();
-        let mut speeds = Vec::new();
-        for pair in stats.chunks(2) {
-            let (base, svf) = (&pair[0], &pair[1]);
-            speeds.push(svf.speedup_over(base));
-            densities.push(svf.stack_refs as f64 / svf.committed.max(1) as f64);
-        }
-        opt_s.push(speeds[0]);
-        naive_s.push(speeds[1]);
-        cells.push(format!("{:.3}x", speeds[0]));
-        cells.push(format!("{:.3}x", speeds[1]));
-        cells.push(format!("{:.3}", densities[0]));
-        cells.push(format!("{:.3}", densities[1]));
-        t.row(cells);
-    }
-    t.row(vec![
-        "average".to_string(),
-        format!("{:.3}x", geomean(&opt_s)),
-        format!("{:.3}x", geomean(&naive_s)),
-        String::new(),
-        String::new(),
-    ]);
-    t.note("naive code carries far more stack references; the SVF's benefit is largest there");
-    t.note("with register promotion a substantial benefit remains — the paper's claim is robust");
-    t
+    driver
 }
 
 #[cfg(test)]
@@ -138,7 +139,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn size_sweep_monotone_for_deep_kernels() {
-        let t = size_sweep(Scale::Test);
+        let t = size_sweep(Scale::Test).run();
         // gcc's stack exceeds small windows. Window misses are mostly off
         // the critical path (spills are background traffic), so capacity
         // shifts performance only slightly — but it must never *cost*
@@ -159,7 +160,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn code_quality_keeps_benefit() {
-        let t = code_quality(Scale::Test);
+        let t = code_quality(Scale::Test).run();
         let opt = t.cell_f64("average", "regalloc speedup").expect("avg");
         let naive = t.cell_f64("average", "naive speedup").expect("avg");
         assert!(opt > 1.0, "benefit survives a better compiler: {opt}");

@@ -5,10 +5,8 @@
 //! calculation dependence of stack references (small gain out-of-order),
 //! then add a 1-, 2- and 16-ported SVF (the bulk of the speedup).
 
-use crate::geomean;
 use crate::machine::{machine, machine_with};
-use crate::runner::matrix;
-use crate::table::ExpTable;
+use crate::timing::{over_first, speedup_table, Driver};
 use svf_cpu::CpuConfig;
 use svf_workloads::Scale;
 
@@ -25,33 +23,20 @@ pub fn configs() -> Vec<(&'static str, CpuConfig)> {
     ]
 }
 
-/// Runs the Figure 6 ladder over all workloads; cells are speedups over the
+/// The Figure 6 ladder over all workloads; cells are speedups over the
 /// baseline configuration.
 #[must_use]
-pub fn run_fig(scale: Scale) -> ExpTable {
+pub fn driver(scale: Scale) -> Driver {
     let cfgs = configs();
     let headers: Vec<&str> =
         std::iter::once("bench").chain(cfgs.iter().skip(1).map(|(n, _)| *n)).collect();
-    let mut t = ExpTable::new("Figure 6: Progressive Performance Analysis (16-wide)", &headers);
-    let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len() - 1];
-    for (bench, stats) in matrix("fig6", &cfgs, scale) {
-        let base = &stats[0];
-        let mut cells = vec![bench];
-        for (col, stat) in stats.iter().skip(1).enumerate() {
-            let s = stat.speedup_over(base);
-            per_col[col].push(s);
-            cells.push(format!("{s:.3}x"));
-        }
-        t.row(cells);
-    }
-    let mut avg = vec!["average".to_string()];
-    for col in &per_col {
-        avg.push(format!("{:.3}x", geomean(col)));
-    }
-    t.row(avg);
-    t.note("paper: doubling L1 ≈ no gain; no_addr_cal_op ≈ +3%; SVF ports dominate (+28%)");
-    t.note("paper: a dual-ported SVF performs nearly on par with 16 ports except eon/gcc");
-    t
+    Driver::matrix(&cfgs, scale, None, move |rows| {
+        let title = "Figure 6: Progressive Performance Analysis (16-wide)";
+        let mut t = speedup_table(title, &headers, rows, over_first);
+        t.note("paper: doubling L1 ≈ no gain; no_addr_cal_op ≈ +3%; SVF ports dominate (+28%)");
+        t.note("paper: a dual-ported SVF performs nearly on par with 16 ports except eon/gcc");
+        t
+    })
 }
 
 #[cfg(test)]
@@ -61,7 +46,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn ladder_matches_paper_ordering() {
-        let t = run_fig(Scale::Test);
+        let t = driver(Scale::Test).run();
         let l1 = t.cell_f64("average", "2x L1 size").expect("avg");
         let na = t.cell_f64("average", "no_addr_cal_op").expect("avg");
         let p2 = t.cell_f64("average", "SVF 2 ports").expect("avg");

@@ -4,10 +4,8 @@
 //! `(4+0)` pays the paper's longer 4-cycle hit latency. Cells are speedups
 //! over the `(2+0)` baseline.
 
-use crate::geomean;
 use crate::machine::{machine, machine_with};
-use crate::runner::matrix;
-use crate::table::ExpTable;
+use crate::timing::{over_first, speedup_table, Driver};
 use svf_cpu::CpuConfig;
 use svf_workloads::Scale;
 
@@ -25,35 +23,21 @@ pub fn configs() -> Vec<(&'static str, CpuConfig)> {
     ]
 }
 
-/// Runs the Figure 7 comparison over all workloads.
+/// The Figure 7 comparison over all workloads.
 #[must_use]
-pub fn run_fig(scale: Scale) -> ExpTable {
+pub fn driver(scale: Scale) -> Driver {
     let cfgs = configs();
     let headers: Vec<&str> =
         std::iter::once("bench").chain(cfgs.iter().skip(1).map(|(n, _)| *n)).collect();
-    let mut t = ExpTable::new(
-        "Figure 7: SVF vs stack cache vs baseline (speedup over 2+0)",
-        &headers,
-    );
-    let mut per_col: Vec<Vec<f64>> = vec![Vec::new(); cfgs.len() - 1];
-    for (bench, stats) in matrix("fig7", &cfgs, scale) {
-        let base = &stats[0];
-        let mut cells = vec![bench];
-        for (col, stat) in stats.iter().skip(1).enumerate() {
-            let s = stat.speedup_over(base);
-            per_col[col].push(s);
-            cells.push(format!("{s:.3}x"));
-        }
-        t.row(cells);
-    }
-    let mut avg = vec!["average".to_string()];
-    for col in &per_col {
-        avg.push(format!("{:.3}x", geomean(col)));
-    }
-    t.row(avg);
-    t.note("paper: SVF (2+2) beats base (4+0) by ~4% and the stack cache by ~9% (14% no_squash)");
-    t.note("paper: eon is the squash-dominated outlier, fixed by the no_squash code generator");
-    t
+    Driver::matrix(&cfgs, scale, None, move |rows| {
+        let title = "Figure 7: SVF vs stack cache vs baseline (speedup over 2+0)";
+        let mut t = speedup_table(title, &headers, rows, over_first);
+        t.note(
+            "paper: SVF (2+2) beats base (4+0) by ~4% and the stack cache by ~9% (14% no_squash)",
+        );
+        t.note("paper: eon is the squash-dominated outlier, fixed by the no_squash code generator");
+        t
+    })
 }
 
 #[cfg(test)]
@@ -63,7 +47,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn svf_beats_stack_cache_on_average() {
-        let t = run_fig(Scale::Test);
+        let t = driver(Scale::Test).run();
         let sc = t.cell_f64("average", "stack$ (2+2)").expect("avg");
         let svf = t.cell_f64("average", "SVF (2+2)").expect("avg");
         let nosq = t.cell_f64("average", "SVF no_squash (2+2)").expect("avg");
@@ -75,7 +59,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn four_port_baseline_helps_but_less_than_svf() {
-        let t = run_fig(Scale::Test);
+        let t = driver(Scale::Test).run();
         let four = t.cell_f64("average", "base (4+0)").expect("avg");
         let svf = t.cell_f64("average", "SVF (2+2)").expect("avg");
         assert!(svf > four * 0.99, "SVF (2+2) competitive with base (4+0): {svf} vs {four}");

@@ -6,39 +6,40 @@
 //! window entirely. The paper reports ~86% morphed / 14% re-routed.
 
 use crate::machine::machine;
-use crate::runner::matrix;
 use crate::table::ExpTable;
+use crate::timing::Driver;
 use svf_workloads::Scale;
 
-/// Runs the Figure 8 breakdown (SVF `(2+2)` on the 16-wide machine).
+/// The Figure 8 breakdown (SVF `(2+2)` on the 16-wide machine).
 #[must_use]
-pub fn run_fig(scale: Scale) -> ExpTable {
-    let cfg = machine("svf");
-    let mut t = ExpTable::new(
-        "Figure 8: Breakdown of SVF Reference Types",
-        &["bench", "fast loads", "fast stores", "re-routed", "out-of-window", "squashes"],
-    );
-    let (mut sum_morph, mut sum_total) = (0u64, 0u64);
-    for (bench, stats) in matrix("fig8", &[("SVF (2+2)", cfg)], scale) {
-        let s = &stats[0];
-        let morphed = s.svf_morphed_loads + s.svf_morphed_stores;
-        let total = (morphed + s.svf_rerouted + s.svf_out_of_window).max(1);
-        sum_morph += morphed;
-        sum_total += total;
-        t.row(vec![
-            bench,
-            format!("{:.1}%", 100.0 * s.svf_morphed_loads as f64 / total as f64),
-            format!("{:.1}%", 100.0 * s.svf_morphed_stores as f64 / total as f64),
-            format!("{:.1}%", 100.0 * s.svf_rerouted as f64 / total as f64),
-            format!("{:.1}%", 100.0 * s.svf_out_of_window as f64 / total as f64),
-            s.svf_squashes.to_string(),
-        ]);
-    }
-    t.note(format!(
-        "suite morph rate: {:.1}% (paper: ~86% morphed, ~14% re-routed)",
-        100.0 * sum_morph as f64 / sum_total.max(1) as f64
-    ));
-    t
+pub fn driver(scale: Scale) -> Driver {
+    Driver::matrix(&[("SVF (2+2)", machine("svf"))], scale, None, |rows| {
+        let mut t = ExpTable::new(
+            "Figure 8: Breakdown of SVF Reference Types",
+            &["bench", "fast loads", "fast stores", "re-routed", "out-of-window", "squashes"],
+        );
+        let (mut sum_morph, mut sum_total) = (0u64, 0u64);
+        for (bench, stats) in rows {
+            let s = &stats[0];
+            let morphed = s.svf_morphed_loads + s.svf_morphed_stores;
+            let total = (morphed + s.svf_rerouted + s.svf_out_of_window).max(1);
+            sum_morph += morphed;
+            sum_total += total;
+            t.row(vec![
+                bench,
+                format!("{:.1}%", 100.0 * s.svf_morphed_loads as f64 / total as f64),
+                format!("{:.1}%", 100.0 * s.svf_morphed_stores as f64 / total as f64),
+                format!("{:.1}%", 100.0 * s.svf_rerouted as f64 / total as f64),
+                format!("{:.1}%", 100.0 * s.svf_out_of_window as f64 / total as f64),
+                s.svf_squashes.to_string(),
+            ]);
+        }
+        t.note(format!(
+            "suite morph rate: {:.1}% (paper: ~86% morphed, ~14% re-routed)",
+            100.0 * sum_morph as f64 / sum_total.max(1) as f64
+        ));
+        t
+    })
 }
 
 #[cfg(test)]
@@ -49,7 +50,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn morphing_dominates() {
-        let t = run_fig(Scale::Test);
+        let t = driver(Scale::Test).run();
         for w in all() {
             let fl = t.cell_f64(w.name, "fast loads").expect("row");
             let fs = t.cell_f64(w.name, "fast stores").expect("row");
@@ -65,7 +66,7 @@ mod tests {
     #[cfg_attr(debug_assertions, ignore = "timing-heavy; run with --release")]
     #[test]
     fn eon_has_the_most_squashes() {
-        let t = run_fig(Scale::Test);
+        let t = driver(Scale::Test).run();
         let eon: f64 = t.cell_f64("eon", "squashes").expect("eon");
         for bench in ["gzip", "mcf", "vpr"] {
             let other = t.cell_f64(bench, "squashes").expect("row");

@@ -18,9 +18,10 @@
 //! | [`ablations`] | capacity sweep, squash-penalty sensitivity, code quality |
 //! | [`partial_word`] | the x86 partial-word extension experiment |
 //!
-//! Every runner returns an [`ExpTable`] whose `Display` renders an aligned
+//! Every table renders as an [`ExpTable`] whose `Display` is an aligned
 //! text table; the `svf-experiments` binary prints them, and integration
-//! tests assert the paper's qualitative shape on the same data.
+//! tests assert the paper's qualitative shape on the same data. The
+//! cycle-simulated tables are [`timing::Driver`]s, rendered by one run.
 //!
 //! # Example
 //!
@@ -44,28 +45,14 @@ pub mod fig8;
 pub mod fig9;
 pub mod machine;
 pub mod partial_word;
-pub mod runner;
 pub mod table;
 pub mod tables;
+pub mod timing;
 pub mod traffic;
 
 pub use machine::{machine, machine_with};
 pub use svf_workloads::Scale;
 pub use table::ExpTable;
-
-/// Runs a design-space sweep on the process-global harness — the library
-/// seam behind `svf-experiments --sweep SPEC.toml`, so `--jobs` and
-/// lockstep policy reach sweeps exactly the way they reach the figures.
-///
-/// # Errors
-///
-/// Propagates spec-geometry and job failures from
-/// [`svf_harness::run_sweep`].
-pub fn run_sweep_on_global(
-    spec: &svf_configspace::SweepSpec,
-) -> Result<svf_harness::SweepOutcome, String> {
-    svf_harness::run_sweep(spec, &svf_harness::global())
-}
 
 /// Geometric mean of a non-empty slice (used for "average speedup" rows,
 /// the conventional aggregation for ratios).

@@ -23,8 +23,9 @@
 //!                thread. Results are bit-identical at any fan-out.
 //! --out DIR      result sink: DIR/<experiment>/<content-key>.csv, keyed by
 //!                program, machine config, sampling plan and simulator
-//!                version; jobs (sweep points included) whose result file
-//!                exists are resumed instead of re-simulated
+//!                version (every figure command shares DIR/timing/); jobs
+//!                (sweep points included) whose result file exists are
+//!                resumed instead of re-simulated
 //! --no-lockstep  simulate each job against its own emulator instead of
 //!                batching jobs that share a program over one functional
 //!                stream (bit-identical either way; for A/B timing)
@@ -38,7 +39,7 @@
 //!                warmup, ramp, tail, intervals (max count), mode
 //!                (periodic|random), seed; counts accept k/m suffixes;
 //!                empty string = defaults. Composes with --sweep, --out
-//!                (use a sampled-only directory), and lockstep batching.
+//!                and lockstep batching.
 //! --sweep SPEC   run a design-space sweep from a TOML spec (grid, random,
 //!                or greedy Pareto search — see EXPERIMENTS.md); prints the
 //!                frontier and writes points.csv/pareto.csv
@@ -47,9 +48,7 @@
 
 use std::time::Instant;
 
-use svf_experiments::{
-    ablations, partial_word, fig1, fig2, fig3, fig5, fig6, fig7, fig8, fig9, tables, traffic, Scale,
-};
+use svf_experiments::{fig1, fig2, fig3, tables, timing, traffic, Scale};
 
 /// Every experiment name `run_one` accepts, for usage and error messages.
 const EXPERIMENTS: &[&str] = &[
@@ -225,7 +224,7 @@ fn run_sweep_file(spec_path: &str, csv_dir: Option<&str>) {
     let spec = svf_configspace::SweepSpec::from_toml(&text)
         .unwrap_or_else(|e| fail(&format!("{spec_path}: {e}")));
     let start = Instant::now();
-    let outcome = svf_experiments::run_sweep_on_global(&spec)
+    let outcome = svf_harness::run_sweep(&spec, &svf_harness::global())
         .unwrap_or_else(|e| fail(&format!("sweep {}: {e}", spec.name)));
     let dir = csv_dir
         .map(std::path::PathBuf::from)
@@ -253,16 +252,19 @@ fn emit(table: &svf_experiments::ExpTable, id: &str, csv_dir: Option<&str>) {
     }
 }
 
+/// Renders the named timing tables from one harness run and emits each.
+fn emit_timing(ids: &[&str], scale: Scale, csv: Option<&str>) {
+    let drivers = ids.iter().map(|id| timing::driver(id, scale).expect("a timing command"));
+    for (table, id) in timing::run(drivers.collect()).iter().zip(ids) {
+        emit(table, id, csv);
+    }
+}
+
 fn run_one(which: &str, scale: Scale, csv: Option<&str>) {
     match which {
         "fig1" => emit(&fig1::run(scale), "fig1", csv),
         "fig2" => emit(&fig2::run(scale), "fig2", csv),
         "fig3" => emit(&fig3::run(scale), "fig3", csv),
-        "fig5" => emit(&fig5::run_fig(scale), "fig5", csv),
-        "fig6" => emit(&fig6::run_fig(scale), "fig6", csv),
-        "fig7" => emit(&fig7::run_fig(scale), "fig7", csv),
-        "fig8" => emit(&fig8::run_fig(scale), "fig8", csv),
-        "fig9" => emit(&fig9::run_fig(scale), "fig9", csv),
         "table1" => emit(&tables::table1(), "table1", csv),
         "table2" => emit(&tables::table2(), "table2", csv),
         "table3" => {
@@ -271,27 +273,17 @@ fn run_one(which: &str, scale: Scale, csv: Option<&str>) {
             }
         }
         "table4" => emit(&traffic::table4(scale), "table4", csv),
-        "partial-word" => emit(&partial_word::run_experiment(scale), "partial-word", csv),
-        "ablation-size" => emit(&ablations::size_sweep(scale), "ablation-size", csv),
-        "ablation-squash" => {
-            emit(&ablations::squash_sensitivity(scale), "ablation-squash", csv);
-        }
-        "ablation-codegen" => emit(&ablations::code_quality(scale), "ablation-codegen", csv),
-        "ablations" => {
-            emit(&ablations::size_sweep(scale), "ablation-size", csv);
-            emit(&ablations::squash_sensitivity(scale), "ablation-squash", csv);
-            emit(&ablations::code_quality(scale), "ablation-codegen", csv);
-        }
+        "ablations" => emit_timing(&timing::ABLATIONS, scale, csv),
         "all" => {
-            for exp in [
-                "table1", "table2", "fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8",
-                "fig9", "table3", "table4",
-            ] {
+            for exp in ["table1", "table2", "fig1", "fig2", "fig3", "fig5-fig9", "table3", "table4"] {
                 let t = Instant::now();
-                run_one(exp, scale, csv);
+                match exp {
+                    "fig5-fig9" => emit_timing(&timing::FIGURES, scale, csv),
+                    _ => run_one(exp, scale, csv),
+                }
                 eprintln!("[{} done in {:.1}s]", exp, t.elapsed().as_secs_f64());
             }
         }
-        other => fail(&format!("unknown experiment {other:?} (valid: {})", EXPERIMENTS.join(", "))),
+        id => emit_timing(&[id], scale, csv),
     }
 }

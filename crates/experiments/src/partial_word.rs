@@ -15,8 +15,9 @@
 
 use crate::machine::machine;
 use crate::table::ExpTable;
+use crate::timing::Driver;
 use crate::traffic::traffic_run;
-use svf_harness::{Experiment, ProgramSpec};
+use svf_harness::ProgramSpec;
 use svf_workloads::Scale;
 
 /// A byte-heavy kernel: tokenization + byte histogram + string reversal in
@@ -78,46 +79,49 @@ fn iterations(scale: Scale) -> u64 {
     }
 }
 
-/// Runs the partial-word stress: performance (baseline vs SVF) and the
-/// traffic split, showing the read-merge fills that only sub-quad stores
-/// cause.
+/// The partial-word stress: performance (baseline vs SVF) and the traffic
+/// split, showing the read-merge fills that only sub-quad stores cause.
 ///
 /// # Panics
 ///
 /// Panics if the embedded kernel fails to compile (covered by tests).
 #[must_use]
-pub fn run_experiment(scale: Scale) -> ExpTable {
+pub fn driver(scale: Scale) -> Driver {
     let source = byte_kernel_source(iterations(scale));
     let program = svf_cc::compile_to_program(&source).expect("compiles");
-    let mut t = ExpTable::new(
-        "Extension: partial-word (x86-style) stack references",
-        &["metric", "value"],
-    );
     let spec = ProgramSpec::source("byte-kernel", source);
-    let mut exp = Experiment::new("partial-word");
-    exp.push(spec.clone(), "base (2+0)", machine("base"));
-    exp.push(spec, "SVF (2+2)", machine("svf"));
-    let report = svf_harness::global().run(&exp);
-    let stats = report.stats();
-    let (base, svf) = (stats[0].clone(), stats[1].clone());
-    let svf_stats = svf.svf.expect("svf engine");
-    t.row(vec!["committed instructions".into(), svf.committed.to_string()]);
-    t.row(vec!["SVF speedup over (2+0)".into(), format!("{:.3}x", svf.speedup_over(&base))]);
-    t.row(vec![
-        "morphed / re-routed".into(),
-        format!("{} / {}", svf.svf_morphed_loads + svf.svf_morphed_stores, svf.svf_rerouted),
-    ]);
-    t.row(vec![
-        "read-merge fills (sub-quad stores)".into(),
-        svf_stats.demand_fills.to_string(),
-    ]);
-    let (row, _) = traffic_run(&program, 8 << 10, None);
-    t.row(vec!["SVF qw in/out".into(), format!("{} / {}", row.svf_in, row.svf_out)]);
-    t.row(vec!["stack cache qw in/out".into(), format!("{} / {}", row.sc_in, row.sc_out)]);
-    t.note("byte stores to invalid entries must read-merge (§3.3: 64-bit status granularity)");
-    t.note("caveat for the x86 future work: dealloc-kill forces re-fills of byte-built frames,");
-    t.note("so the SVF can move MORE data than a stack cache here (while still winning on latency)");
-    t
+    let mut driver = Driver::new(move |stats| {
+        let mut t = ExpTable::new(
+            "Extension: partial-word (x86-style) stack references",
+            &["metric", "value"],
+        );
+        let (base, svf) = (&stats[0], &stats[1]);
+        let svf_stats = svf.svf.as_ref().expect("svf engine");
+        t.row(vec!["committed instructions".into(), svf.committed.to_string()]);
+        t.row(vec!["SVF speedup over (2+0)".into(), format!("{:.3}x", svf.speedup_over(base))]);
+        t.row(vec![
+            "morphed / re-routed".into(),
+            format!("{} / {}", svf.svf_morphed_loads + svf.svf_morphed_stores, svf.svf_rerouted),
+        ]);
+        t.row(vec![
+            "read-merge fills (sub-quad stores)".into(),
+            svf_stats.demand_fills.to_string(),
+        ]);
+        let (row, _) = traffic_run(&program, 8 << 10, None);
+        t.row(vec!["SVF qw in/out".into(), format!("{} / {}", row.svf_in, row.svf_out)]);
+        t.row(vec!["stack cache qw in/out".into(), format!("{} / {}", row.sc_in, row.sc_out)]);
+        t.note("byte stores to invalid entries must read-merge (§3.3: 64-bit status granularity)");
+        t.note(
+            "caveat for the x86 future work: dealloc-kill forces re-fills of byte-built frames,",
+        );
+        t.note(
+            "so the SVF can move MORE data than a stack cache here (while still winning on latency)",
+        );
+        t
+    });
+    driver.push(spec.clone(), "base (2+0)", machine("base"));
+    driver.push(spec, "SVF (2+2)", machine("svf"));
+    driver
 }
 
 #[cfg(test)]
@@ -139,7 +143,7 @@ mod tests {
 
     #[test]
     fn partial_word_stores_cause_read_merges() {
-        let t = run_experiment(Scale::Test);
+        let t = driver(Scale::Test).run();
         let fills: f64 = t.cell_f64("read-merge fills (sub-quad stores)", "value").expect("row");
         assert!(fills > 0.0, "byte stores must trigger §3.3 read-merges");
         let speedup = t.cell_f64("SVF speedup over (2+0)", "value").expect("row");

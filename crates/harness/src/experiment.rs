@@ -48,31 +48,13 @@ impl Experiment {
         self.jobs.is_empty()
     }
 
-    /// The standard figure-driver shape: every registered workload crossed
-    /// with every labelled configuration, workload-major (all configurations
-    /// of `bzip2`, then all of `crafty`, …). Reassemble with chunks of
-    /// `configs.len()`.
+    /// Every registered workload crossed with every labelled
+    /// configuration, workload-major (all configurations of `bzip2`, then
+    /// all of `crafty`, …).
     #[must_use]
     pub fn matrix(name: &str, configs: &[(&str, CpuConfig)], scale: Scale) -> Experiment {
-        let benches: Vec<&str> = all().iter().map(|w| w.name).collect();
-        Experiment::matrix_for(name, configs, scale, &benches)
-    }
-
-    /// [`Experiment::matrix`] restricted to a subset of workloads. The
-    /// subset is applied as a filter over the registry, so rows keep the
-    /// registry (paper Table 1) order whatever order `benches` is given in.
-    #[must_use]
-    pub fn matrix_for(
-        name: &str,
-        configs: &[(&str, CpuConfig)],
-        scale: Scale,
-        benches: &[&str],
-    ) -> Experiment {
         let mut exp = Experiment::new(name);
         for w in all() {
-            if !benches.contains(&w.name) {
-                continue;
-            }
             for (label, cfg) in configs {
                 exp.push(ProgramSpec::workload(w.name, scale), label, cfg.clone());
             }
@@ -99,14 +81,5 @@ mod tests {
         let keys: Vec<_> = exp.jobs().iter().map(Job::key).collect();
         let again_keys: Vec<_> = again.jobs().iter().map(Job::key).collect();
         assert_eq!(keys, again_keys, "expansion must be deterministic");
-    }
-
-    #[test]
-    fn matrix_for_keeps_registry_order() {
-        let cfgs = [("only", CpuConfig::wide4())];
-        // Deliberately scrambled subset: rows must come back in Table 1 order.
-        let exp = Experiment::matrix_for("demo", &cfgs, Scale::Test, &["vortex", "eon", "gcc"]);
-        let rows: Vec<_> = exp.jobs().iter().map(|j| j.program.label()).collect();
-        assert_eq!(rows, ["eon", "gcc", "vortex"]);
     }
 }

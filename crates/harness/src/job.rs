@@ -11,12 +11,13 @@ use svf_workloads::{workload, Scale};
 use crate::error::JobError;
 
 /// How a job obtains its program. Compilation is **memoized process-wide**
-/// (see [`crate::compile_count`]): the first job to need a spec compiles it
-/// on its worker thread and every other job sharing that spec — across
-/// configurations, workers, and experiments — reuses the same
-/// `Arc<Program>`. A failing or panicking compilation poisons only that
-/// spec's cache entry: every sharing job fails with the same message, and
-/// unrelated jobs are untouched, exactly like a diverging simulation.
+/// on the text [`ProgramSpec::minic`] names (see [`crate::compile_count`]):
+/// the first job to need a program compiles it on its worker thread and
+/// every other job with the same text — across configurations, workers,
+/// experiments and spec kinds — reuses the same `Arc<Program>`. A failing
+/// or panicking compilation poisons only that program's cache entry: every
+/// sharing job fails with the same message, and unrelated jobs are
+/// untouched, exactly like a diverging simulation.
 #[derive(Debug, Clone)]
 pub enum ProgramSpec {
     /// A registered benchmark kernel, optionally with a named input
@@ -80,8 +81,9 @@ impl ProgramSpec {
 
     /// The MiniC source text this spec compiles, and whether register
     /// promotion is on. This is the program's identity: [`ProgramSpec::compile`]
-    /// compiles exactly this, and the result sink's content key hashes it
-    /// (a `Source` label is presentation only).
+    /// compiles exactly this, the compile memo and the lockstep groups key
+    /// on it, and the result sink's content key hashes it (a `Source` label
+    /// is presentation only).
     ///
     /// # Errors
     ///
@@ -207,8 +209,6 @@ impl JobOutcome {
 pub struct JobReport {
     /// The job's [`Job::key`].
     pub key: String,
-    /// The program's human-readable label ([`ProgramSpec::label`]).
-    pub program_label: String,
     /// The configuration label the job was defined with.
     pub config_label: String,
     /// What happened.

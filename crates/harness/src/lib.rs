@@ -8,14 +8,16 @@
 //!    of [`Job`]s (`{program, config_label, config}` units, ids in
 //!    definition order).
 //! 2. **Execution** — a [`Harness`] drains the job list across
-//!    `std::thread` workers fed by a shared queue. Program compilation is
-//!    **memoized process-wide**: the first job needing a [`ProgramSpec`]
-//!    compiles it, every other job sharing the spec reuses the same
-//!    `Arc<Program>` — a C-config × W-workload matrix performs W
-//!    compilations, not C·W (see [`compile_count`]). With **lockstep
-//!    batching** (the default, see [`Harness::with_lockstep`]) the
-//!    *functional execution* is shared the same way: jobs with the same
-//!    spec form one group, and a *batch plan* cuts each group's shared
+//!    `std::thread` workers fed by a shared queue. A job whose content key
+//!    (below) repeats an earlier job's in the same experiment is never
+//!    attempted: it receives that job's outcome. Program compilation is
+//!    **memoized process-wide** on the program's MiniC text: the first
+//!    job needing a program compiles it, every other job sharing the text
+//!    reuses the same `Arc<Program>` — a C-config × W-workload matrix
+//!    performs W compilations, not C·W (see [`compile_count`]). With
+//!    **lockstep batching** (the default, see [`Harness::with_lockstep`])
+//!    the *functional execution* is shared the same way: jobs with the
+//!    same program form one group, and a *batch plan* cuts each group's shared
 //!    jobs into balanced lockstep batches driven by
 //!    [`svf_cpu::run_lockstep`] — at least two batches per worker, so no
 //!    worker sits idle behind one long program — and the emulator runs
@@ -26,22 +28,24 @@
 //!    [`JobOutcome::Failed`] instead of killing the run (a panicking
 //!    batch is bisected until the diverging job fails alone); a failing
 //!    or panicking *compile* poisons only its cache entry, failing exactly
-//!    the jobs that share the spec, all with the same message.
+//!    the jobs that share the program, all with the same message.
 //! 3. **Reassembly** — results come back in job-id order, making parallel
 //!    output bit-identical to serial output (every simulation is itself
 //!    deterministic).
 //! 4. **Sinks & resume** — with an output directory configured, each job's
 //!    [`SimStats`](svf_cpu::SimStats) is written to
 //!    `<out>/<experiment>/<content-key>.csv` (atomically — temp file +
-//!    rename), and jobs whose result file already exists are *resumed*
-//!    (loaded, not re-simulated). The content key hashes the program, the
-//!    canonical config, the sampling plan and [`SIM_VERSION`] — never a
-//!    label or position — so it is the one identity for resume, sweeps and
-//!    the quarantine (see [`RunDir`]). Interrupted long runs — including
-//!    runs killed mid-flight — pick up where they stopped; delete the
-//!    directory to force a clean rerun. A result file that exists but is
-//!    damaged is reported ([`JobError::CorruptResume`]) and the job
-//!    re-runs, which repairs the file.
+//!    rename; every `svf-experiments` figure command shares the
+//!    experiment `timing`), and jobs whose result file already exists are
+//!    *resumed* (loaded, not re-simulated). The content key hashes the
+//!    program, the canonical config, the sampling plan and [`SIM_VERSION`]
+//!    — never a label or position — so it is the one identity for resume,
+//!    sweeps, duplicate jobs and the quarantine (see [`RunDir`]).
+//!    Interrupted long runs — including runs killed mid-flight — pick up
+//!    where they stopped; delete the directory to force a clean rerun. A
+//!    result file that exists but is damaged is reported
+//!    ([`JobError::CorruptResume`]) and the job re-runs, which repairs the
+//!    file.
 //! 5. **Fault tolerance** — every failure is classified as a [`JobError`]
 //!    with principled retryability, and the [`RetryPolicy`] (see
 //!    [`Harness::with_retries`] / [`Harness::with_timeout`]) bounds how
@@ -82,8 +86,8 @@
 //!     Scale::Test,
 //! );
 //! let report = Harness::parallel().run(&exp);
-//! for (bench, stats) in report.rows(2) {
-//!     println!("{bench}: {} vs {} cycles", stats[0].cycles, stats[1].cycles);
+//! for (job, stats) in report.jobs.iter().zip(report.stats()) {
+//!     println!("{}: {} cycles", job.key, stats.cycles);
 //! }
 //! ```
 
@@ -101,7 +105,7 @@ mod progress;
 mod sink;
 pub mod sweep;
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -123,6 +127,7 @@ pub use sweep::{run_sweep, SweepOutcome, SweepPoint};
 use error::retry;
 use plan::Plan;
 use progress::Progress;
+use sink::JobKey;
 
 /// Execution policy: how many workers, where results go, whether to narrate,
 /// whether jobs sharing a program ride one functional stream, whether
@@ -212,8 +217,9 @@ impl Harness {
     }
 
     /// Enables or disables lockstep batching (on by default): jobs sharing
-    /// a [`ProgramSpec`] form one group, which the batch plan cuts into
-    /// contiguous batches of at most `⌈fresh jobs / (2 × workers)⌉`, each
+    /// a program (its MiniC text, see [`ProgramSpec::minic`]) form one
+    /// group, which the batch plan cuts into contiguous batches of at most
+    /// `⌈fresh jobs / (2 × workers)⌉`, each
     /// riding a single functional execution of the program
     /// ([`svf_cpu::run_lockstep`]); off, every job is a batch of one that
     /// re-runs the emulator. Results are bit-identical either way (pinned
@@ -294,8 +300,14 @@ impl Harness {
 
     /// Runs every job of `exp` and reassembles the reports in job-id order.
     ///
-    /// Jobs the sink already holds are resumed on the calling thread; the
-    /// rest run through the batch plan (see [`Harness::with_lockstep`]).
+    /// Each job's content key (see [`RunDir`]) is hashed once. A job whose
+    /// key already appeared earlier in `exp` is never attempted: it
+    /// receives its first occurrence's outcome — `Completed`, `Resumed` or
+    /// `Failed` — under its own id and labels, and the summary line counts
+    /// it as `shared=N`. A fault planned at such a duplicate's id therefore
+    /// never fires. Jobs the sink already holds are resumed on the calling
+    /// thread; the rest run through the batch plan (see
+    /// [`Harness::with_lockstep`]).
     ///
     /// # Panics
     ///
@@ -307,11 +319,18 @@ impl Harness {
         let sink = self.out_dir.as_deref().map(|root| {
             RunDir::create(root, &exp.name)
                 .unwrap_or_else(|e| panic!("cannot create run dir under {}: {e}", root.display()))
-                .with_sample(self.sample)
         });
         let sink = sink.as_ref();
         let jobs = exp.jobs();
-        let progress = Progress::new(&exp.name, jobs.len(), self.progress);
+        let sample = self.sample.as_ref();
+        let keys: Vec<JobKey> = jobs.iter().map(|job| sink::job_key(job, sample)).collect();
+        // `first[i]` is the earliest job with job i's content key; only
+        // jobs that are their own first occurrence are attempted.
+        let mut seen: HashMap<u128, usize> = HashMap::new();
+        let first: Vec<usize> =
+            keys.iter().enumerate().map(|(i, key)| *seen.entry(key.content).or_insert(i)).collect();
+        let progress = Progress::new(&exp.name, seen.len(), self.progress);
+        progress.record_shared(jobs.len() - seen.len());
         let slots: Vec<Mutex<Option<JobReport>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
         let deliver = |i: usize, report: JobReport| {
             let (cycles, resumed, failed) = match &report.outcome {
@@ -324,7 +343,7 @@ impl Harness {
         };
         // Resume what the sink already holds (re-running anything it
         // reports as corrupt); only the fresh jobs enter the plan.
-        let fresh = |&i: &usize| match sink.map_or(Ok(None), |s| s.load_classified(&jobs[i])) {
+        let fresh = |&i: &usize| match sink.map_or(Ok(None), |s| s.load_keyed(keys[i].content)) {
             Ok(Some(stats)) => {
                 deliver(i, report_for(&jobs[i], JobOutcome::Resumed(stats), Duration::ZERO));
                 false
@@ -337,10 +356,9 @@ impl Harness {
                 true
             }
         };
-        let groups: Vec<Vec<usize>> = plan::group_jobs(jobs, self.lockstep)
-            .into_iter()
-            .map(|g| g.into_iter().filter(fresh).collect())
-            .collect();
+        let fresh = (0..jobs.len()).filter(|&i| first[i] == i).filter(fresh);
+        let fresh: Vec<(usize, u128)> = fresh.map(|i| (i, keys[i].program)).collect();
+        let groups = plan::group_jobs(&fresh, self.lockstep);
         // With a thread budget the job workers are capped at the budget and
         // whatever they leave unused funds intra-batch timing fan-out;
         // without one, the budget has no spare and every batch runs serial.
@@ -349,7 +367,7 @@ impl Harness {
         // of one, so their failure cannot poison a shared batch.
         let plan = Plan::new(
             groups,
-            |i| fault::planned(jobs[i].id) || quarantined(&jobs[i], self.sample.as_ref()),
+            |i| fault::planned(jobs[i].id) || quarantined(keys[i].content),
             workers,
         );
         let workers = workers.clamp(1, plan.len().max(1));
@@ -357,8 +375,7 @@ impl Harness {
         progress.set_parallelism(workers, 1);
         let worker_busy = plan.drain(workers, &budget, |batch| {
             let t0 = Instant::now();
-            let sample = self.sample.as_ref();
-            let results = run_batch(jobs, batch, &self.policy, &progress, sample, &budget);
+            let results = run_batch(jobs, &keys, batch, &self.policy, &progress, sample, &budget);
             let wall = t0.elapsed() / u32::try_from(batch.len()).unwrap_or(u32::MAX);
             for (i, result) in results {
                 let job = &jobs[i];
@@ -366,7 +383,10 @@ impl Harness {
                     // A store that still fails only costs resumability (the
                     // job re-runs next time), so it warns rather than
                     // failing the job.
-                    let store = || sink.store(job, stats).map_err(|e| JobError::Io(e.to_string()));
+                    let store = || {
+                        sink.store_keyed(keys[i].content, stats)
+                            .map_err(|e| JobError::Io(e.to_string()))
+                    };
                     if let Err(e) = retry(&self.policy, store, || {}) {
                         eprintln!("svf-harness: cannot store {}: {e}", job.key());
                     }
@@ -375,12 +395,17 @@ impl Harness {
                 deliver(i, report_for(job, outcome, wall));
             }
         });
+        let mut reports: Vec<JobReport> = Vec::with_capacity(jobs.len());
+        for (i, slot) in slots.into_iter().enumerate() {
+            // Only repeats are unvisited; their first occurrence is earlier.
+            let report = slot.into_inner().expect("report slot").unwrap_or_else(|| {
+                report_for(&jobs[i], reports[first[i]].outcome.clone(), Duration::ZERO)
+            });
+            reports.push(report);
+        }
         let mut report = RunReport {
             name: exp.name.clone(),
-            jobs: slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("report slot").expect("every job visited"))
-                .collect(),
+            jobs: reports,
             wall: started.elapsed(),
             worker_busy,
             summary: String::new(),
@@ -403,13 +428,15 @@ impl Harness {
 /// quarantined so it never rides a shared batch again this process.
 fn run_batch(
     jobs: &[Job],
+    keys: &[JobKey],
     members: &[usize],
     policy: &RetryPolicy,
     progress: &Progress,
     sample: Option<&SampleSpec>,
     budget: &ThreadBudget,
 ) -> Vec<(usize, Result<SimStats, JobError>)> {
-    let program = match memo::compile_shared(&jobs[members[0]].program) {
+    let first = members[0];
+    let program = match memo::compile_shared(&jobs[first].program, keys[first].program) {
         Ok(p) => p,
         // Compilation failed: every sharer fails with one message.
         Err(e) => return members.iter().map(|&i| (i, Err(e.clone()))).collect(),
@@ -434,7 +461,7 @@ fn run_batch(
         [i] => {
             let attempted = retry(policy, attempt, || progress.record_retry());
             if matches!(attempted, Err(JobError::Panic(_) | JobError::Timeout { .. })) {
-                quarantine(&jobs[*i], sample);
+                quarantine(keys[*i].content);
             }
             attempted
         }
@@ -445,8 +472,8 @@ fn run_batch(
         (Err(e), [i]) => vec![(*i, Err(e))],
         (Err(_), _) => {
             let (a, b) = members.split_at(members.len() / 2);
-            let mut out = run_batch(jobs, a, policy, progress, sample, budget);
-            out.extend(run_batch(jobs, b, policy, progress, sample, budget));
+            let mut out = run_batch(jobs, keys, a, policy, progress, sample, budget);
+            out.extend(run_batch(jobs, keys, b, policy, progress, sample, budget));
             out
         }
     }
@@ -455,7 +482,6 @@ fn run_batch(
 fn report_for(job: &Job, outcome: JobOutcome, wall: Duration) -> JobReport {
     JobReport {
         key: job.key(),
-        program_label: job.program.label(),
         config_label: job.config_label.clone(),
         outcome,
         wall,
@@ -541,18 +567,12 @@ fn watchdog<R: Send + 'static>(
 /// a later run in this process must not re-batch a known-bad member.
 static QUARANTINE: OnceLock<Mutex<HashSet<u128>>> = OnceLock::new();
 
-fn quarantined(job: &Job, sample: Option<&SampleSpec>) -> bool {
-    QUARANTINE.get().is_some_and(|q| {
-        q.lock().expect("quarantine").contains(&sink::content_key(job, sample))
-    })
+fn quarantined(content: u128) -> bool {
+    QUARANTINE.get().is_some_and(|q| q.lock().expect("quarantine").contains(&content))
 }
 
-fn quarantine(job: &Job, sample: Option<&SampleSpec>) {
-    QUARANTINE
-        .get_or_init(Mutex::default)
-        .lock()
-        .expect("quarantine")
-        .insert(sink::content_key(job, sample));
+fn quarantine(content: u128) {
+    QUARANTINE.get_or_init(Mutex::default).lock().expect("quarantine").insert(content);
 }
 
 /// Everything one [`Harness::run`] produced, in job-id order.
@@ -626,29 +646,6 @@ impl RunReport {
     #[must_use]
     pub fn stats(&self) -> Vec<&SimStats> {
         self.try_stats().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Reassembles a [`Experiment::matrix`]-shaped run into
-    /// `(program_label, stats-per-config)` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any job failed or the job count is not a multiple of
-    /// `configs_per_row`.
-    #[must_use]
-    pub fn rows(&self, configs_per_row: usize) -> Vec<(String, Vec<&SimStats>)> {
-        assert!(
-            configs_per_row > 0 && self.jobs.len().is_multiple_of(configs_per_row),
-            "{}: {} jobs do not tile into rows of {configs_per_row}",
-            self.name,
-            self.jobs.len()
-        );
-        let stats = self.stats();
-        self.jobs
-            .chunks(configs_per_row)
-            .zip(stats.chunks(configs_per_row))
-            .map(|(jobs, stats)| (jobs[0].program_label.clone(), stats.to_vec()))
-            .collect()
     }
 }
 

@@ -4,9 +4,12 @@
 //! programs but defines C·W jobs; before this cache every job compiled its
 //! own program on the worker thread, so each workload was compiled C times.
 //! The cache is **process-global** (experiments within one CLI invocation
-//! share it) and keyed on full [`ProgramSpec`] identity, handing out
-//! [`Arc<Program>`] so the (also shared, see `Program::decoded`) image is
-//! built exactly once per distinct spec.
+//! share it) and keyed on the program half of a job's identity
+//! (`JobKey::program` in `sink.rs`: the MiniC source text and
+//! register-promotion flag), handing out [`Arc<Program>`] so the (also
+//! shared, see `Program::decoded`) image is built exactly once per
+//! distinct program — a `Workload` spec and a `Source` spec with the same
+//! text included.
 //!
 //! # Failure isolation
 //!
@@ -24,31 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use svf_isa::Program;
-use svf_workloads::Scale;
 
 use crate::error::JobError;
 use crate::job::ProgramSpec;
-
-/// Owned mirror of [`ProgramSpec`]'s identity, hashable for the cache map.
-/// Also the lockstep grouping key: jobs with equal keys share one program,
-/// and each lockstep batch the plan cuts from their group rides one
-/// functional stream of it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) enum Key {
-    Workload { name: String, input: Option<String>, scale: Scale },
-    Source { label: String, source: String, regalloc: bool },
-}
-
-pub(crate) fn key(spec: &ProgramSpec) -> Key {
-    match spec {
-        ProgramSpec::Workload { name, input, scale } => {
-            Key::Workload { name: name.clone(), input: input.clone(), scale: *scale }
-        }
-        ProgramSpec::Source { label, source, regalloc } => {
-            Key::Source { label: label.clone(), source: source.clone(), regalloc: *regalloc }
-        }
-    }
-}
 
 /// One cache cell: settled exactly once, shared by every job with the spec.
 #[derive(Default)]
@@ -59,7 +40,7 @@ struct Slot {
     compiles: AtomicU64,
 }
 
-static CACHE: OnceLock<Mutex<HashMap<Key, Arc<Slot>>>> = OnceLock::new();
+static CACHE: OnceLock<Mutex<HashMap<u128, Arc<Slot>>>> = OnceLock::new();
 
 /// Count of actual MiniC compilations performed through the cache — the
 /// test hook asserting that a C×W matrix compiles each workload once.
@@ -73,7 +54,8 @@ pub fn compile_count() -> u64 {
     COMPILES.load(Ordering::Relaxed)
 }
 
-/// Compiles `spec` through the process-global cache.
+/// Compiles `spec`, whose program key is `program`, through the
+/// process-global cache.
 ///
 /// The mutex guards only the slot lookup — compilation itself runs outside
 /// it, in the slot's `get_or_init`, so distinct specs compile in parallel
@@ -84,8 +66,8 @@ pub fn compile_count() -> u64 {
 /// Compiler errors and compile-time panics are classified as
 /// [`JobError::Compile`] / [`JobError::Panic`], stored in the entry, and
 /// repeated verbatim to every sharer of the spec.
-pub(crate) fn compile_shared(spec: &ProgramSpec) -> Result<Arc<Program>, JobError> {
-    let slot = slot(spec);
+pub(crate) fn compile_shared(spec: &ProgramSpec, program: u128) -> Result<Arc<Program>, JobError> {
+    let slot = slot(program);
     slot.program
         .get_or_init(|| {
             COMPILES.fetch_add(1, Ordering::Relaxed);
@@ -99,22 +81,41 @@ pub(crate) fn compile_shared(spec: &ProgramSpec) -> Result<Arc<Program>, JobErro
         .clone()
 }
 
-/// The cache slot for `spec`, created empty on first lookup.
-fn slot(spec: &ProgramSpec) -> Arc<Slot> {
+/// The cache slot for a program key, created empty on first lookup.
+fn slot(program: u128) -> Arc<Slot> {
     let mut map = CACHE.get_or_init(Mutex::default).lock().expect("memo cache mutex");
-    Arc::clone(map.entry(key(spec)).or_default())
+    Arc::clone(map.entry(program).or_default())
 }
 
 #[cfg(test)]
 mod tests {
+    use svf_cpu::CpuConfig;
+    use svf_workloads::Scale;
+
     use super::*;
+    use crate::job::Job;
+    use crate::sink;
 
     // Sources unique to this module: the cache is process-global and cargo
     // runs test threads concurrently, so each test counts the compiles of
     // its own slot rather than the process-wide counter.
 
+    fn key(spec: &ProgramSpec) -> u128 {
+        let job = Job {
+            id: 0,
+            program: spec.clone(),
+            config_label: String::new(),
+            config: CpuConfig::wide4(),
+        };
+        sink::job_key(&job, None).program
+    }
+
+    fn compile(spec: &ProgramSpec) -> Result<Arc<Program>, JobError> {
+        compile_shared(spec, key(spec))
+    }
+
     fn compiles_of(spec: &ProgramSpec) -> u64 {
-        slot(spec).compiles.load(Ordering::Relaxed)
+        slot(key(spec)).compiles.load(Ordering::Relaxed)
     }
 
     #[test]
@@ -123,33 +124,39 @@ mod tests {
             "memo-unit-share",
             "int main() { print(41 + 1); return 0; }",
         );
-        let a = compile_shared(&spec).expect("compiles");
-        let b = compile_shared(&spec).expect("compiles");
+        let a = compile(&spec).expect("compiles");
+        let b = compile(&spec).expect("compiles");
         assert!(Arc::ptr_eq(&a, &b), "one image, shared");
         assert_eq!(compiles_of(&spec), 1, "second call was a cache hit");
     }
 
     #[test]
+    fn same_text_shares_one_entry_whatever_the_spec_kind_or_label() {
+        let workload = ProgramSpec::workload("gzip", Scale::Test);
+        let text = workload.minic().expect("gzip").0.into_owned();
+        let source = ProgramSpec::source("memo-unit-gzip-text", text.clone());
+        let renamed = ProgramSpec::source("memo-unit-gzip-renamed", text.clone());
+        assert_eq!(key(&workload), key(&source), "a workload is its source text");
+        assert_eq!(key(&source), key(&renamed), "a label is presentation");
+        let naive = ProgramSpec::source_with("memo-unit-gzip-text", text, false);
+        assert_ne!(key(&naive), key(&source), "regalloc is part of the program");
+    }
+
+    #[test]
     fn failed_compile_is_poisoned_not_retried() {
         let spec = ProgramSpec::source("memo-unit-broken", "int main( {");
-        let e1 = compile_shared(&spec).expect_err("must fail");
-        let e2 = compile_shared(&spec).expect_err("must fail again");
+        let e1 = compile(&spec).expect_err("must fail");
+        let e2 = compile(&spec).expect_err("must fail again");
         assert_eq!(e1, e2, "sharers observe the identical message");
         assert_eq!(compiles_of(&spec), 1, "failure is cached, not retried");
     }
 
     #[test]
     fn distinct_specs_get_distinct_entries() {
-        let a = compile_shared(&ProgramSpec::source(
-            "memo-unit-a",
-            "int main() { print(1); return 0; }",
-        ))
-        .expect("compiles");
-        let b = compile_shared(&ProgramSpec::source(
-            "memo-unit-b",
-            "int main() { print(2); return 0; }",
-        ))
-        .expect("compiles");
+        let a = compile(&ProgramSpec::source("memo-unit-a", "int main() { print(1); return 0; }"))
+            .expect("compiles");
+        let b = compile(&ProgramSpec::source("memo-unit-b", "int main() { print(2); return 0; }"))
+            .expect("compiles");
         assert!(!Arc::ptr_eq(&a, &b));
     }
 }

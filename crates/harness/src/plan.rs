@@ -25,20 +25,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::job::Job;
-use crate::memo;
 use crate::pool::ThreadBudget;
 
-/// Partitions job indices into groups: per program when `lockstep` (in
-/// first-appearance order, members in id order), singletons otherwise.
-pub(crate) fn group_jobs(jobs: &[Job], lockstep: bool) -> Vec<Vec<usize>> {
+/// Partitions `(job index, program key)` pairs into groups: per program
+/// key when `lockstep` (in first-appearance order, members in id order),
+/// singletons otherwise.
+pub(crate) fn group_jobs(jobs: &[(usize, u128)], lockstep: bool) -> Vec<Vec<usize>> {
     if !lockstep {
-        return (0..jobs.len()).map(|i| vec![i]).collect();
+        return jobs.iter().map(|&(i, _)| vec![i]).collect();
     }
     let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut by_program: HashMap<memo::Key, usize> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        match by_program.entry(memo::key(&job.program)) {
+    let mut by_program: HashMap<u128, usize> = HashMap::new();
+    for &(i, program) in jobs {
+        match by_program.entry(program) {
             Entry::Occupied(e) => groups[*e.get()].push(i),
             Entry::Vacant(v) => {
                 v.insert(groups.len());

@@ -8,6 +8,8 @@ use std::time::{Duration, Instant};
 struct State {
     done: usize,
     resumed: usize,
+    /// Jobs answered by an earlier job with the same content key.
+    shared: usize,
     failed: usize,
     retried: usize,
     timeouts: usize,
@@ -58,6 +60,12 @@ impl Progress {
         if self.enabled {
             eprint!("\r{}", self.line(snapshot));
         }
+    }
+
+    /// Records the jobs answered by an earlier identical job: never
+    /// attempted, so outside `done` and the total; painted as `shared=N`.
+    pub(crate) fn record_shared(&self, shared: usize) {
+        self.state.lock().expect("progress state").shared = shared;
     }
 
     /// Records one retry (a failed attempt that will be re-run). Retries
@@ -187,6 +195,9 @@ impl Progress {
         if st.resumed > 0 {
             line.push_str(&format!("  ({} resumed)", st.resumed));
         }
+        if st.shared > 0 {
+            line.push_str(&format!("  (shared={})", st.shared));
+        }
         if st.retried > 0 {
             line.push_str(&format!("  ({} retried)", st.retried));
         }
@@ -240,6 +251,24 @@ mod tests {
         assert!(line.contains("[demo] 3/3 jobs"), "{line}");
         assert!(line.contains("(1 resumed)"), "{line}");
         assert!(line.contains("(1 FAILED)"), "{line}");
+    }
+
+    #[test]
+    fn shared_jobs_sit_beside_resumed_and_stay_out_of_the_total() {
+        // Five jobs, two of them repeats of an earlier content key: the
+        // total counts the three attempted jobs only.
+        let p = Progress::new("demo", 3, false);
+        p.record_shared(2);
+        p.record(0, true, false);
+        p.record(0, true, false);
+        p.record(0, true, false);
+        let line = p.finish();
+        assert!(line.contains("[demo] 3/3 jobs"), "{line}");
+        assert!(line.contains("(3 resumed)  (shared=2)"), "{line}");
+        let quiet = Progress::new("demo", 1, false);
+        quiet.record_shared(0);
+        quiet.record(1, false, false);
+        assert!(!quiet.finish().contains("shared"), "no repeats, no segment");
     }
 
     #[test]

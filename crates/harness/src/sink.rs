@@ -1,5 +1,6 @@
 //! Structured result sink: one CSV file per result under
-//! `<out>/<experiment>/`, and the one identity every resume decision uses.
+//! `<out>/<experiment>/` (every `svf-experiments` figure command shares
+//! `<out>/timing/`), and the one identity every resume decision uses.
 //!
 //! A result is named by its **content key**: a stable FNV-1a-128 hash of
 //! what determines the statistics — the program (its MiniC source text and
@@ -13,7 +14,9 @@
 //! included. Deleting the experiment's directory (or a single file) forces
 //! a rerun. Files are written via a temp-file rename so a killed run never
 //! leaves a truncated file that would later resume as a bogus result. The
-//! lockstep quarantine keys on the same hash.
+//! lockstep quarantine keys on the same hash, and so does duplicate
+//! detection: within one run, a job whose key appeared earlier is never
+//! attempted.
 
 use std::fs;
 use std::io;
@@ -31,36 +34,47 @@ use crate::job::Job;
 /// older simulator re-simulate instead of resuming.
 pub const SIM_VERSION: u32 = 1;
 
-/// The content key of `job`'s result under the sampling plan `sample`
-/// (`None` = full simulation). See the module docs for what it covers.
-pub(crate) fn content_key(job: &Job, sample: Option<&SampleSpec>) -> u128 {
+/// A job's two identities, hashed once per run. `program` covers what it
+/// compiles ([`ProgramSpec::minic`](crate::ProgramSpec::minic)) and keys
+/// the compile memo and lockstep groups; `content` is the result's identity
+/// (module docs): its file, its quarantine entry and its repeats in a run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobKey {
+    pub(crate) program: u128,
+    pub(crate) content: u128,
+}
+
+/// `job`'s keys under the sampling plan `sample` (`None` = full
+/// simulation).
+pub(crate) fn job_key(job: &Job, sample: Option<&SampleSpec>) -> JobKey {
     key_at_version(job, sample, SIM_VERSION)
+}
+
+fn key_at_version(job: &Job, sample: Option<&SampleSpec>, version: u32) -> JobKey {
+    let (text, flag) = match job.program.minic() {
+        Ok((source, regalloc)) => (source, u8::from(regalloc)),
+        // Never stored (the job cannot compile), but still a stable key.
+        Err(e) => (e.into(), 2),
+    };
+    let (text, flag) = (text.as_bytes(), &[flag][..]);
+    let config = svf_configspace::to_toml(&job.config);
+    let sample = sample.map_or_else(|| "full".to_string(), ToString::to_string);
+    JobKey {
+        program: fnv(&[text, flag]),
+        content: fnv(&[&version.to_le_bytes(), text, flag, config.as_bytes(), sample.as_bytes()]),
+    }
 }
 
 /// FNV-1a-128 (stable across Rust releases and platforms, unlike `std`'s
 /// `DefaultHasher`) over length-prefixed fields, so field boundaries are
 /// part of the key.
-fn key_at_version(job: &Job, sample: Option<&SampleSpec>, version: u32) -> u128 {
+fn fnv(fields: &[&[u8]]) -> u128 {
     let mut hash: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    let mut field = |bytes: &[u8]| {
-        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(bytes) {
+    for field in fields {
+        for &b in (field.len() as u64).to_le_bytes().iter().chain(*field) {
             hash = (hash ^ u128::from(b)).wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
         }
-    };
-    field(&version.to_le_bytes());
-    match job.program.minic() {
-        Ok((source, regalloc)) => {
-            field(source.as_bytes());
-            field(&[u8::from(regalloc)]);
-        }
-        // Never stored (the job cannot compile), but still a stable key.
-        Err(e) => {
-            field(b"unresolved");
-            field(e.as_bytes());
-        }
     }
-    field(svf_configspace::to_toml(&job.config).as_bytes());
-    field(sample.map_or_else(|| "full".to_string(), ToString::to_string).as_bytes());
     hash
 }
 
@@ -87,13 +101,12 @@ pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
         })
 }
 
-/// The per-experiment result directory. Files are named by content key;
-/// the sampling plan that key covers is the directory's own state (set by
-/// the harness), so lookups take only the [`Job`].
+/// The per-experiment result directory. Files are named by content key.
+/// The methods that take a [`Job`] name its full-simulation result; the
+/// harness, which knows its sampling plan, passes each key it hashed.
 #[derive(Debug, Clone)]
 pub struct RunDir {
     dir: PathBuf,
-    sample: Option<SampleSpec>,
 }
 
 impl RunDir {
@@ -105,14 +118,7 @@ impl RunDir {
     pub fn create(root: &Path, experiment: &str) -> io::Result<RunDir> {
         let dir = root.join(experiment);
         fs::create_dir_all(&dir)?;
-        Ok(RunDir { dir, sample: None })
-    }
-
-    /// Keys this directory's results under the sampling plan `sample`
-    /// (`None` = full simulation).
-    pub(crate) fn with_sample(mut self, sample: Option<SampleSpec>) -> RunDir {
-        self.sample = sample;
-        self
+        Ok(RunDir { dir })
     }
 
     /// The directory results live in.
@@ -124,7 +130,11 @@ impl RunDir {
     /// The result file for one job: `<content key>.csv`.
     #[must_use]
     pub fn job_path(&self, job: &Job) -> PathBuf {
-        self.dir.join(format!("{:032x}.csv", content_key(job, self.sample.as_ref())))
+        self.file(job_key(job, None).content)
+    }
+
+    fn file(&self, content: u128) -> PathBuf {
+        self.dir.join(format!("{content:032x}.csv"))
     }
 
     /// Loads a previously stored result, if one exists and is intact.
@@ -144,7 +154,13 @@ impl RunDir {
     ///
     /// [`JobError::CorruptResume`] naming the file and what was wrong.
     pub fn load_classified(&self, job: &Job) -> Result<Option<SimStats>, JobError> {
-        let path = self.job_path(job);
+        self.load_keyed(job_key(job, None).content)
+    }
+
+    /// [`RunDir::load_classified`] for a job whose content key the caller
+    /// already holds.
+    pub(crate) fn load_keyed(&self, content: u128) -> Result<Option<SimStats>, JobError> {
+        let path = self.file(content);
         let text = match fs::read_to_string(&path) {
             Ok(text) => text,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -172,8 +188,14 @@ impl RunDir {
     ///
     /// Propagates filesystem errors.
     pub fn store(&self, job: &Job, stats: &SimStats) -> io::Result<()> {
+        self.store_keyed(job_key(job, None).content, stats)
+    }
+
+    /// [`RunDir::store`] for a job whose content key the caller already
+    /// holds.
+    pub(crate) fn store_keyed(&self, content: u128, stats: &SimStats) -> io::Result<()> {
         atomic_write(
-            &self.job_path(job),
+            &self.file(content),
             &format!("{}\n{}\n", SimStats::csv_header(), stats.to_csv_row()),
         )
     }
@@ -253,7 +275,7 @@ mod tests {
     #[test]
     fn content_key_ignores_labels_and_covers_what_the_stats_depend_on() {
         let job = demo_job();
-        let key = |j: &Job| content_key(j, None);
+        let key = |j: &Job| job_key(j, None).content;
         let relabelled = Job { id: 9, config_label: "other".to_string(), ..demo_job() };
         assert_eq!(key(&relabelled), key(&job), "id and config label are presentation");
         let named = |label: &str, src: &str, regalloc: bool| Job {
@@ -270,7 +292,7 @@ mod tests {
         edited.config.ruu_size += 1;
         assert_ne!(key(&edited), key(&job), "config edit");
         let plan = SampleSpec::parse("period=10k,interval=2k,warmup=1k,ramp=500").expect("plan");
-        assert_ne!(content_key(&job, Some(&plan)), key(&job), "sampled vs full");
+        assert_ne!(job_key(&job, Some(&plan)).content, key(&job), "sampled vs full");
     }
 
     #[test]
@@ -282,7 +304,7 @@ mod tests {
             dir.store(job, &SimStats { cycles: 7, ..SimStats::default() }).expect("store");
         }
         let file = |job: &Job, version: u32| {
-            dir.path().join(format!("{:032x}.csv", key_at_version(job, None, version)))
+            dir.path().join(format!("{:032x}.csv", key_at_version(job, None, version).content))
         };
         for job in &jobs {
             assert_eq!(file(job, SIM_VERSION), dir.job_path(job), "today's key names the file");

@@ -2,9 +2,10 @@
 //! a panicking job is isolated from its siblings, interrupted runs resume
 //! from the run directory, a result is identified by its content (an
 //! edited, relabelled, reordered or differently sampled machine resumes
-//! exactly when its content key matches), and the batch plan's split of a
-//! program's jobs across workers changes neither results, compiles nor
-//! what a crash leaves stored.
+//! exactly when its content key matches), a job repeating an earlier
+//! job's content key is answered by it instead of simulating, and the
+//! batch plan's split of a program's jobs across workers changes neither
+//! results, compiles nor what a crash leaves stored.
 
 use std::fs;
 use std::path::PathBuf;
@@ -102,8 +103,9 @@ fn failing_job_is_isolated_from_siblings() {
 fn shared_failing_spec_fails_every_sharing_job_identically() {
     // One broken spec under three configurations: the memoized compile is
     // attempted once, the poisoned entry fails all three sharers with the
-    // very same message, and the unrelated healthy job is untouched.
-    let broken = ProgramSpec::source("shared-broken", "int main( {");
+    // very same message, and the unrelated healthy job is untouched. (The
+    // memo keys on the text, so the text is this test's own.)
+    let broken = ProgramSpec::source("shared-broken", "int main( { // shared-broken");
     let mut exp = Experiment::new("shared-failure");
     for (label, cfg) in [
         ("4-wide", CpuConfig::wide4()),
@@ -396,6 +398,58 @@ fn abort_after_a_split_group_leaves_every_clean_job_stored() {
         [0, 1, 2, 3, 5, 6, 7].iter().map(|&i| sink.job_path(&exp.jobs()[i])).collect();
     clean.sort();
     assert_eq!(stored, clean, "every job but the aborting 4 is stored");
+    fs::remove_dir_all(&root).ok();
+}
+
+/// One program's text under two machines, each machine asked for again:
+/// the same (spec, config) under a second label, and the same text as a
+/// `Source` spec. Jobs 1, 2 and 4 repeat jobs 0, 0 and 3.
+fn repeats_experiment() -> Experiment {
+    let workload = ProgramSpec::workload("mcf", Scale::Test);
+    let text = workload.minic().expect("mcf resolves").0.into_owned();
+    let source = ProgramSpec::source("mcf-text", text);
+    let mut exp = Experiment::new("repeats");
+    exp.push(workload.clone(), "4-wide", CpuConfig::wide4());
+    exp.push(workload.clone(), "4-wide again", CpuConfig::wide4());
+    exp.push(source.clone(), "4-wide", CpuConfig::wide4());
+    exp.push(source, "8-wide", CpuConfig::wide8());
+    exp.push(workload, "8-wide again", CpuConfig::wide8());
+    exp
+}
+
+#[test]
+fn repeated_content_keys_simulate_once_and_share_the_outcome() {
+    let name = "repeated_content_keys_simulate_once_and_share_the_outcome";
+    if std::env::var_os("SVF_SPLIT_CHILD").is_none() {
+        // Alone in its process for an exact compile count. Every repeat
+        // has an abort planned at its id: attempting one kills the child.
+        let plan = ("SVF_FAULT_PLAN", "abort@1,abort@2,abort@4");
+        assert!(run_child(name, &[plan]), "child run failed");
+        return;
+    }
+    let root = tmp_root("repeats");
+    fs::remove_dir_all(&root).ok();
+    let exp = repeats_experiment();
+    let before = compile_count();
+    let harness = Harness::parallel().with_workers(2).with_out_dir(&root);
+    let report = harness.run(&exp);
+    assert_eq!(compile_count() - before, 1, "one text, one compile, whatever the spec kind");
+    let files = fs::read_dir(root.join("repeats")).expect("run dir").count();
+    assert_eq!(files, 2, "one result file per content key");
+    let labels: Vec<&str> = report.jobs.iter().map(|j| j.config_label.as_str()).collect();
+    assert_eq!(labels, ["4-wide", "4-wide again", "4-wide", "8-wide", "8-wide again"]);
+    let stats = report.stats();
+    for (repeat, first) in [(1, 0), (2, 0), (4, 3)] {
+        assert_eq!(stats[repeat], stats[first], "job {repeat} shares job {first}'s stats");
+    }
+    assert_ne!(stats[0].cycles, stats[3].cycles, "the two machines differ");
+    assert!(report.summary.contains("[repeats] 2/2 jobs"), "{}", report.summary);
+    assert!(report.summary.contains("(shared=3)"), "{}", report.summary);
+    // A resumed first occurrence hands its repeats `Resumed` too.
+    let again = harness.run(&exp);
+    assert_eq!(again.resumed(), 5, "{}", again.summary);
+    assert!(again.summary.contains("(2 resumed)  (shared=3)"), "{}", again.summary);
+    assert_eq!(again.stats(), stats);
     fs::remove_dir_all(&root).ok();
 }
 

@@ -183,8 +183,23 @@ done
 # (to a file first: grep -q would close the pipe early and panic the binary)
 cargo run --release --quiet -p svf-experiments -- \
     --sweep "$smoke_dir/sweep.toml" --csv "$smoke_dir/crash" --out "$smoke_dir/crash-runs" \
-    --jobs 2 > "$smoke_dir/journal.out"
-grep -q 'resumed=8' "$smoke_dir/journal.out" \
+    --jobs 2 > "$smoke_dir/resume-all.out"
+grep -q 'resumed=8' "$smoke_dir/resume-all.out" \
     || { echo "crash-resume smoke: sink did not resume all 8 points" >&2; exit 1; }
 echo "crash-resume smoke: killed sweep resumed to byte-identical CSVs"
+# One-timing-plan smoke: `all --scale test` asks for 324 timing jobs
+# (Figures 5-9), but only 240 distinct (program, machine) results, so the
+# shared `timing` run directory must hold exactly 240 files. A second run
+# must resume every one of them and print byte-identical tables.
+cargo run --release --quiet -p svf-experiments -- all --scale test \
+    --out "$smoke_dir/all-runs" > "$smoke_dir/all.out" 2> "$smoke_dir/all.err"
+[ "$(ls "$smoke_dir/all-runs/timing" | wc -l)" -eq 240 ] \
+    || { echo "timing-plan smoke: expected 240 distinct results under timing/" >&2; exit 1; }
+cargo run --release --quiet -p svf-experiments -- all --scale test \
+    --out "$smoke_dir/all-runs" > "$smoke_dir/all-again.out" 2> "$smoke_dir/all-again.err"
+cmp "$smoke_dir/all.out" "$smoke_dir/all-again.out" \
+    || { echo "timing-plan smoke: resumed tables differ from the first run" >&2; exit 1; }
+grep -q '\[timing\] 240/240 jobs.*(240 resumed)  (shared=84)' "$smoke_dir/all-again.err" \
+    || { echo "timing-plan smoke: second run did not resume every job" >&2; exit 1; }
+echo "timing-plan smoke: 324 jobs stored 240 results, all resumed on the second run"
 cargo clippy --workspace --all-targets -- -D warnings

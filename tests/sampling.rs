@@ -197,7 +197,7 @@ fn seeded_sampling_is_deterministic_across_worker_counts_and_batching() {
 }
 
 /// A sweep spec's `[sampling]` section drives the whole sweep sampled, and
-/// the journaled/extrapolated committed counts stay exact.
+/// the stored/extrapolated committed counts stay exact.
 #[test]
 fn sweep_specs_compose_with_sampling() {
     let toml = "\
