@@ -1,10 +1,10 @@
 //! Hot-path benchmarks for the per-cycle simulator loop (PR 4).
 //!
 //! These cover the paths the flat-structure rewrite targets: whole-program
-//! pipeline simulation on the spill-heavy stack kernel (issue scheduler,
-//! alias table, watch ring), functional emulation (page-arena memory with
-//! the translation cache, record-free stepping), and a Figure 5-style sweep
-//! point. The `throughput` binary measures the same paths with wall-clock
+//! pipeline simulation on the spill-heavy stack kernel (dispatch-time issue
+//! reservation, alias table, §3.2 squash check), functional emulation
+//! (page-arena memory with the translation cache, record-free stepping),
+//! and a Figure 5-style sweep point. The `throughput` binary measures the same paths with wall-clock
 //! rates and JSON output; these benches make them visible to
 //! `cargo bench hotpath` alongside the rest of the suite.
 
@@ -14,8 +14,8 @@ use svf_cpu::{CpuConfig, Simulator, StackEngine};
 use svf_emu::Emulator;
 use svf_workloads::Scale;
 
-/// Baseline 16-wide pipeline over the stack kernel: exercises the ready
-/// list, the wakeup wheel, and the D-cache port model under port pressure.
+/// Baseline 16-wide pipeline over the stack kernel: exercises the issue
+/// reservation ring and the D-cache port model under port pressure.
 fn pipeline_baseline(c: &mut Criterion) {
     let program = stack_kernel();
     c.bench_function("hotpath/pipeline-16wide-stack-kernel", |b| {
@@ -27,7 +27,7 @@ fn pipeline_baseline(c: &mut Criterion) {
 }
 
 /// SVF-morphing pipeline over the stack kernel: exercises the alias table
-/// (sp/other split), morphed-load forwarding, and the §3.2 watch ring.
+/// (sp/other split), morphed-load forwarding, and the §3.2 squash events.
 fn pipeline_svf(c: &mut Criterion) {
     let program = stack_kernel();
     let mut cfg = CpuConfig::wide16().with_ports(2, 2);

@@ -71,7 +71,9 @@ const MAX_GSHARE_HISTORY_BITS: u64 = 24;
 enum Rule {
     /// Any value.
     Any,
-    /// At least one (widths, queue depths, unit counts).
+    /// At least one (widths, queue depths, unit counts, and the latencies
+    /// of results a consumer waits for: the pipeline models no
+    /// zero-latency unit).
     Positive,
     /// A power of two from the given floor up to [`MAX_STRUCTURE_BYTES`].
     Pow2(u64),
@@ -123,9 +125,9 @@ fn slot<'a>(cfg: &'a mut CpuConfig, field: &str) -> Option<Slot<'a>> {
         "int_mults" => Usize(&mut cfg.int_mults, Positive),
         "dl1_ports" => Usize(&mut cfg.dl1_ports, Positive),
         "stack_ports" => Usize(&mut cfg.stack_ports, Any),
-        "store_forward_latency" => U64(&mut cfg.store_forward_latency, Any),
-        "mul_latency" => U64(&mut cfg.mul_latency, Any),
-        "div_latency" => U64(&mut cfg.div_latency, Any),
+        "store_forward_latency" => U64(&mut cfg.store_forward_latency, Positive),
+        "mul_latency" => U64(&mut cfg.mul_latency, Positive),
+        "div_latency" => U64(&mut cfg.div_latency, Positive),
         "redirect_penalty" => U64(&mut cfg.redirect_penalty, Any),
         "squash_penalty" => U64(&mut cfg.squash_penalty, Any),
         "no_addr_calc_for_stack" => Bool(&mut cfg.no_addr_calc_for_stack),
@@ -138,7 +140,7 @@ fn slot<'a>(cfg: &'a mut CpuConfig, field: &str) -> Option<Slot<'a>> {
         "svf_no_squash" => Bool(&mut cfg.svf_no_squash),
         "stack_cache_bytes" => U64(&mut cfg.stack_cache.size_bytes, Pow2(1)),
         "stack_cache_line_bytes" => U64(&mut cfg.stack_cache.line_bytes, Pow2(8)),
-        "stack_cache_hit_latency" => U64(&mut cfg.stack_cache.hit_latency, Any),
+        "stack_cache_hit_latency" => U64(&mut cfg.stack_cache.hit_latency, Positive),
         "il1_bytes" => U64(&mut h.il1.size_bytes, Pow2(1)),
         "il1_assoc" => U32(&mut h.il1.assoc, Range(1, 16)),
         "il1_line_bytes" => U64(&mut h.il1.line_bytes, Pow2(8)),
@@ -146,7 +148,7 @@ fn slot<'a>(cfg: &'a mut CpuConfig, field: &str) -> Option<Slot<'a>> {
         "dl1_bytes" => U64(&mut h.dl1.size_bytes, Pow2(1)),
         "dl1_assoc" => U32(&mut h.dl1.assoc, Range(1, 16)),
         "dl1_line_bytes" => U64(&mut h.dl1.line_bytes, Pow2(8)),
-        "dl1_hit_latency" => U64(&mut h.dl1.hit_latency, Any),
+        "dl1_hit_latency" => U64(&mut h.dl1.hit_latency, Positive),
         "l2_bytes" => U64(&mut h.l2.size_bytes, Pow2(1)),
         "l2_assoc" => U32(&mut h.l2.assoc, Range(1, 16)),
         "l2_line_bytes" => U64(&mut h.l2.line_bytes, Pow2(8)),
@@ -189,8 +191,9 @@ pub fn get(cfg: &CpuConfig, field: &str) -> Option<Value> {
 /// Writes one field by name, checking the value on its own: type, enum
 /// spelling, and range (sizes and line sizes are powers of two up to
 /// 1 GiB, lines and the SVF at least 8 bytes, associativities 1–16,
-/// `gshare_history_bits` at most 24, widths, queues and unit counts at
-/// least 1). Cache geometry spans fields, so it is checked once per
+/// `gshare_history_bits` at most 24, widths, queues, unit counts and the
+/// DL1, stack-cache, forwarding, multiply and divide latencies at least 1).
+/// Cache geometry and stack ports span fields, so they are checked once per
 /// finished config instead: by [`Overlay::apply`](crate::Overlay::apply),
 /// [`from_toml`] and the sweep specs.
 ///
@@ -222,18 +225,27 @@ pub fn set(cfg: &mut CpuConfig, field: &str, value: &Value) -> Result<(), String
 /// The checks that span fields, run once on each finished config (after a
 /// whole overlay, TOML document or sweep point, so field order never
 /// matters): `ifq_size + width` must fit below the simulator's
-/// [`LOCKSTEP_WINDOW`], and every cache's `bytes / (assoc × line)` and the
-/// stack cache's `bytes / line` must be a non-zero power of two.
+/// [`LOCKSTEP_WINDOW`], an `svf` or `stack-cache` engine needs at least one
+/// stack port (its port-bound accesses would never issue), and every
+/// cache's `bytes / (assoc × line)` and the stack cache's `bytes / line`
+/// must be a non-zero power of two.
 ///
 /// # Errors
 ///
-/// Names the fields that overflow the window, or the structure whose
-/// geometry does not divide.
+/// Names the fields that overflow the window, the portless engine, or the
+/// structure whose geometry does not divide.
 pub(crate) fn validate(cfg: &CpuConfig) -> Result<(), String> {
     if cfg.ifq_size.saturating_add(cfg.width) >= LOCKSTEP_WINDOW {
         return Err(format!(
             "ifq_size {} + width {} must stay below the {LOCKSTEP_WINDOW}-record lockstep window",
             cfg.ifq_size, cfg.width
+        ));
+    }
+    let ported = matches!(cfg.stack_engine, StackEngine::Svf | StackEngine::StackCache);
+    if ported && cfg.stack_ports == 0 {
+        return Err(format!(
+            "stack_engine {} needs stack_ports of at least 1, got 0",
+            name_of(STACK_ENGINES, &cfg.stack_engine)
         ));
     }
     let h = &cfg.hierarchy;
@@ -396,6 +408,69 @@ mod tests {
         let mut cfg = CpuConfig::wide16();
         assert!(set(&mut cfg, "width", &int(0)).unwrap_err().contains("width"));
         set(&mut cfg, "stack_ports", &int(0)).expect("no stack ports is the baseline");
+    }
+
+    /// The error applying `overlay` to preset `base`. The pipeline models
+    /// no zero-latency unit, and a stack engine without ports never issues
+    /// its port-bound accesses, so each case below must fail here rather
+    /// than deadlock a run.
+    fn rejected(base: &str, overlay: &str) -> String {
+        let base = crate::registry::require_preset(base).expect("preset");
+        crate::Overlay::parse(overlay).expect("parses").apply(&base).expect_err(overlay)
+    }
+
+    #[test]
+    fn zero_mul_latency_is_rejected() {
+        assert_eq!(rejected("svf", "{mul_latency: 0}"), "mul_latency must be at least 1, got 0");
+    }
+
+    #[test]
+    fn zero_div_latency_is_rejected() {
+        assert_eq!(rejected("svf", "{div_latency: 0}"), "div_latency must be at least 1, got 0");
+    }
+
+    #[test]
+    fn zero_store_forward_latency_is_rejected() {
+        assert_eq!(
+            rejected("svf", "{store_forward_latency: 0}"),
+            "store_forward_latency must be at least 1, got 0"
+        );
+    }
+
+    #[test]
+    fn zero_dl1_hit_latency_is_rejected() {
+        assert_eq!(
+            rejected("svf", "{dl1_hit_latency: 0}"),
+            "dl1_hit_latency must be at least 1, got 0"
+        );
+    }
+
+    #[test]
+    fn zero_stack_cache_hit_latency_is_rejected() {
+        assert_eq!(
+            rejected("svf", "{stack_engine: stack-cache, stack_cache_hit_latency: 0}"),
+            "stack_cache_hit_latency must be at least 1, got 0"
+        );
+    }
+
+    #[test]
+    fn a_stack_engine_without_stack_ports_is_rejected() {
+        assert_eq!(
+            rejected("svf", "{stack_ports: 0}"),
+            "stack_engine svf needs stack_ports of at least 1, got 0"
+        );
+        assert_eq!(
+            rejected("stack-cache", "{stack_ports: 0}"),
+            "stack_engine stack-cache needs stack_ports of at least 1, got 0"
+        );
+        // Field order never matters: the engine is checked on the whole config.
+        assert_eq!(
+            rejected("base", "{stack_engine: svf}"),
+            "stack_engine svf needs stack_ports of at least 1, got 0"
+        );
+        for ok in ["{stack_engine: ideal}", "{stack_engine: none}"] {
+            crate::Overlay::parse(ok).unwrap().apply(&CpuConfig::wide16()).expect(ok);
+        }
     }
 
     /// Each field is in range on its own; only their sum overflows the

@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn then_composes_in_order() {
         let a = Overlay::parse("svf_bytes=4k").unwrap();
-        let b = Overlay::parse("svf_bytes=8k, stack_engine=svf").unwrap();
+        let b = Overlay::parse("svf_bytes=8k, stack_engine=svf, stack_ports=2").unwrap();
         let cfg = a.then(b).apply(&CpuConfig::wide16()).unwrap();
         assert_eq!(cfg.svf.capacity_bytes, 8192);
         assert_eq!(cfg.stack_engine, svf_cpu::StackEngine::Svf);
@@ -154,8 +154,8 @@ mod tests {
 
     #[test]
     fn engine_parameters_compose_in_either_order() {
-        let before = Overlay::parse("svf_bytes=2k, stack_engine=svf").unwrap();
-        let after = Overlay::parse("stack_engine=svf, svf_bytes=2k").unwrap();
+        let before = Overlay::parse("svf_bytes=2k, stack_engine=svf, stack_ports=1").unwrap();
+        let after = Overlay::parse("stack_ports=1, stack_engine=svf, svf_bytes=2k").unwrap();
         let base = CpuConfig::wide16();
         assert_eq!(before.apply(&base).unwrap(), after.apply(&base).unwrap());
     }

@@ -21,7 +21,8 @@ fn pow2(raw: u64, lo: u32, hi: u32) -> u64 {
 /// from their accepted spellings, bool fields fold to a bit, sizes and
 /// line sizes are powers of two chosen so that any combination of them
 /// divides into whole sets (caches 4 KB–16 MB, lines 8–256 B, 1–16 ways),
-/// and the remaining integers keep to the ranges `set` accepts.
+/// latencies and `stack_ports` are at least 1 (so every stack engine
+/// validates), and the remaining integers keep to the ranges `set` accepts.
 fn value_for(field: &str, raw: u64) -> Value {
     let int = match field {
         "predictor" => return Value::Str(PREDICTORS[(raw % 2) as usize].0.into()),
@@ -34,8 +35,9 @@ fn value_for(field: &str, raw: u64) -> Value {
         f if f.ends_with("_line_bytes") => pow2(raw, 3, 8),
         f if f.ends_with("_assoc") => pow2(raw, 0, 4),
         f if f.ends_with("_bytes") => pow2(raw, 12, 24),
-        f if f.ends_with("_latency") || f.ends_with("_penalty") => raw,
-        "stack_ports" => raw % 64,
+        f if f.ends_with("_latency") => raw.max(1),
+        f if f.ends_with("_penalty") => raw,
+        "stack_ports" => 1 + raw % 64,
         _ => 1 + raw % 256,
     };
     Value::Int(int)
@@ -75,7 +77,8 @@ proptest! {
         for (field, value) in &assigns {
             overlay = overlay.assign(field, value.clone());
         }
-        let base = CpuConfig::wide16();
+        // Stack ports on the base too, so a drawn engine never lacks them.
+        let base = CpuConfig::wide16().with_ports(2, 2);
         let once = overlay.apply(&base).expect("pool assignments apply");
         let twice = overlay.apply(&base).expect("pool assignments apply");
         prop_assert_eq!(&once, &twice, "application is deterministic");

@@ -66,7 +66,8 @@ pub(crate) const F_SP_UPDATE: u8 = 1 << 6;
 /// Non-immediate `$sp` writer: decode interlocks on it (§3.1).
 pub(crate) const F_SP_INTERLOCK: u8 = 1 << 7;
 
-/// The `Facts::flags` bits stored verbatim into `Slot::commit_flags`.
+/// The `Facts::flags` bits the pipeline stores verbatim in its commit-flags
+/// lane.
 pub(crate) const COMMIT_FLAG_MASK: u8 = F_MEM | F_STORE | F_SP_BASE | F_STACK | F_CONTROL;
 
 /// "No producer recorded" (same sentinel as the alias table's [`NO_SEQ`]).
@@ -675,16 +676,33 @@ mod tests {
         let p = kernel();
         let mut configs = config_set();
         configs.push(CpuConfig { width: 0, ..CpuConfig::wide4() });
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_lockstep_fanout(&configs, &p, u64::MAX, 4)
-        }));
-        let payload = caught.expect_err("a deadlocked pipeline must panic the caller");
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied())
-            .unwrap_or("");
+        let msg = deadlock_message(|| run_lockstep_fanout(&configs, &p, u64::MAX, 4));
         assert!(msg.contains("pipeline deadlock"), "unexpected panic payload: {msg:?}");
+    }
+
+    /// Runs `f`, which must panic, and returns the panic message.
+    fn deadlock_message<T>(f: impl FnOnce() -> T) -> String {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let payload = caught.err().expect("a deadlocked pipeline must panic the caller");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn an_entry_with_no_unit_of_its_class_never_issues() {
+        // An SVF with no ports (a machine the config space rejects, built
+        // in code): a morphed load that needs a port stays unissued. The
+        // issue reservation must give up on it rather than probe forever,
+        // so the run fails loudly through the deadlock assert.
+        let p = kernel();
+        let mut cfg = CpuConfig::wide16().with_ports(2, 0);
+        cfg.stack_engine = StackEngine::Svf;
+        let msg = deadlock_message(|| Simulator::new(cfg).run(&p, u64::MAX));
+        assert!(msg.contains("pipeline deadlock"), "unexpected panic payload: {msg:?}");
+        assert!(msg.contains(&format!("issue_at {}", u64::MAX)), "the head never issued: {msg}");
     }
 
     #[test]

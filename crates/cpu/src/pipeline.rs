@@ -14,25 +14,41 @@
 //! # Hot-path layout
 //!
 //! The per-cycle loop is written for mechanical sympathy; simulated
-//! behaviour is pinned bit-identical by `tests/golden_stats.rs` at the
-//! workspace root:
+//! behaviour is pinned bit-identical by `tests/golden_stats.rs` and
+//! `tests/pipeline_oracle.rs` at the workspace root:
 //!
 //! * Seq numbers are dense and monotone, so both machine queues are plain
 //!   integer ranges — `head_seq..ifq_head` is the RUU window and
-//!   `ifq_head..next_seq` the fetch queue — and all per-entry issue state
-//!   lives in flat ring buffers indexed by `seq & seq_mask` ([`Slot`] and
-//!   the squash-watch lists). No queue containers, no hashing.
+//!   `ifq_head..next_seq` the fetch queue — and all per-entry state lives
+//!   in flat ring lanes indexed by `seq & seq_mask`. No queue containers,
+//!   no hashing.
 //! * Dispatch runs off the precomputed [`Facts`] (decoded registers,
 //!   dependence chains, aliasing store chains, memory classification); the
 //!   wide `Retired` record is touched only for the rare `sp_update`
-//!   payload and to train a non-trivial predictor. Everything commit needs
-//!   is packed into the [`Slot`] at dispatch.
-//! * Readiness is one compare: `ready_at` is `UNISSUED` until issue and
-//!   the completion cycle after.
-//! * The issue stage scans only not-yet-issued entries (`ready`, kept in
-//!   age order by in-place compaction) instead of the whole window.
-//! * Per-cycle scratch (`scratch_squashes`, the watch lists) is hoisted
-//!   into reused buffers; steady-state cycles allocate nothing.
+//!   payload and to train a non-trivial predictor.
+//! * **Issue is reserved at dispatch.** The machine dispatches in program
+//!   order and issues oldest-first under width, FU and port limits, so
+//!   whether an instruction issues in a cycle depends only on the older
+//!   instructions issuing in that cycle. Every older instruction has
+//!   already fixed its issue cycle when a younger one dispatches, and
+//!   nothing younger can take a slot from an older one. Dispatch therefore
+//!   computes the exact issue cycle at once: the first cycle from
+//!   `max(now + 1, done cycle of every live producer and forwarding
+//!   store)` whose entry in a per-cycle reservation ring (used
+//!   `[width, ALU, mul/div, DL1 port, stack port]` counts) has a free
+//!   issue slot and a free unit of the instruction's class. `ready_at`
+//!   (issue + latency) is final from then on. An instruction whose class
+//!   has no units stays [`UNISSUED`] and trips the deadlock assert.
+//! * The issue stage only applies the events due this cycle, which
+//!   dispatch registered in the ring: the §3.2 squashes of morphed loads
+//!   whose reserved issue precedes that of the unmorphed store they
+//!   alias. A mispredicted branch's fetch unblock is charged at its
+//!   dispatch: fetch cannot run between that dispatch and the branch's
+//!   issue, so only the order-free `max` into `fetch_resume_at` remains.
+//! * Readiness is one compare: `ready_at <= now` (`UNISSUED` is
+//!   `u64::MAX`). A reserved issue cycle is always after `now`, so an
+//!   entry counts as done exactly when an oldest-first per-cycle issue scan
+//!   would have issued and completed it.
 
 use svf::StackValueFile;
 use svf_isa::Program;
@@ -47,178 +63,55 @@ use crate::lockstep::{
 use crate::predictor::Predictor;
 use crate::stats::SimStats;
 
-/// How an instruction executes (which resources and latency it needs).
-/// Discriminants are fixed: the value is packed into three bits of a
-/// [`SlotLanes`] meta byte and decoded through [`KIND_DECODE`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ExecKind {
-    /// Single-cycle integer op, branch, or system op (ALU pool).
-    Alu = 0,
-    /// Multiply (multiplier pool).
-    Mul = 1,
-    /// Divide/remainder (multiplier pool, long latency).
-    Div = 2,
-    /// Load through the data L1 (D-cache port).
-    LoadDl1 = 3,
-    /// Store through the data L1 (D-cache port).
-    StoreDl1 = 4,
-    /// Load serviced by the stack engine (SVF/stack-cache port).
-    LoadStack = 5,
-    /// Store serviced by the stack engine (SVF/stack-cache port).
-    StoreStack = 6,
-    /// Morphed SVF access in the ideal (infinite-port) engine: no port.
-    Free = 7,
-}
-
-/// Three-bit meta-field value back to the enum (index = discriminant).
-const KIND_DECODE: [ExecKind; 8] = [
-    ExecKind::Alu,
-    ExecKind::Mul,
-    ExecKind::Div,
-    ExecKind::LoadDl1,
-    ExecKind::StoreDl1,
-    ExecKind::LoadStack,
-    ExecKind::StoreStack,
-    ExecKind::Free,
-];
-
-/// Issue-critical state of one in-flight entry, assembled by dispatch
-/// ([`Pipeline::build_slot`]) and then scattered into the per-field lanes
-/// of [`SlotLanes`]. Everything the per-cycle issue scan reads is here —
-/// and so is the little that commit needs (`commit_flags`), so neither
-/// the wide record nor the shared facts are touched after dispatch.
+/// The unit class an instruction occupies in its issue cycle. The
+/// discriminant is the class's counter in [`CycleSlots::used`], after the
+/// [`WIDTH`] counter of issue slots.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
-    /// Cycle the entry's result is available: [`UNISSUED`] until issue,
-    /// then `issue_cycle + latency`. Committed seqs are never consulted
-    /// (the `seq < head_seq` fast path in [`Pipeline::entry_ready`] answers
-    /// first).
-    ready_at: u64,
-    /// Producer seqs this entry waits for (register + memory dependences);
-    /// no instruction reads more than two registers.
-    deps: [u64; 2],
-    /// If the youngest aliasing in-flight store should *forward* (register
-    /// or LSQ forwarding), its seq; [`NO_PRODUCER`] if none.
-    forward_from: u64,
-    /// Base latency once issued.
+enum Unit {
+    /// Integer ops, branches and system ops (ALU pool).
+    Alu = 1,
+    /// Multiply and divide/remainder (multiplier pool).
+    MulDiv = 2,
+    /// Loads and stores through the data L1 (D-cache port).
+    Dl1Port = 3,
+    /// Loads and stores serviced by the stack engine (SVF/stack-cache port).
+    StackPort = 4,
+    /// Morphed SVF accesses that need no port (register-file forwarding,
+    /// morphed stores, the ideal engine): its capacity is unbounded, so
+    /// only the issue slot limits it.
+    Free = 5,
+}
+
+/// Reservation-ring counter of issue slots (the machine width).
+const WIDTH: usize = 0;
+
+/// One future cycle's entry in the reservation ring.
+#[derive(Debug, Clone, Copy, Default)]
+struct CycleSlots {
+    /// Issues reserved in this cycle per counter: [`WIDTH`], then each
+    /// [`Unit`].
+    used: [u32; 6],
+    /// §3.2 collision squashes due in this cycle's issue stage.
+    squashes: u32,
+}
+
+/// What dispatch works out for an instruction before reserving its issue
+/// cycle ([`Pipeline::plan`]).
+struct Plan {
+    unit: Unit,
+    /// Cycles from issue to result.
     latency: u64,
-    /// Memoized cycle at which every producer is complete, or
-    /// [`ELIGIBLE_UNKNOWN`] while some producer has not issued yet.
-    /// Producer completion times are fixed at their issue and committed
-    /// producers are complete by definition, so once computed this never
-    /// changes — resource-blocked entries recheck with one compare instead
-    /// of re-walking their dependences every cycle.
-    eligible_at: u64,
-    ndeps: u8,
-    kind: ExecKind,
-    /// A store going through a real queue entry (not morphed): issuing it
-    /// may reveal §3.2 collisions with already-issued morphed loads.
-    unmorphed_store: bool,
-    /// Commit-time facts (the low [`Facts`] flag bits, see
-    /// [`COMMIT_FLAG_MASK`]) so commit never re-derives them.
-    commit_flags: u8,
+    /// Done cycle of the last live producer (register, memory or SVF-slot
+    /// dependence); `0` with none, [`UNISSUED`] if one never issues.
+    operands_at: u64,
+    /// The unmorphed store a morphed load must be squashed by if the load
+    /// issues first (§3.2); [`NO_PRODUCER`] if none.
+    watched_store: u64,
 }
 
-/// `ready_at` value of a dispatched-but-not-issued entry.
+/// `ready_at` and `issue_at` value of an entry that never issues (its
+/// class has no units, or a producer never issues).
 const UNISSUED: u64 = u64::MAX;
-
-/// `eligible_at` value while some producer is still unissued.
-const ELIGIBLE_UNKNOWN: u64 = u64::MAX;
-
-/// [`SlotLanes`] meta-byte layout: [`ExecKind`] discriminant.
-const META_KIND_MASK: u8 = 0b0000_0111;
-/// Meta-byte layout: `ndeps` (two bits, values 0–2).
-const META_NDEPS_SHIFT: u8 = 3;
-const META_NDEPS_MASK: u8 = 0b0001_1000;
-/// Meta-byte layout: the `unmorphed_store` flag.
-const META_UNMORPHED_STORE: u8 = 0b0010_0000;
-
-/// The in-flight entries' [`Slot`] fields as structure-of-arrays lanes,
-/// ring-indexed by `seq & seq_mask`. Each per-cycle stage streams over
-/// only the lanes it touches — commit reads `ready_at` + `commit_flags`
-/// (9 contiguous bytes per entry instead of a 64-byte struct stride), the
-/// issue scan reads `meta`/`eligible_at`/`latency` and writes `ready_at`,
-/// wakeup walks `eligible_at` alone — which keeps each lane dense in
-/// cache while N sibling pipelines advance on other cores over the same
-/// shared window.
-///
-/// The rarely-read small fields (`kind`, `ndeps`, `unmorphed_store`) pack
-/// into one meta byte rather than three one-byte lanes: they are always
-/// read together on the paths that need them.
-#[derive(Debug)]
-struct SlotLanes {
-    /// [`Slot::ready_at`] lane.
-    ready_at: Box<[u64]>,
-    /// [`Slot::eligible_at`] lane.
-    eligible_at: Box<[u64]>,
-    /// [`Slot::forward_from`] lane.
-    forward_from: Box<[u64]>,
-    /// [`Slot::latency`] lane.
-    latency: Box<[u64]>,
-    /// First and second producer seqs ([`Slot::deps`], split per index).
-    dep0: Box<[u64]>,
-    dep1: Box<[u64]>,
-    /// Packed `kind` | `ndeps` | `unmorphed_store` (see the `META_*`
-    /// constants).
-    meta: Box<[u8]>,
-    /// [`Slot::commit_flags`] lane.
-    commit_flags: Box<[u8]>,
-}
-
-impl SlotLanes {
-    fn new(ring: usize) -> SlotLanes {
-        SlotLanes {
-            ready_at: vec![UNISSUED; ring].into_boxed_slice(),
-            eligible_at: vec![ELIGIBLE_UNKNOWN; ring].into_boxed_slice(),
-            forward_from: vec![NO_PRODUCER; ring].into_boxed_slice(),
-            latency: vec![0; ring].into_boxed_slice(),
-            dep0: vec![0; ring].into_boxed_slice(),
-            dep1: vec![0; ring].into_boxed_slice(),
-            meta: vec![0; ring].into_boxed_slice(),
-            commit_flags: vec![0; ring].into_boxed_slice(),
-        }
-    }
-
-    /// Scatters a freshly built slot across the lanes (dispatch only).
-    #[inline]
-    fn set(&mut self, i: usize, s: Slot) {
-        self.ready_at[i] = s.ready_at;
-        self.eligible_at[i] = s.eligible_at;
-        self.forward_from[i] = s.forward_from;
-        self.latency[i] = s.latency;
-        self.dep0[i] = s.deps[0];
-        self.dep1[i] = s.deps[1];
-        self.meta[i] = (s.kind as u8)
-            | (s.ndeps << META_NDEPS_SHIFT)
-            | if s.unmorphed_store { META_UNMORPHED_STORE } else { 0 };
-        self.commit_flags[i] = s.commit_flags;
-    }
-
-    #[inline]
-    fn kind(&self, i: usize) -> ExecKind {
-        KIND_DECODE[(self.meta[i] & META_KIND_MASK) as usize]
-    }
-
-    #[inline]
-    fn ndeps(&self, i: usize) -> usize {
-        ((self.meta[i] & META_NDEPS_MASK) >> META_NDEPS_SHIFT) as usize
-    }
-
-    #[inline]
-    fn unmorphed_store(&self, i: usize) -> bool {
-        self.meta[i] & META_UNMORPHED_STORE != 0
-    }
-
-    /// Producer seq `k` (`k < ndeps(i)`).
-    #[inline]
-    fn dep(&self, i: usize, k: usize) -> u64 {
-        if k == 0 {
-            self.dep0[i]
-        } else {
-            self.dep1[i]
-        }
-    }
-}
 
 /// The cycle-level simulator. Construct with a [`CpuConfig`] and call
 /// [`Simulator::run`]. To sweep several configurations over one shared
@@ -322,39 +215,31 @@ pub(crate) struct Pipeline<'a> {
     /// is the RUU window and `ifq_head..next_seq` the fetch queue —
     /// neither needs a container.
     ifq_head: u64,
-    /// Hot per-entry issue state as per-field lanes, ring-indexed by
-    /// `seq & seq_mask`.
-    slots: SlotLanes,
-    /// Store seq → morphed loads that issued early against it (§3.2), ring-
-    /// indexed by `seq & seq_mask`; each list's capacity is reused forever.
-    watch: Box<[Vec<u64>]>,
+    /// Per-entry lanes, ring-indexed by `seq & seq_mask`: the cycle the
+    /// result is available (`issue_at + latency`, fixed at dispatch) ...
+    ready_at: Box<[u64]>,
+    /// ... the reserved issue cycle (read when a younger morphed load
+    /// checks a store for a §3.2 collision) ...
+    issue_at: Box<[u64]>,
+    /// ... and the commit-time facts (the low [`Facts`] flag bits, see
+    /// [`COMMIT_FLAG_MASK`]), so commit never re-derives them.
+    commit_flags: Box<[u8]>,
     /// Ring mask: `capacity - 1`, capacity the RUU window rounded up to a
     /// power of two (so no two in-flight seqs alias).
     seq_mask: u64,
-    /// Event-driven issue scheduler: unissued seqs whose producers are all
-    /// complete as of `now`, in age order. Only these are scanned each
-    /// cycle — dep-blocked entries sit in `waiters`/`wheel` instead.
-    ready: Vec<u64>,
-    /// Count of `ready` entries per [`ExecKind`] (index `kind as usize`):
-    /// lets the issue scan stop as soon as no remaining entry's resource
-    /// class has free units.
-    ready_kinds: [usize; 8],
-    /// Wakeup wheel: `wheel[t % len]` holds seqs whose `eligible_at == t`;
-    /// drained when `now` reaches `t`. Length is a power of two larger
-    /// than any producer latency (grown on demand).
-    wheel: Vec<Vec<u64>>,
-    /// Producer seq → consumers waiting for it to *issue* (only then is
-    /// their eligibility cycle computable), ring-indexed like `slots`.
-    waiters: Box<[Vec<u64>]>,
-    /// Reused merge buffer for wheel wakeups.
-    scratch: Vec<u64>,
-    /// Reused per-cycle squash-victim list.
-    scratch_squashes: Vec<u64>,
+    /// Issue reservations by cycle: `ring[t & (len - 1)]` covers cycle `t`
+    /// for `now < t < now + len`. The length is a power of two, doubled on
+    /// demand when dispatch reserves further ahead.
+    ring: Vec<CycleSlots>,
+    /// Capacity per reservation counter: the width, then ALUs, multipliers,
+    /// DL1 ports, stack ports, and unbounded for [`Unit::Free`].
+    caps: [u32; 6],
     lsq_count: usize,
 
     /// Fetch may not run again before this cycle (mispredict/squash/I-miss).
     fetch_resume_at: u64,
-    /// Fetch is waiting for this branch to resolve.
+    /// Fetch is waiting for this mispredicted branch to dispatch; its
+    /// resolution then moves into `fetch_resume_at`.
     fetch_blocked_on: Option<u64>,
     /// Decode is interlocked on this non-immediate `$sp` writer.
     decode_block_on: Option<u64>,
@@ -389,11 +274,13 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Builds a pipeline around pre-warmed long-lived structures. The
-    /// transient machine state (queues, scheduler, cycle counter, stats)
+    /// transient machine state (queues, issue reservations, cycle counter,
+    /// stats)
     /// starts empty; sampled simulation uses this to begin each measured
     /// interval with warm caches/predictor but a cold pipeline.
     pub(crate) fn from_state(cfg: &'a CpuConfig, state: EngineState) -> Pipeline<'a> {
-        let ring = cfg.ruu_size.next_power_of_two().max(1);
+        let lanes = cfg.ruu_size.next_power_of_two().max(1);
+        let cap = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         Pipeline {
             cfg,
             hier: state.hier,
@@ -405,15 +292,19 @@ impl<'a> Pipeline<'a> {
             next_seq: 0,
             head_seq: 0,
             ifq_head: 0,
-            slots: SlotLanes::new(ring),
-            watch: vec![Vec::new(); ring].into_boxed_slice(),
-            seq_mask: ring as u64 - 1,
-            ready: Vec::with_capacity(cfg.ruu_size),
-            ready_kinds: [0; 8],
-            wheel: vec![Vec::new(); 128],
-            waiters: vec![Vec::new(); ring].into_boxed_slice(),
-            scratch: Vec::with_capacity(cfg.ruu_size),
-            scratch_squashes: Vec::new(),
+            ready_at: vec![UNISSUED; lanes].into_boxed_slice(),
+            issue_at: vec![UNISSUED; lanes].into_boxed_slice(),
+            commit_flags: vec![0; lanes].into_boxed_slice(),
+            seq_mask: lanes as u64 - 1,
+            ring: vec![CycleSlots::default(); 128],
+            caps: [
+                cap(cfg.width),
+                cap(cfg.int_alus),
+                cap(cfg.int_mults),
+                cap(cfg.dl1_ports),
+                cap(cfg.stack_ports),
+                u32::MAX,
+            ],
             lsq_count: 0,
             fetch_resume_at: 0,
             fetch_blocked_on: None,
@@ -462,9 +353,9 @@ impl<'a> Pipeline<'a> {
     }
 
     /// Oldest record this pipeline may still read: dispatch consumes at
-    /// `ifq_head` and everything older lives on only in [`Slot`]s. The
-    /// lockstep driver uses the minimum across pipelines as the window's
-    /// retention point.
+    /// `ifq_head` and everything older lives on only in the per-entry
+    /// lanes. The lockstep driver uses the minimum across pipelines as the
+    /// window's retention point.
     pub(crate) fn ifq_head(&self) -> u64 {
         self.ifq_head
     }
@@ -511,8 +402,7 @@ impl<'a> Pipeline<'a> {
                 self.head_seq,
                 (self.head_seq < self.ifq_head).then(|| {
                     let i = (self.head_seq & self.seq_mask) as usize;
-                    let s = &self.slots;
-                    (s.kind(i), s.ready_at[i], [s.dep0[i], s.dep1[i]], s.ndeps(i))
+                    format!("issue_at {}, ready_at {}", self.issue_at[i], self.ready_at[i])
                 })
             );
         }
@@ -560,21 +450,13 @@ impl<'a> Pipeline<'a> {
             let sidx = (self.head_seq & self.seq_mask) as usize;
             // `UNISSUED` is `u64::MAX`, so one compare covers both "not
             // issued" and "not done yet".
-            if self.slots.ready_at[sidx] > self.now {
+            if self.ready_at[sidx] > self.now {
                 break;
             }
             // Everything below runs off the `commit_flags` distilled at
             // dispatch; the wide `Retired` record is long gone.
-            let cf = self.slots.commit_flags[sidx];
+            let cf = self.commit_flags[sidx];
             self.lsq_count -= usize::from(cf & F_MEM != 0);
-            if cf & F_STORE != 0 {
-                // Drop any §3.2 watches parked on us (only stores collect
-                // them).
-                self.watch[sidx].clear();
-            } else {
-                debug_assert!(self.watch[sidx].is_empty(), "watches on a non-store");
-            }
-            debug_assert!(self.waiters[sidx].is_empty(), "committed with waiters attached");
             self.stats.committed += 1;
             self.stats.mem_refs += u64::from(cf & F_MEM != 0);
             self.stats.stack_refs += u64::from(cf & F_STACK != 0);
@@ -593,239 +475,66 @@ impl<'a> Pipeline<'a> {
 
     // ---- issue / execute ----
 
-    #[inline]
-    fn entry_ready(&self, seq: u64) -> bool {
-        // Committed seqs are complete; in-flight seqs answer from their
-        // ring slot (producers are always dispatched before consumers, so
-        // the slot is live).
-        seq < self.head_seq || {
-            debug_assert!(seq < self.ifq_head, "querying a not-yet-dispatched seq");
-            self.slots.ready_at[(seq & self.seq_mask) as usize] <= self.now
-        }
-    }
-
-    /// Completion cycle of a producer: `0` if committed (complete at or
-    /// before any cycle a consumer can ask about), [`UNISSUED`] if still
-    /// waiting to issue, otherwise its fixed done cycle.
-    #[inline]
-    fn producer_done(&self, seq: u64) -> u64 {
-        if seq < self.head_seq {
-            0
-        } else {
-            self.slots.ready_at[(seq & self.seq_mask) as usize]
-        }
-    }
-
+    /// Applies the events dispatch registered for this cycle, then frees
+    /// its ring entry for cycle `now + ring.len()`. Issue itself was
+    /// decided at dispatch ([`Pipeline::reserve`]).
     fn issue(&mut self) {
-        let now = self.now;
-        // Wake entries whose eligibility cycle has arrived. Wakeups can be
-        // any age, so merge them (sorted) into the age-ordered ready list.
-        let widx = (now & (self.wheel.len() as u64 - 1)) as usize;
-        if !self.wheel[widx].is_empty() {
-            let mut bucket = std::mem::take(&mut self.wheel[widx]);
-            bucket.sort_unstable();
-            // Merge and count per-kind readiness in the same pass over the
-            // woken entries.
-            self.scratch.clear();
-            let (mut a, mut b) = (0, 0);
-            while a < self.ready.len() && b < bucket.len() {
-                if self.ready[a] < bucket[b] {
-                    self.scratch.push(self.ready[a]);
-                    a += 1;
-                } else {
-                    let s = bucket[b];
-                    debug_assert_eq!(self.slots.eligible_at[(s & self.seq_mask) as usize], now);
-                    self.ready_kinds[self.slots.kind((s & self.seq_mask) as usize) as usize] += 1;
-                    self.scratch.push(s);
-                    b += 1;
-                }
-            }
-            self.scratch.extend_from_slice(&self.ready[a..]);
-            for &s in &bucket[b..] {
-                debug_assert_eq!(self.slots.eligible_at[(s & self.seq_mask) as usize], now);
-                self.ready_kinds[self.slots.kind((s & self.seq_mask) as usize) as usize] += 1;
-                self.scratch.push(s);
-            }
-            std::mem::swap(&mut self.ready, &mut self.scratch);
-            bucket.clear();
-            self.wheel[widx] = bucket; // keep the bucket's capacity
-        }
-        if self.ready.is_empty() {
-            return; // nothing can issue; squashes/wakeups only follow issues
-        }
-
-        let mut issue_slots = self.cfg.width;
-        let mut alu = self.cfg.int_alus;
-        let mut mult = self.cfg.int_mults;
-        let mut dl1_ports = self.cfg.dl1_ports;
-        let mut stack_ports = self.cfg.stack_ports;
-        let head = self.head_seq;
-
-        self.scratch_squashes.clear();
-        // Oldest-first over *ready* entries only, compacting survivors in
-        // place. `remaining` counts the not-yet-visited entries per kind so
-        // the scan can stop once no visitable entry has a free unit — the
-        // issue order and resource consumption match a full-window scan.
-        let mut ready = std::mem::take(&mut self.ready);
-        let mut remaining = self.ready_kinds;
-        let mut kept = 0;
-        let mut i = 0;
-        while i < ready.len() {
-            if issue_slots == 0
-                || !(remaining[ExecKind::Free as usize] > 0
-                    || (alu > 0 && remaining[ExecKind::Alu as usize] > 0)
-                    || (mult > 0
-                        && remaining[ExecKind::Mul as usize]
-                            + remaining[ExecKind::Div as usize]
-                            > 0)
-                    || (dl1_ports > 0
-                        && remaining[ExecKind::LoadDl1 as usize]
-                            + remaining[ExecKind::StoreDl1 as usize]
-                            > 0)
-                    || (stack_ports > 0
-                        && remaining[ExecKind::LoadStack as usize]
-                            + remaining[ExecKind::StoreStack as usize]
-                            > 0))
-            {
-                break;
-            }
-            let seq = ready[i];
-            i += 1;
-            let sidx = (seq & self.seq_mask) as usize;
-            let kind = self.slots.kind(sidx);
-            debug_assert_eq!(self.slots.ready_at[sidx], UNISSUED);
-            debug_assert!(self.slots.eligible_at[sidx] <= now);
-            remaining[kind as usize] -= 1;
-            let have_resource = match kind {
-                ExecKind::Alu => alu > 0,
-                ExecKind::Mul | ExecKind::Div => mult > 0,
-                ExecKind::LoadDl1 | ExecKind::StoreDl1 => dl1_ports > 0,
-                ExecKind::LoadStack | ExecKind::StoreStack => stack_ports > 0,
-                ExecKind::Free => true,
-            };
-            if !have_resource {
-                ready[kept] = seq;
-                kept += 1;
-                continue;
-            }
-            // Consume resources and issue.
-            match kind {
-                ExecKind::Alu => alu -= 1,
-                ExecKind::Mul | ExecKind::Div => mult -= 1,
-                ExecKind::LoadDl1 | ExecKind::StoreDl1 => dl1_ports -= 1,
-                ExecKind::LoadStack | ExecKind::StoreStack => stack_ports -= 1,
-                ExecKind::Free => {}
-            }
-            issue_slots -= 1;
-            self.ready_kinds[kind as usize] -= 1;
-            let done = now + self.slots.latency[sidx];
-            self.slots.ready_at[sidx] = done;
-            // Our completion cycle is now fixed: consumers blocked on us
-            // can compute (or keep chasing) their eligibility.
-            if !self.waiters[sidx].is_empty() {
-                let mut ws = std::mem::take(&mut self.waiters[sidx]);
-                for &w in &ws {
-                    self.schedule(w);
-                }
-                ws.clear();
-                self.waiters[sidx] = ws; // keep the list's capacity
-            }
-            if self.slots.unmorphed_store(sidx) && !self.watch[sidx].is_empty() {
-                // A non-sp store issuing late may reveal §3.2 collisions
-                // with morphed loads that already issued.
-                let mut victims = std::mem::take(&mut self.watch[sidx]);
-                for &v in &victims {
-                    if v >= head
-                        && v < self.ifq_head
-                        && self.slots.ready_at[(v & self.seq_mask) as usize] != UNISSUED
-                    {
-                        self.scratch_squashes.push(v);
-                    }
-                }
-                victims.clear();
-                self.watch[sidx] = victims; // keep the list's capacity
-            }
-            // Resolve a fetch block waiting on this branch.
-            if self.fetch_blocked_on == Some(seq) {
-                self.fetch_blocked_on = None;
-                let resume = done + self.cfg.redirect_penalty;
-                self.fetch_resume_at = self.fetch_resume_at.max(resume);
-            }
-        }
-        // Width or resources exhausted: the rest stays ready — one memmove,
-        // skipped entirely when nothing ahead of the tail issued.
-        let tail = ready.len() - i;
-        if kept != i {
-            ready.copy_within(i.., kept);
-        }
-        ready.truncate(kept + tail);
-        // `schedule` during the scan only targets future cycles (a producer
-        // finishing at `now + latency` can't ready anyone *this* cycle), so
-        // nothing was pushed onto the (taken) ready list behind our back.
-        debug_assert!(self.ready.is_empty());
-        self.ready = ready;
-        for _victim in &self.scratch_squashes {
-            self.stats.svf_squashes += 1;
-            self.fetch_resume_at = self.fetch_resume_at.max(now + self.cfg.squash_penalty);
+        let slot = self.cycle(self.now);
+        let squashes = slot.squashes;
+        *slot = CycleSlots::default();
+        if squashes != 0 {
+            self.stats.svf_squashes += u64::from(squashes);
+            self.fetch_resume_at = self.fetch_resume_at.max(self.now + self.cfg.squash_penalty);
         }
     }
 
-    /// Routes an unissued entry to the right scheduler structure: onto an
-    /// unissued producer's waiter list, into the wakeup wheel for a future
-    /// eligibility cycle, or straight into the ready list.
-    fn schedule(&mut self, seq: u64) {
-        let sidx = (seq & self.seq_mask) as usize;
-        let mut t = 0u64;
-        for k in 0..self.slots.ndeps(sidx) {
-            let d = self.slots.dep(sidx, k);
-            let done = self.producer_done(d);
-            if done == UNISSUED {
-                self.waiters[(d & self.seq_mask) as usize].push(seq);
-                return;
-            }
-            t = t.max(done);
+    /// Reserves the first cycle from `from` with a free issue slot and a
+    /// free `unit`, and returns it; [`UNISSUED`] if `from`
+    /// is (a producer never issues) or the class or the width has no units
+    /// at all. Every older instruction has already reserved its cycle, so
+    /// the answer is exactly the cycle an oldest-first per-cycle issue scan
+    /// would pick.
+    fn reserve(&mut self, from: u64, unit: Unit) -> u64 {
+        let unit = unit as usize;
+        if from == UNISSUED || self.caps[WIDTH] == 0 || self.caps[unit] == 0 {
+            return UNISSUED;
         }
-        let forward_from = self.slots.forward_from[sidx];
-        if forward_from != NO_PRODUCER {
-            let done = self.producer_done(forward_from);
-            if done == UNISSUED {
-                self.waiters[(forward_from & self.seq_mask) as usize].push(seq);
-                return;
+        let mut t = from;
+        loop {
+            if t - self.now >= self.ring.len() as u64 {
+                self.grow_ring(t - self.now);
             }
-            t = t.max(done);
-        }
-        self.slots.eligible_at[sidx] = t;
-        if t <= self.now {
-            // Only reachable from dispatch (producers all complete): `seq`
-            // is the youngest in flight, so pushing keeps the age order.
-            debug_assert!(self.ready.last().is_none_or(|&r| r < seq));
-            self.ready.push(seq);
-            self.ready_kinds[self.slots.kind(sidx) as usize] += 1;
-        } else {
-            let delta = t - self.now;
-            if delta >= self.wheel.len() as u64 {
-                self.grow_wheel(delta);
+            let caps = self.caps;
+            let used = &mut self.cycle(t).used;
+            if used[WIDTH] < caps[WIDTH] && used[unit] < caps[unit] {
+                used[WIDTH] += 1;
+                used[unit] += 1;
+                return t;
             }
-            let widx = (t & (self.wheel.len() as u64 - 1)) as usize;
-            self.wheel[widx].push(seq);
+            t += 1;
         }
     }
 
-    /// Doubles the wheel until `delta` cycles ahead fit, re-bucketing the
-    /// queued entries by their stored eligibility cycle.
-    fn grow_wheel(&mut self, delta: u64) {
-        let mut len = self.wheel.len();
-        while delta >= len as u64 {
+    /// The reservation-ring entry of cycle `t` (`now <= t < now + len`).
+    #[inline]
+    fn cycle(&mut self, t: u64) -> &mut CycleSlots {
+        let mask = self.ring.len() as u64 - 1;
+        &mut self.ring[(t & mask) as usize]
+    }
+
+    /// Doubles the reservation ring until `delta` cycles ahead fit, moving
+    /// each live cycle (`now + 1 ..`) to its slot in the larger ring.
+    fn grow_ring(&mut self, delta: u64) {
+        let old_len = self.ring.len() as u64;
+        let mut len = old_len;
+        while delta >= len {
             len *= 2;
         }
-        let old = std::mem::replace(&mut self.wheel, vec![Vec::new(); len]);
-        for bucket in old {
-            for seq in bucket {
-                let t = self.slots.eligible_at[(seq & self.seq_mask) as usize];
-                debug_assert!(t > self.now && t - self.now < len as u64);
-                self.wheel[(t & (len as u64 - 1)) as usize].push(seq);
-            }
+        let mut ring = vec![CycleSlots::default(); len as usize];
+        for t in self.now + 1..self.now + old_len {
+            ring[(t & (len - 1)) as usize] = self.ring[(t & (old_len - 1)) as usize];
         }
+        self.ring = ring;
     }
 
     // ---- dispatch (decode + rename + stack-engine steering) ----
@@ -838,7 +547,9 @@ impl<'a> Pipeline<'a> {
             // $sp interlock (§3.1): a non-immediate $sp writer blocks decode
             // until it completes.
             if let Some(block) = self.decode_block_on {
-                if self.entry_ready(block) {
+                if block < self.head_seq
+                    || self.ready_at[(block & self.seq_mask) as usize] <= self.now
+                {
                     self.decode_block_on = None;
                 } else {
                     self.stats.sp_interlock_stalls += 1;
@@ -856,25 +567,41 @@ impl<'a> Pipeline<'a> {
             }
             let seq = self.ifq_head;
             self.ifq_head += 1;
-            let slot = self.build_slot(seq, f, win);
+            let plan = self.plan(seq, f, win);
             self.lsq_count += usize::from(f.flags & F_MEM != 0);
             if f.flags & F_SP_INTERLOCK != 0 {
                 self.decode_block_on = Some(seq);
             }
+            let issue = self.reserve(plan.operands_at.max(self.now + 1), plan.unit);
+            let done = if issue == UNISSUED { UNISSUED } else { issue + plan.latency };
             let sidx = (seq & self.seq_mask) as usize;
-            debug_assert!(self.watch[sidx].is_empty(), "watch ring slot was recycled dirty");
-            debug_assert!(self.waiters[sidx].is_empty(), "waiter ring slot was recycled dirty");
-            self.slots.set(sidx, slot);
-            self.schedule(seq);
+            self.ready_at[sidx] = done;
+            self.issue_at[sidx] = issue;
+            self.commit_flags[sidx] = f.flags & COMMIT_FLAG_MASK;
+            if plan.watched_store != NO_PRODUCER {
+                // §3.2: if the older store issues after this morphed load,
+                // the collision shows in the store's issue cycle.
+                let store_issue = self.issue_at[(plan.watched_store & self.seq_mask) as usize];
+                if issue < store_issue && store_issue != UNISSUED {
+                    self.cycle(store_issue).squashes += 1;
+                }
+            }
+            // A mispredicted branch resolves at its done cycle. Fetch is
+            // blocked until then either way, so the redirect is charged now.
+            if self.fetch_blocked_on == Some(seq) && done != UNISSUED {
+                self.fetch_blocked_on = None;
+                self.fetch_resume_at =
+                    self.fetch_resume_at.max(done + self.cfg.redirect_penalty);
+            }
         }
     }
 
-    /// Builds the hot-path slot for a dispatching instruction: classifies
-    /// the execution kind, steers memory references to the right structure,
-    /// computes latencies and collects dependences — all off the shared
+    /// Plans a dispatching instruction: picks the unit class it issues to,
+    /// steers memory references to the right structure, computes latencies
+    /// and the done cycle of its last producer — all off the shared
     /// [`Facts`].
     #[allow(clippy::too_many_lines)]
-    fn build_slot(&mut self, seq: u64, f: &Facts, win: &Window) -> Slot {
+    fn plan(&mut self, seq: u64, f: &Facts, win: &Window) -> Plan {
         // Speculative $sp tracking (§3.1): immediate adjustments update the
         // stack engine in decode, in program order. The payload lives in
         // the wide record (rare enough not to bloat the facts).
@@ -885,9 +612,9 @@ impl<'a> Pipeline<'a> {
             }
         }
 
-        let mut morphed = false;
         let mut forward_from = None;
-        let mut kind;
+        let mut watched_store = NO_PRODUCER;
+        let mut unit;
         let mut latency;
         let mut drop_sp_dep = false;
 
@@ -935,10 +662,10 @@ impl<'a> Pipeline<'a> {
                 Route::Dl1 => {
                     let lat = self.hier.data_access(addr, is_store);
                     if is_store {
-                        kind = ExecKind::StoreDl1;
+                        unit = Unit::Dl1Port;
                         latency = 1;
                     } else {
-                        kind = ExecKind::LoadDl1;
+                        unit = Unit::Dl1Port;
                         latency = lat;
                         // LSQ forwarding from the youngest aliasing store.
                         if let Some(d) = youngest {
@@ -951,7 +678,6 @@ impl<'a> Pipeline<'a> {
                     }
                 }
                 Route::Morph => {
-                    morphed = true;
                     drop_sp_dep = true; // early address resolution in decode
                     let svf = self.svf.as_mut().expect("svf engine");
                     if is_store {
@@ -961,13 +687,13 @@ impl<'a> Pipeline<'a> {
                         // pipeline; the SVF array is updated at commit off
                         // the critical path (§3.2: "the morphed references
                         // are committed to the SVF"), so no read-port use.
-                        kind = ExecKind::Free;
+                        unit = Unit::Free;
                         latency =
                             1 + if acc.filled { self.hier.data_access(addr, false) } else { 0 };
                     } else {
                         self.stats.svf_morphed_loads += 1;
                         let acc = svf.load(addr, f.size).expect("in range");
-                        kind = ExecKind::LoadStack;
+                        unit = Unit::StackPort;
                         latency =
                             1 + if acc.filled { self.hier.data_access(addr, false) } else { 0 };
                         // Register-style forwarding from sp-based stores:
@@ -975,17 +701,15 @@ impl<'a> Pipeline<'a> {
                         // through the RAT (§5.3.1), not through an SVF port.
                         if let Some(d) = sp_live {
                             forward_from = Some(d);
-                            kind = ExecKind::Free;
+                            unit = Unit::Free;
                         }
                         // §3.2: an older non-sp store to the same address
-                        // that has not issued yet is a squash hazard.
+                        // that issues after this load is a squash hazard.
                         if let Some(d) = other_live {
                             if self.cfg.svf_no_squash {
                                 forward_from = Some(forward_from.map_or(d, |f| f.max(d)));
                             } else {
-                                // The store is in flight, so its watch-ring
-                                // slot is live.
-                                self.watch[(d & self.seq_mask) as usize].push(seq);
+                                watched_store = d;
                             }
                         }
                     }
@@ -996,12 +720,12 @@ impl<'a> Pipeline<'a> {
                     let penalty = 2; // address calc + late bounds check (§3)
                     if is_store {
                         let acc = svf.store(addr, f.size).expect("in range");
-                        kind = ExecKind::StoreStack;
+                        unit = Unit::StackPort;
                         latency =
                             1 + if acc.filled { self.hier.data_access(addr, false) } else { 0 };
                     } else {
                         let acc = svf.load(addr, f.size).expect("in range");
-                        kind = ExecKind::LoadStack;
+                        unit = Unit::StackPort;
                         latency = penalty
                             + if acc.filled { self.hier.data_access(addr, false) } else { 0 };
                         if let Some(d) = youngest {
@@ -1016,10 +740,10 @@ impl<'a> Pipeline<'a> {
                     let hit = sc.access(addr, is_store);
                     let miss_extra = if hit { 0 } else { self.hier.l2_access(addr, is_store) };
                     if is_store {
-                        kind = ExecKind::StoreStack;
+                        unit = Unit::StackPort;
                         latency = 1 + miss_extra;
                     } else {
-                        kind = ExecKind::LoadStack;
+                        unit = Unit::StackPort;
                         latency = sc.hit_latency() + miss_extra;
                         if let Some(d) = youngest {
                             forward_from = Some(d);
@@ -1028,65 +752,45 @@ impl<'a> Pipeline<'a> {
                     }
                 }
                 Route::IdealMorph => {
-                    morphed = true;
                     drop_sp_dep = sp_base;
                     if is_store {
                         self.stats.svf_morphed_stores += 1;
-                        kind = ExecKind::Free;
+                        unit = Unit::Free;
                         latency = 1;
                     } else {
                         self.stats.svf_morphed_loads += 1;
-                        kind = ExecKind::Free;
+                        unit = Unit::Free;
                         latency = 1;
                         forward_from = youngest;
                     }
                 }
             }
         } else {
-            // Non-memory instruction.
-            kind = match f.kind {
-                1 => ExecKind::Mul,
-                2 => ExecKind::Div,
-                _ => ExecKind::Alu,
-            };
-            latency = match kind {
-                ExecKind::Mul => self.cfg.mul_latency,
-                ExecKind::Div => self.cfg.div_latency,
-                _ => 1,
+            // Non-memory instruction: multiply, divide, or a one-cycle op.
+            (unit, latency) = match f.kind {
+                1 => (Unit::MulDiv, self.cfg.mul_latency),
+                2 => (Unit::MulDiv, self.cfg.div_latency),
+                _ => (Unit::Alu, 1),
             };
         }
 
         // Register dependences off the precomputed youngest-earlier-writer
         // chains; the liveness filter against our commit head (and the SVF's
-        // dropped $sp dependence) is the only per-config part.
-        let mut deps = [0u64; 2];
-        let mut ndeps = 0u8;
+        // dropped $sp dependence) is the only per-config part. Live
+        // producers are older, so their done cycles are already fixed.
+        let done = |p: u64| self.ready_at[(p & self.seq_mask) as usize];
+        let mut operands_at = forward_from.map_or(0, done);
         for i in 0..f.ndeps as usize {
-            if drop_sp_dep && f.dep_sp & (1 << i) != 0 {
-                continue;
-            }
             let p = f.deps[i];
-            if p >= self.head_seq {
-                deps[ndeps as usize] = p;
-                ndeps += 1;
+            if p >= self.head_seq && !(drop_sp_dep && f.dep_sp & (1 << i) != 0) {
+                operands_at = operands_at.max(done(p));
             }
         }
 
-        // The event-driven scheduler wakes consumers strictly after their
-        // producer's issue cycle; zero-latency producers would need
-        // same-cycle wakeup, which no modelled unit has.
+        // Commit reads `ready_at` before the issue stage, so a result counts
+        // as done in its issue cycle only if latency is at least one.
         debug_assert!(latency >= 1, "zero-latency execution is not modelled");
-        Slot {
-            ready_at: UNISSUED,
-            deps,
-            forward_from: forward_from.unwrap_or(NO_PRODUCER),
-            latency,
-            eligible_at: ELIGIBLE_UNKNOWN,
-            ndeps,
-            kind,
-            unmorphed_store: f.flags & F_STORE != 0 && !morphed,
-            commit_flags: f.flags & COMMIT_FLAG_MASK,
-        }
+        Plan { unit, latency, operands_at, watched_store }
     }
 
     // ---- fetch ----

@@ -270,7 +270,7 @@ impl WarmupSink for Warmer<'_> {
                 svf.on_sp_update(sp.old_sp, sp.new_sp);
             }
         }
-        // Memory references, steered exactly like `Pipeline::build_slot`.
+        // Memory references, steered exactly like `Pipeline::plan`.
         if let Some(m) = r.mem {
             let is_stack = m.region(heap_base).is_stack();
             match (self.cfg.stack_engine, is_stack) {

@@ -82,26 +82,6 @@ impl SimStats {
         baseline.cycles as f64 / self.cycles as f64
     }
 
-    /// Mean RUU occupancy over the run.
-    #[must_use]
-    pub fn avg_ruu_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.ruu_occupancy_sum as f64 / self.cycles as f64
-        }
-    }
-
-    /// Mean LSQ occupancy over the run.
-    #[must_use]
-    pub fn avg_lsq_occupancy(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.lsq_occupancy_sum as f64 / self.cycles as f64
-        }
-    }
-
     /// Fraction of stack references the SVF front end morphed (Figure 8's
     /// fast path), in [0, 1].
     #[must_use]

@@ -185,11 +185,6 @@ impl Emulator {
         &self.mem
     }
 
-    /// Mutable access to the functional memory.
-    pub fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// Heap base captured from the program image (for region classification).
     #[must_use]
     pub fn heap_base(&self) -> u64 {

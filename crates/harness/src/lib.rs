@@ -252,13 +252,6 @@ impl Harness {
         self
     }
 
-    /// Replaces the whole retry policy (attempts, backoff, watchdog).
-    #[must_use]
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Harness {
-        self.policy = policy;
-        self
-    }
-
     /// Enables sampled simulation ([`svf_cpu::run_sampled`]): every job
     /// runs the program functionally end to end, pays detailed-simulation
     /// cost only inside the plan's measured intervals, and reports the
@@ -290,12 +283,6 @@ impl Harness {
     #[must_use]
     pub fn threads(&self) -> Option<usize> {
         self.threads
-    }
-
-    /// The active retry policy.
-    #[must_use]
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.policy
     }
 
     /// Runs every job of `exp` and reassembles the reports in job-id order.

@@ -530,12 +530,6 @@ impl Inst {
         matches!(self, Inst::Mem { op, .. } if op.is_store())
     }
 
-    /// Whether this is any memory reference.
-    #[must_use]
-    pub fn is_mem(&self) -> bool {
-        matches!(self, Inst::Mem { .. })
-    }
-
     /// Whether this instruction can redirect control flow.
     #[must_use]
     pub fn is_control(&self) -> bool {

@@ -109,12 +109,6 @@ impl Program {
         }))
     }
 
-    /// Base address of the text segment.
-    #[must_use]
-    pub fn text_base(&self) -> u64 {
-        TEXT_BASE
-    }
-
     /// Base address of the data segment.
     #[must_use]
     pub fn data_base(&self) -> u64 {

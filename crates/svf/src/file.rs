@@ -147,12 +147,6 @@ impl StackValueFile {
         self.capacity
     }
 
-    /// Number of quad-word entries.
-    #[must_use]
-    pub fn num_entries(&self) -> usize {
-        self.entries.len()
-    }
-
     /// The covered address range `[lo, hi)`.
     #[must_use]
     pub fn range(&self) -> (u64, u64) {
