@@ -398,7 +398,7 @@ mod tests {
         let configs = sweep_configs();
         assert_eq!(configs.len(), 6, "three engines x three geometries");
         // The lockstep driver requires every config's in-flight window to
-        // fit the shared record ring with room for the producer.
+        // fit the shared lockstep window with room for the producer.
         for cfg in &configs {
             assert!(cfg.ifq_size + cfg.width < 1024);
         }

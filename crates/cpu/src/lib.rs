@@ -59,7 +59,7 @@ pub use config::{CpuConfig, PredictorKind, StackEngine};
 pub use lockstep::{run_lockstep, run_lockstep_fanout, run_lockstep_trace, LOCKSTEP_WINDOW};
 pub use pipeline::Simulator;
 pub use predictor::{Gshare, Predictor};
-pub use sampling::{run_sampled, run_sampled_fanout, SampleMode, SampleSpec, SampledStats, WarmupSink};
+pub use sampling::{run_sampled, run_sampled_fanout, SampleMode, SampleSpec, SampledStats};
 pub use stats::{relative_error, SimStats, CSV_COLUMNS};
 
 #[cfg(test)]

@@ -2,12 +2,16 @@
 //!
 //! A multi-config sweep used to run the functional emulator once *per
 //! configuration*. Here the stream is produced once per (program, input):
-//! a [`RecordSource`] fills a shared [`RecordRing`], a [`FactsBuilder`]
-//! distills each record into the config-independent [`Facts`] every
-//! dispatch needs (decoded source/destination registers, dependence chains,
-//! memory classification, aliasing store chains), and every [`Pipeline`]
-//! walks the same window in lockstep — paying only for its own
-//! config-*dependent* timing.
+//! a [`FactsSource`] writes, for each committed instruction, the
+//! config-independent [`Facts`] every fetch and dispatch needs (static
+//! source/destination registers and classes, dependence chains, memory
+//! classification, aliasing store chains, the new `$sp`, the control kind
+//! and target) straight into a shared facts-only [`Window`], and every
+//! [`Pipeline`] walks the same window in lockstep — paying only for its own
+//! config-*dependent* timing. A live run writes the facts from inside the
+//! emulator's stepping loop ([`Emulator::run_with`] with [`Fill`] as its
+//! sink), so no committed-instruction record is ever built; `.svft` replay
+//! feeds the same [`FactsBuilder`] from the [`Retired`] records it decodes.
 //!
 //! Lockstep is timing-invisible: a pipeline only simulates a cycle when the
 //! window holds at least a full fetch group (or the stream has ended), so
@@ -18,19 +22,19 @@
 //! # Stream-invariant precomputation
 //!
 //! Two tables that used to live per-pipeline are provably functions of the
-//! record stream alone, so the builder maintains them once:
+//! instruction stream alone, so the builder maintains them once:
 //!
 //! * **Rename chains.** The live pipeline's `reg_producer` table maps each
 //!   register to its youngest earlier writer's seq; commit-time clearing
 //!   only ever removes writers older than the consumer's commit head, which
 //!   dispatch filters out anyway (`p >= head_seq`). So "youngest earlier
-//!   writer" is a pure stream property, stored per record in
+//!   writer" is a pure stream property, stored per instruction in
 //!   [`Facts::deps`] and head-filtered per config at dispatch.
 //! * **Alias chains.** The [`AliasTable`] maps each quad-word to its
 //!   youngest earlier store (split `$sp`/other base). Commit-time retire
 //!   also only blanks already-committed seqs — invisible behind the same
-//!   head filter — so the youngest-earlier-store pair is stored per record
-//!   in [`Facts::prev_sp`]/[`Facts::prev_other`].
+//!   head filter — so the youngest-earlier-store pair is stored per
+//!   instruction in [`Facts::prev_sp`]/[`Facts::prev_other`].
 
 use std::any::Any;
 use std::io::Read;
@@ -38,33 +42,39 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, RwLock};
 
-use svf_emu::{LiveSource, RecordRing, RecordSource, Retired, StreamError, TraceSource};
-use svf_isa::{AluOp, Inst, Program};
+use svf_emu::{
+    Commit, Emulator, RecordSource, Retired, RunOutcome, StepSink, StreamError, TraceSource,
+};
+use svf_isa::{ControlKind, MemRegion, Program, Reg, StaticInfo, NO_REG};
 
 use crate::alias::{AliasTable, NO_SEQ};
 use crate::config::CpuConfig;
 use crate::pipeline::Pipeline;
 use crate::stats::SimStats;
 
-/// Shared lockstep window capacity in records. Bounded so the window
-/// (plus its facts) stays cache-resident while the whole fan-out streams
-/// over it; every simulated machine's `ifq_size + width` must stay below it
-/// so retention (`keep_from`) never blocks production. A power of two, so
-/// the ring holds exactly this many.
+/// Shared lockstep window capacity in instructions. Bounded so the facts
+/// stay cache-resident while the whole fan-out streams over them; every
+/// simulated machine's `ifq_size + width` must stay below it so retention
+/// (`keep`) never blocks production. A power of two, so the window holds
+/// exactly this many.
 pub const LOCKSTEP_WINDOW: usize = 1024;
 
-/// `Facts::flags` bits. The low five double as the pipeline's commit
-/// flags (see [`COMMIT_FLAG_MASK`]).
-pub(crate) const F_MEM: u8 = 1 << 0;
-pub(crate) const F_STORE: u8 = 1 << 1;
-pub(crate) const F_SP_BASE: u8 = 1 << 2;
+/// `Facts::flags` bits. The static ones are the [`StaticInfo`] bits
+/// themselves, so the builder copies them with one mask; the low five
+/// double as the pipeline's commit flags (see [`COMMIT_FLAG_MASK`]).
+pub(crate) const F_MEM: u8 = StaticInfo::MEM;
+pub(crate) const F_STORE: u8 = StaticInfo::STORE;
+pub(crate) const F_SP_BASE: u8 = StaticInfo::SP_BASE;
 pub(crate) const F_STACK: u8 = 1 << 3;
 pub(crate) const F_CONTROL: u8 = 1 << 4;
 pub(crate) const F_TAKEN: u8 = 1 << 5;
-/// The record carries an `sp_update` (the SVF must observe it at decode).
-pub(crate) const F_SP_UPDATE: u8 = 1 << 6;
+/// The instruction writes `$sp` (the SVF must observe it at decode).
+pub(crate) const F_SP_UPDATE: u8 = StaticInfo::WRITES_SP;
 /// Non-immediate `$sp` writer: decode interlocks on it (§3.1).
-pub(crate) const F_SP_INTERLOCK: u8 = 1 << 7;
+pub(crate) const F_SP_INTERLOCK: u8 = StaticInfo::SP_INTERLOCK;
+
+/// The [`StaticInfo`] bits copied into `Facts::flags` verbatim.
+const STATIC_FLAGS: u8 = F_MEM | F_STORE | F_SP_BASE | F_SP_UPDATE | F_SP_INTERLOCK;
 
 /// The `Facts::flags` bits the pipeline stores verbatim in its commit-flags
 /// lane.
@@ -73,20 +83,18 @@ pub(crate) const COMMIT_FLAG_MASK: u8 = F_MEM | F_STORE | F_SP_BASE | F_STACK | 
 /// "No producer recorded" (same sentinel as the alias table's [`NO_SEQ`]).
 pub(crate) const NO_PRODUCER: u64 = u64::MAX;
 
-/// `Facts::dest` value of an instruction with no destination register.
-pub(crate) const NO_DEST: u8 = u8::MAX;
-
-/// Everything config-independent that dispatch needs from one record,
-/// precomputed once per stream and read by every timing model. Dispatch
-/// touches the wide [`Retired`] record only for the rare `sp_update`
-/// payload; fetch touches it only to train a non-trivial predictor.
-#[derive(Debug, Clone, Copy)]
+/// Everything config-independent that fetch and dispatch need from one
+/// committed instruction, built once per stream and read by every timing
+/// model. One cache line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Facts {
-    /// Seqs of the youngest earlier writers of this record's source
+    /// Seqs of the youngest earlier writers of this instruction's source
     /// registers, in source order (`NO_PRODUCER`-free; only live entries
     /// are stored). Consumers filter against their own commit head.
     pub deps: [u64; 2],
-    /// Memory effective address (meaningful under [`F_MEM`]).
+    /// Memory effective address under [`F_MEM`]; under [`F_CONTROL`] the
+    /// control target (the next PC, the fall-through for a branch not
+    /// taken); otherwise `0`.
     pub addr: u64,
     /// Youngest earlier `$sp`-based store to the same quad-word, or
     /// [`NO_SEQ`] (meaningful under [`F_MEM`]).
@@ -94,8 +102,11 @@ pub(crate) struct Facts {
     /// Youngest earlier non-`$sp` store to the same quad-word, or
     /// [`NO_SEQ`].
     pub prev_other: u64,
-    /// Instruction address (fetch: I-cache line accounting).
+    /// Instruction address (fetch: I-cache line accounting, the predictor).
     pub pc: u64,
+    /// `$sp` after the instruction (the SVF's decode-time update under
+    /// [`F_SP_UPDATE`]).
+    pub new_sp: u64,
     /// `F_*` property bits.
     pub flags: u8,
     /// Bit `i` set when `deps[i]`'s source register is `$sp` (the SVF drops
@@ -103,12 +114,14 @@ pub(crate) struct Facts {
     pub dep_sp: u8,
     /// Number of live entries in `deps`.
     pub ndeps: u8,
-    /// Destination register number, or [`NO_DEST`].
+    /// Destination register number, or [`NO_REG`].
     pub dest: u8,
     /// Memory access size in bytes (meaningful under [`F_MEM`]).
     pub size: u8,
     /// Non-memory execution class: 0 ALU, 1 multiply, 2 divide.
     pub kind: u8,
+    /// How the instruction transfers control (what gshare trains on).
+    pub control: ControlKind,
 }
 
 impl Facts {
@@ -118,131 +131,255 @@ impl Facts {
         prev_sp: NO_SEQ,
         prev_other: NO_SEQ,
         pc: 0,
+        new_sp: 0,
         flags: 0,
         dep_sp: 0,
         ndeps: 0,
-        dest: NO_DEST,
+        dest: NO_REG,
         size: 0,
         kind: 0,
+        control: ControlKind::None,
     };
 }
 
-/// Stream-side state for fact extraction: the rename table and the alias
+/// Stream-side state for fact building: the rename table and the alias
 /// table, maintained exactly once per stream (see the module docs for the
 /// equivalence argument).
 #[derive(Debug)]
 pub(crate) struct FactsBuilder {
     reg_producer: [u64; 32],
     alias: AliasTable,
+    heap_base: u64,
 }
 
 impl FactsBuilder {
-    pub(crate) fn new() -> FactsBuilder {
-        FactsBuilder { reg_producer: [NO_PRODUCER; 32], alias: AliasTable::new() }
+    /// A builder for a stream whose program has its heap at `heap_base`
+    /// (memory-region classification).
+    pub(crate) fn new(heap_base: u64) -> FactsBuilder {
+        FactsBuilder { reg_producer: [NO_PRODUCER; 32], alias: AliasTable::new(), heap_base }
     }
 
-    /// Distills record `seq` into its [`Facts`], advancing the stream
-    /// tables.
-    pub(crate) fn extract(&mut self, seq: u64, r: &Retired, heap_base: u64) -> Facts {
-        let mut f = Facts { pc: r.pc, ..Facts::EMPTY };
-        if let Some(m) = r.mem {
-            f.flags |= F_MEM;
-            if m.is_store {
-                f.flags |= F_STORE;
-            }
-            if m.base.is_sp() {
-                f.flags |= F_SP_BASE;
-            }
-            if m.region(heap_base).is_stack() {
+    /// Builds the [`Facts`] of instruction `seq` at `pc`, advancing the
+    /// stream tables. `addr` is its effective address (memory references),
+    /// `taken` and `next_pc` its control outcome, and `new_sp` `$sp` after
+    /// it.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        &mut self,
+        seq: u64,
+        pc: u64,
+        info: &StaticInfo,
+        addr: u64,
+        taken: bool,
+        next_pc: u64,
+        new_sp: u64,
+    ) -> Facts {
+        let mut f = Facts {
+            pc,
+            new_sp,
+            flags: info.flags & STATIC_FLAGS,
+            control: info.control,
+            ..Facts::EMPTY
+        };
+        if info.is_mem() {
+            if MemRegion::classify(addr, self.heap_base).is_stack() {
                 f.flags |= F_STACK;
             }
-            f.addr = m.addr;
-            f.size = m.size;
-            let qw = m.addr / 8;
+            f.addr = addr;
+            f.size = info.size;
+            let qw = addr / 8;
             // Probe before recording, exactly like live dispatch: a store
             // must not see itself as its own aliasing predecessor.
             let (sp, other) = self.alias.get(qw);
             f.prev_sp = sp;
             f.prev_other = other;
-            if m.is_store {
-                self.alias.record(qw, seq, m.base.is_sp());
+            if info.is_store() {
+                self.alias.record(qw, seq, info.flags & StaticInfo::SP_BASE != 0);
             }
         } else {
-            f.kind = match r.inst {
-                Inst::Op { op, .. } if op.is_mul_class() => {
-                    if op == AluOp::Mulq {
-                        1
-                    } else {
-                        2
-                    }
+            f.kind = info.class;
+            if info.is_control() {
+                f.flags |= F_CONTROL;
+                if taken {
+                    f.flags |= F_TAKEN;
                 }
-                _ => 0,
-            };
-        }
-        if let Some(c) = r.control {
-            f.flags |= F_CONTROL;
-            if c.taken {
-                f.flags |= F_TAKEN;
+                f.addr = next_pc;
             }
-        }
-        if r.sp_update.is_some() {
-            f.flags |= F_SP_UPDATE;
-        }
-        if r.inst.writes_sp() && r.inst.sp_immediate_adjust().is_none() {
-            f.flags |= F_SP_INTERLOCK;
         }
         // Sources before destination: an instruction reading its own
         // destination depends on the *previous* writer.
-        for src in r.inst.src_regs().into_iter().flatten() {
-            let p = self.reg_producer[src.number() as usize];
+        for &src in &info.srcs {
+            if src == NO_REG {
+                break;
+            }
+            let p = self.reg_producer[usize::from(src)];
             if p != NO_PRODUCER {
                 f.deps[f.ndeps as usize] = p;
-                if src.is_sp() {
+                if src == Reg::SP.number() {
                     f.dep_sp |= 1 << f.ndeps;
                 }
                 f.ndeps += 1;
             }
         }
-        if let Some(d) = r.inst.dest() {
-            self.reg_producer[d.number() as usize] = seq;
-            f.dest = d.number();
+        if info.dest != NO_REG {
+            self.reg_producer[usize::from(info.dest)] = seq;
+            f.dest = info.dest;
         }
         f
     }
 }
 
-/// A borrowed view of the shared stream a pipeline advances over: the
-/// record ring plus the parallel facts ring (same capacity, same
-/// seq-to-index mapping).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Window<'a> {
-    ring: &'a RecordRing,
-    facts: &'a [Facts],
+/// Writes the facts of each instruction it is handed into a window slot,
+/// seq after seq: the emulator's [`StepSink`] for a live stream, fed
+/// [`Retired`] records for a replayed one.
+pub(crate) struct Fill<'w> {
+    builder: &'w mut FactsBuilder,
+    facts: &'w mut [Facts],
+    mask: u64,
+    /// Seq of the next instruction.
+    hi: u64,
 }
 
-impl<'a> Window<'a> {
-    /// Facts for `seq` (must be resident, like [`RecordRing::get`]).
+impl StepSink for Fill<'_> {
+    #[inline]
+    fn commit(&mut self, c: &Commit<'_>) {
+        let f = self.builder.build(self.hi, c.pc, c.info(), c.addr, c.taken, c.next_pc, c.sp_after);
+        self.facts[(self.hi & self.mask) as usize] = f;
+        self.hi += 1;
+    }
+}
+
+impl Fill<'_> {
+    /// The facts of a decoded record: the same builder, with the record's
+    /// instruction classified on the spot.
+    fn push_retired(&mut self, r: &Retired) {
+        let addr = match (r.mem, r.control) {
+            (Some(m), _) => m.addr,
+            (None, Some(c)) => c.target,
+            (None, None) => 0,
+        };
+        let taken = r.control.is_some_and(|c| c.taken);
+        let new_sp = r.sp_update.map_or(r.sp_before, |u| u.new_sp);
+        let info = StaticInfo::of(&r.inst);
+        let f = self.builder.build(self.hi, r.pc, &info, addr, taken, r.next_pc, new_sp);
+        self.facts[(self.hi & self.mask) as usize] = f;
+        self.hi += 1;
+    }
+}
+
+/// A producer of a committed-instruction stream for the lockstep window.
+pub(crate) trait FactsSource {
+    /// The program's heap base (memory-region classification).
+    fn heap_base(&self) -> u64;
+
+    /// Hands up to `n` more instructions to `fill`; `Ok(false)` once the
+    /// stream has ended (it is never called again then).
+    ///
+    /// # Errors
+    ///
+    /// Functional faults / trace corruption, via [`StreamError`].
+    fn produce(&mut self, n: u64, fill: &mut Fill<'_>) -> Result<bool, StreamError>;
+}
+
+/// Live execution: the facts are written from inside the stepping loop.
+impl FactsSource for Emulator {
+    fn heap_base(&self) -> u64 {
+        Emulator::heap_base(self)
+    }
+
+    fn produce(&mut self, n: u64, fill: &mut Fill<'_>) -> Result<bool, StreamError> {
+        Ok(self.run_with(n, fill)? == RunOutcome::StepLimit)
+    }
+}
+
+/// `.svft` replay: each decoded record goes through the same builder.
+impl<R: Read> FactsSource for TraceSource<R> {
+    fn heap_base(&self) -> u64 {
+        RecordSource::heap_base(self)
+    }
+
+    fn produce(&mut self, n: u64, fill: &mut Fill<'_>) -> Result<bool, StreamError> {
+        let mut r = Retired::PLACEHOLDER;
+        for _ in 0..n {
+            if !self.next_record(&mut r)? {
+                return Ok(false);
+            }
+            fill.push_retired(&r);
+        }
+        Ok(true)
+    }
+}
+
+/// The shared stream a pipeline advances over: a bounded, seq-indexed ring
+/// of [`Facts`]. Facts live at `seq & mask`; the window covers
+/// `[oldest live seq, hi())`, where the caller of [`Window::fill`] defines
+/// "oldest live".
+#[derive(Debug)]
+pub(crate) struct Window {
+    facts: Box<[Facts]>,
+    mask: u64,
+    hi: u64,
+    /// The stream's instruction budget.
+    limit: u64,
+    done: bool,
+}
+
+impl Window {
+    /// A window of `capacity` instructions (a power of two) over a stream
+    /// of at most `limit`.
+    fn new(capacity: usize, limit: u64) -> Window {
+        debug_assert!(capacity.is_power_of_two());
+        Window {
+            facts: vec![Facts::EMPTY; capacity].into_boxed_slice(),
+            mask: capacity as u64 - 1,
+            hi: 0,
+            limit,
+            done: false,
+        }
+    }
+
+    /// Facts for `seq`, which must still be resident.
     #[inline]
     pub(crate) fn fact(&self, seq: u64) -> &Facts {
-        &self.facts[(seq & self.ring.mask()) as usize]
+        debug_assert!(seq < self.hi && self.hi - seq <= self.mask + 1, "seq {seq} not resident");
+        &self.facts[(seq & self.mask) as usize]
     }
 
-    /// The wide record for `seq`.
-    #[inline]
-    pub(crate) fn record(&self, seq: u64) -> &'a Retired {
-        self.ring.get(seq)
-    }
-
-    /// Records produced so far (exclusive upper seq bound).
+    /// Instructions produced so far (exclusive upper seq bound).
     #[inline]
     pub(crate) fn hi(&self) -> u64 {
-        self.ring.hi()
+        self.hi
     }
 
     /// Whether the stream has ended (halt or budget).
     #[inline]
     pub(crate) fn done(&self) -> bool {
-        self.ring.done()
+        self.done
+    }
+
+    /// Produces from `src` through `builder` until the window is full
+    /// relative to `keep` (the oldest seq any consumer still needs), the
+    /// budget is reached, or the stream ends. Returns whether anything new
+    /// was produced.
+    fn fill<S: FactsSource + ?Sized>(
+        &mut self,
+        src: &mut S,
+        builder: &mut FactsBuilder,
+        keep: u64,
+    ) -> Result<bool, StreamError> {
+        debug_assert!(keep <= self.hi, "cannot retain instructions never produced");
+        let room = keep.saturating_add(self.mask + 1).min(self.limit);
+        if self.done || self.hi >= room {
+            self.done |= self.hi >= self.limit;
+            return Ok(false);
+        }
+        let lo = self.hi;
+        let mut fill = Fill { builder, facts: &mut self.facts, mask: self.mask, hi: lo };
+        let more = src.produce(room - lo, &mut fill)?;
+        self.hi = fill.hi;
+        self.done = !more || self.hi >= self.limit;
+        Ok(self.hi > lo)
     }
 }
 
@@ -284,8 +421,9 @@ pub fn run_lockstep_fanout(
     max_insts: u64,
     fanout: usize,
 ) -> Vec<SimStats> {
-    let mut src = LiveSource::new(program);
-    run_source(configs, &mut src, max_insts, fanout)
+    let mut emu = Emulator::new(program);
+    let initial_sp = emu.reg(Reg::SP);
+    run_source(configs, &mut emu, initial_sp, max_insts, fanout)
         .unwrap_or_else(|e| panic!("functional fault during simulation: {e}"))
 }
 
@@ -303,81 +441,72 @@ pub fn run_lockstep_trace<R: Read>(
     max_insts: u64,
 ) -> Result<Vec<SimStats>, StreamError> {
     let mut src = src;
-    run_source(configs, &mut src, max_insts, 1)
+    let initial_sp = src.initial_sp();
+    run_source(configs, &mut src, initial_sp, max_insts, 1)
 }
 
-/// The lockstep driver: fill the shared window, extract facts for the
-/// fresh records, let every pipeline advance as far as the window allows,
-/// repeat until all pipelines drain.
-fn run_source<S: RecordSource>(
+/// The lockstep driver: fill the shared window, let every pipeline advance
+/// as far as the window allows, repeat until all pipelines drain.
+fn run_source<S: FactsSource>(
     configs: &[CpuConfig],
     src: &mut S,
+    initial_sp: u64,
     max_insts: u64,
     fanout: usize,
 ) -> Result<Vec<SimStats>, StreamError> {
-    let initial_sp = src.initial_sp();
     let mut pipes: Vec<Pipeline> = configs.iter().map(|c| Pipeline::new(c, initial_sp)).collect();
     drive_fanout(&mut pipes, src, max_insts, fanout)?;
     Ok(pipes.into_iter().map(Pipeline::finish).collect())
 }
 
 /// Drives a set of already-constructed pipelines over `src` until they all
-/// drain (stream halt or `max_insts` committed records). This is the reusable
-/// inner loop of [`run_source`]; sampled simulation calls it once per
-/// measured interval with pipelines built from warm [`EngineState`]s and a
-/// source positioned mid-program. `fanout` spreads the per-window pipeline
-/// advancement over that many threads; the serial path is taken whenever
-/// the clamped fanout is one, so single-config runs never pay for
+/// drain (stream halt or `max_insts` committed instructions). This is the
+/// reusable inner loop of [`run_source`]; sampled simulation calls it once
+/// per measured interval with pipelines built from warm [`EngineState`]s
+/// and an emulator positioned mid-program. `fanout` spreads the per-window
+/// pipeline advancement over that many threads; the serial path is taken
+/// whenever the clamped fanout is one, so single-config runs never pay for
 /// threading.
 ///
 /// [`EngineState`]: crate::pipeline::EngineState
-pub(crate) fn drive_fanout<S: RecordSource>(
+pub(crate) fn drive_fanout<S: FactsSource>(
     pipes: &mut [Pipeline],
     src: &mut S,
     max_insts: u64,
     fanout: usize,
 ) -> Result<(), StreamError> {
-    let heap_base = src.heap_base();
-    let ring = RecordRing::new(LOCKSTEP_WINDOW, max_insts);
-    let capacity = (ring.mask() + 1) as usize;
+    let builder = FactsBuilder::new(src.heap_base());
+    let win = Window::new(LOCKSTEP_WINDOW, max_insts);
     for p in pipes.iter() {
         let cfg = p.config();
         assert!(
-            cfg.ifq_size + cfg.width < capacity,
-            "IFQ {} + width {} must fit the {capacity}-record lockstep window",
+            cfg.ifq_size + cfg.width < LOCKSTEP_WINDOW,
+            "IFQ {} + width {} must fit the {LOCKSTEP_WINDOW}-instruction lockstep window",
             cfg.ifq_size,
             cfg.width
         );
     }
-    let facts = vec![Facts::EMPTY; capacity].into_boxed_slice();
     let fanout = fanout.clamp(1, pipes.len().max(1));
     if fanout <= 1 {
-        drive_serial(pipes, src, heap_base, ring, facts)
+        drive_serial(pipes, src, builder, win)
     } else {
-        drive_parallel(pipes, src, heap_base, ring, facts, fanout)
+        drive_parallel(pipes, src, builder, win, fanout)
     }
 }
 
 /// The serial inner loop: one thread fills and advances everything.
-fn drive_serial<S: RecordSource>(
+fn drive_serial<S: FactsSource>(
     pipes: &mut [Pipeline],
     src: &mut S,
-    heap_base: u64,
-    mut ring: RecordRing,
-    mut facts: Box<[Facts]>,
+    mut builder: FactsBuilder,
+    mut win: Window,
 ) -> Result<(), StreamError> {
-    let mut builder = FactsBuilder::new();
     loop {
-        // Records older than every pipeline's dispatch point are dead; the
-        // window may overwrite them. (A finished pipeline's dispatch point
-        // sits at the final stream length, so it never constrains.)
-        let keep = pipes.iter().map(Pipeline::ifq_head).min().unwrap_or_else(|| ring.hi());
-        let fresh = ring.fill(src, keep)?;
-        let stalled = fresh.is_empty();
-        for seq in fresh {
-            facts[(seq & ring.mask()) as usize] = builder.extract(seq, ring.get(seq), heap_base);
-        }
-        let win = Window { ring: &ring, facts: &facts };
+        // Instructions older than every pipeline's dispatch point are dead;
+        // the window may overwrite them. (A finished pipeline's dispatch
+        // point sits at the final stream length, so it never constrains.)
+        let keep = pipes.iter().map(Pipeline::ifq_head).min().unwrap_or_else(|| win.hi());
+        let fresh = win.fill(src, &mut builder, keep)?;
         let mut all_done = true;
         for p in pipes.iter_mut() {
             all_done &= p.advance(&win);
@@ -389,27 +518,23 @@ fn drive_serial<S: RecordSource>(
         // consumer, so an empty fill with unfinished pipelines means the
         // stream ended and they are still draining — anything else would
         // loop forever.
-        debug_assert!(!stalled || ring.done(), "lockstep window stalled");
+        debug_assert!(fresh || win.done(), "lockstep window stalled");
     }
     Ok(())
-}
-
-/// The stream state the timing threads share. The leader mutates it
-/// exclusively between rounds (write lock while every worker is parked at
-/// the round-start barrier); workers only ever read it, concurrently,
-/// during a round. The barriers are what actually serialize the two
-/// phases — the lock is never contended — but the lock is how the borrow
-/// checker sees that production and consumption cannot overlap.
-struct SharedWindow {
-    ring: RecordRing,
-    facts: Box<[Facts]>,
 }
 
 /// Rendezvous state for one parallel drive: the shared window, the two
 /// round barriers, and the accumulators each chunk folds its progress
 /// into during a round (reset by the leader between rounds).
+///
+/// The leader mutates the window exclusively between rounds (write lock
+/// while every worker is parked at the round-start barrier); workers only
+/// ever read it, concurrently, during a round. The barriers are what
+/// actually serialize the two phases — the lock is never contended — but
+/// the lock is how the borrow checker sees that production and consumption
+/// cannot overlap.
 struct Rendezvous {
-    shared: RwLock<SharedWindow>,
+    window: RwLock<Window>,
     /// Round start: workers block here while the leader owns the window.
     start: Barrier,
     /// Round end: the leader blocks here until every chunk has advanced.
@@ -444,8 +569,7 @@ impl Rendezvous {
 /// the leader to re-raise.
 fn advance_chunk(pipes: &mut [Pipeline], rv: &Rendezvous) {
     let advanced = catch_unwind(AssertUnwindSafe(|| {
-        let guard = rv.shared.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let win = Window { ring: &guard.ring, facts: &guard.facts };
+        let win = rv.window.read().unwrap_or_else(std::sync::PoisonError::into_inner);
         let mut done = true;
         let mut head = u64::MAX;
         for p in pipes.iter_mut() {
@@ -487,16 +611,15 @@ fn worker_loop(pipes: &mut [Pipeline], rv: &Rendezvous) {
 /// which the chunks accumulate exactly — and each `Pipeline::advance`
 /// reads nothing but the immutable window and its own state, so chunk
 /// assignment and thread interleaving are timing-invisible.
-fn drive_parallel<S: RecordSource>(
+fn drive_parallel<S: FactsSource>(
     pipes: &mut [Pipeline],
     src: &mut S,
-    heap_base: u64,
-    ring: RecordRing,
-    facts: Box<[Facts]>,
+    mut builder: FactsBuilder,
+    win: Window,
     fanout: usize,
 ) -> Result<(), StreamError> {
     let rv = Rendezvous {
-        shared: RwLock::new(SharedWindow { ring, facts }),
+        window: RwLock::new(win),
         start: Barrier::new(fanout),
         end: Barrier::new(fanout),
         // Every pipeline starts dispatching at seq 0, like the serial
@@ -506,7 +629,6 @@ fn drive_parallel<S: RecordSource>(
         stop: AtomicBool::new(false),
         panicked: Mutex::new(None),
     };
-    let mut builder = FactsBuilder::new();
     // Exactly `fanout` chunks, sizes differing by at most one (plain
     // `chunks_mut` could come up short — 4 pipes over 3 threads would
     // yield 2 chunks of 2 and deadlock the 3-party barriers).
@@ -529,21 +651,14 @@ fn drive_parallel<S: RecordSource>(
             // Exclusive phase: every worker is parked at (or headed to)
             // the start barrier, so the write lock is uncontended.
             {
-                let mut guard =
-                    rv.shared.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let sw = &mut *guard;
+                let mut win = rv.window.write().unwrap_or_else(std::sync::PoisonError::into_inner);
                 let keep = rv.min_head.load(Ordering::Acquire);
-                match sw.ring.fill(src, keep) {
+                match win.fill(src, &mut builder, keep) {
                     Ok(fresh) => {
-                        let stalled = fresh.is_empty();
-                        for seq in fresh {
-                            sw.facts[(seq & sw.ring.mask()) as usize] =
-                                builder.extract(seq, sw.ring.get(seq), heap_base);
-                        }
                         // Same invariant as the serial loop: an empty fill
                         // with unfinished pipelines means the stream ended
                         // and they are draining.
-                        debug_assert!(!stalled || sw.ring.done(), "lockstep window stalled");
+                        debug_assert!(fresh || win.done(), "lockstep window stalled");
                     }
                     Err(e) => {
                         rv.stop.store(true, Ordering::Release);
@@ -725,6 +840,44 @@ mod tests {
         for (cfg, got) in configs.iter().zip(&replayed) {
             let alone = Simulator::new(cfg.clone()).run(&p, u64::MAX);
             assert_eq!(got.to_csv_row(), alone.to_csv_row(), "{cfg:?} diverged on replay");
+        }
+    }
+
+    #[test]
+    fn live_facts_equal_the_facts_of_the_replayed_records() {
+        // The two producers of one stream: the emulator's stepping loop
+        // writing facts directly, and `.svft` replay rebuilding them from
+        // the decoded records of the same run. Every field must agree —
+        // dependences, alias chains, the new `$sp`, the control kind and
+        // target — over every instruction of every kernel.
+        for w in svf_workloads::all() {
+            let p = w.compile(svf_workloads::Scale::Test).expect("kernel compiles");
+            let mut capture = svf_emu::Emulator::new(&p);
+            let mut writer =
+                TraceWriter::new(Vec::new(), p.entry, p.heap_base, STACK_BASE).expect("header");
+            while !capture.is_halted() {
+                writer.push(&capture.step().expect("kernel runs")).expect("writes");
+            }
+            let bytes = writer.finish().expect("finish");
+            let mut replay = TraceSource::open(bytes.as_slice()).expect("opens");
+
+            let mut live = svf_emu::Emulator::new(&p);
+            let mut live_b = FactsBuilder::new(p.heap_base);
+            let mut replay_b = FactsBuilder::new(p.heap_base);
+            let (mut live_w, mut replay_w) =
+                (Window::new(LOCKSTEP_WINDOW, u64::MAX), Window::new(LOCKSTEP_WINDOW, u64::MAX));
+            let mut seq = 0;
+            while !live_w.done() {
+                live_w.fill(&mut live, &mut live_b, seq).expect("live stream");
+                replay_w.fill(&mut replay, &mut replay_b, seq).expect("replayed stream");
+                assert_eq!(live_w.hi(), replay_w.hi(), "{}: stream lengths", w.name);
+                for s in seq..live_w.hi() {
+                    assert_eq!(live_w.fact(s), replay_w.fact(s), "{}: facts of seq {s}", w.name);
+                }
+                seq = live_w.hi();
+            }
+            assert!(replay_w.done(), "{}: the replay ends with the run", w.name);
+            assert_eq!(seq, capture.steps(), "{}: every instruction compared", w.name);
         }
     }
 

@@ -22,10 +22,10 @@
 //!   `ifq_head..next_seq` the fetch queue — and all per-entry state lives
 //!   in flat ring lanes indexed by `seq & seq_mask`. No queue containers,
 //!   no hashing.
-//! * Dispatch runs off the precomputed [`Facts`] (decoded registers,
-//!   dependence chains, aliasing store chains, memory classification); the
-//!   wide `Retired` record is touched only for the rare `sp_update`
-//!   payload and to train a non-trivial predictor.
+//! * Fetch and dispatch run off the precomputed [`Facts`] alone (static
+//!   registers and classes, dependence chains, aliasing store chains,
+//!   memory classification, the new `$sp`, the control kind and target):
+//!   the stream carries no committed-instruction record at all.
 //! * **Issue is reserved at dispatch.** The machine dispatches in program
 //!   order and issues oldest-first under width, FU and port limits, so
 //!   whether an instruction issues in a cycle depends only on the older
@@ -454,7 +454,7 @@ impl<'a> Pipeline<'a> {
                 break;
             }
             // Everything below runs off the `commit_flags` distilled at
-            // dispatch; the wide `Retired` record is long gone.
+            // dispatch; the window may already have overwritten the facts.
             let cf = self.commit_flags[sidx];
             self.lsq_count -= usize::from(cf & F_MEM != 0);
             self.stats.committed += 1;
@@ -559,15 +559,14 @@ impl<'a> Pipeline<'a> {
             if self.ifq_head == self.next_seq {
                 break; // fetch queue empty
             }
-            // Everything issue and commit need comes from the shared facts;
-            // the wide record is only consulted for `sp_update` payloads.
+            // Everything issue and commit need comes from the shared facts.
             let f = win.fact(self.ifq_head);
             if f.flags & F_MEM != 0 && self.lsq_count >= self.cfg.lsq_size {
                 break;
             }
             let seq = self.ifq_head;
             self.ifq_head += 1;
-            let plan = self.plan(seq, f, win);
+            let plan = self.plan(f);
             self.lsq_count += usize::from(f.flags & F_MEM != 0);
             if f.flags & F_SP_INTERLOCK != 0 {
                 self.decode_block_on = Some(seq);
@@ -601,14 +600,14 @@ impl<'a> Pipeline<'a> {
     /// and the done cycle of its last producer — all off the shared
     /// [`Facts`].
     #[allow(clippy::too_many_lines)]
-    fn plan(&mut self, seq: u64, f: &Facts, win: &Window) -> Plan {
-        // Speculative $sp tracking (§3.1): immediate adjustments update the
-        // stack engine in decode, in program order. The payload lives in
-        // the wide record (rare enough not to bloat the facts).
+    fn plan(&mut self, f: &Facts) -> Plan {
+        // Speculative $sp tracking (§3.1): `$sp` writes update the stack
+        // engine in decode, in program order. The window's low end is the
+        // committed `$sp` the update moves from.
         if f.flags & F_SP_UPDATE != 0 {
             if let Some(svf) = self.svf.as_mut() {
-                let sp = win.record(seq).sp_update.expect("F_SP_UPDATE implies a payload");
-                svf.on_sp_update(sp.old_sp, sp.new_sp);
+                let (old_sp, _) = svf.range();
+                svf.on_sp_update(old_sp, f.new_sp);
             }
         }
 
@@ -830,7 +829,7 @@ impl<'a> Pipeline<'a> {
             let is_control = f.flags & F_CONTROL != 0;
             let taken = f.flags & F_TAKEN != 0;
             let correct =
-                if is_control { self.predictor.predict_and_update(win.record(seq)) } else { true };
+                !is_control || self.predictor.train(f.pc, f.control, taken, f.addr);
             if is_control && !correct {
                 self.stats.mispredicts += 1;
                 self.fetch_blocked_on = Some(seq);

@@ -7,7 +7,7 @@
 //! Both are exact-semantics replacements — predictions are identical.
 
 use svf_emu::Retired;
-use svf_isa::Inst;
+use svf_isa::ControlKind;
 
 use crate::config::PredictorKind;
 
@@ -40,11 +40,22 @@ impl Predictor {
 
     /// Predicts the committed control-flow instruction `r`, updates
     /// predictor state with the actual outcome, and returns `true` when the
-    /// prediction was correct.
+    /// prediction was correct. A record without a control outcome is
+    /// predicted trivially.
     pub fn predict_and_update(&mut self, r: &Retired) -> bool {
+        r.control.is_none_or(|c| {
+            self.train(r.pc, ControlKind::of(&r.inst), c.taken, c.target)
+        })
+    }
+
+    /// [`Predictor::predict_and_update`] for the control instruction at
+    /// `pc` of kind `kind`, whose outcome was `taken` to `target` (the
+    /// next PC): what fetch and functional warming train on.
+    #[inline]
+    pub(crate) fn train(&mut self, pc: u64, kind: ControlKind, taken: bool, target: u64) -> bool {
         match self {
             Predictor::Perfect => true,
-            Predictor::Gshare(g) => g.predict_and_update(r),
+            Predictor::Gshare(g) => g.train(pc, kind, taken, target),
         }
     }
 }
@@ -192,13 +203,11 @@ impl Gshare {
         }
     }
 
-    fn predict_and_update(&mut self, r: &Retired) -> bool {
-        let Some(ctl) = r.control else { return true };
-        match r.inst {
-            Inst::CondBr { .. } => {
-                let idx = (((r.pc >> 2) ^ self.history) & self.mask) as usize;
+    fn train(&mut self, pc: u64, kind: ControlKind, taken: bool, target: u64) -> bool {
+        match kind {
+            ControlKind::Cond => {
+                let idx = (((pc >> 2) ^ self.history) & self.mask) as usize;
                 let predicted_taken = self.table[idx] >= 2;
-                let taken = ctl.taken;
                 // 2-bit saturating update.
                 if taken {
                     self.table[idx] = (self.table[idx] + 1).min(3);
@@ -208,26 +217,22 @@ impl Gshare {
                 self.history = ((self.history << 1) | u64::from(taken)) & self.mask;
                 predicted_taken == taken
             }
-            Inst::Br { .. } => {
-                // Direct unconditional: target known at decode.
-                if r.inst.is_call() {
-                    self.ras.push(r.pc + 4);
-                }
+            // Direct unconditional: target known at decode.
+            ControlKind::Jump => true,
+            ControlKind::Call => {
+                self.ras.push(pc + 4);
                 true
             }
-            Inst::Jmp { .. } if r.inst.is_ret() => {
-                let predicted = self.ras.pop();
-                predicted == Some(ctl.target)
-            }
-            Inst::Jmp { .. } => {
-                let predicted = self.btb.get(r.pc);
-                self.btb.insert(r.pc, ctl.target);
-                if r.inst.is_call() {
-                    self.ras.push(r.pc + 4);
+            ControlKind::Return => self.ras.pop() == Some(target),
+            ControlKind::Indirect | ControlKind::IndirectCall => {
+                let predicted = self.btb.get(pc);
+                self.btb.insert(pc, target);
+                if kind == ControlKind::IndirectCall {
+                    self.ras.push(pc + 4);
                 }
-                predicted == Some(ctl.target)
+                predicted == Some(target)
             }
-            _ => true,
+            ControlKind::None => true,
         }
     }
 }
@@ -236,7 +241,7 @@ impl Gshare {
 mod tests {
     use super::*;
     use svf_emu::ControlFlow;
-    use svf_isa::{BrOp, CondOp, JmpKind, Reg};
+    use svf_isa::{BrOp, CondOp, Inst, JmpKind, Reg};
 
     fn cond_branch(pc: u64, taken: bool) -> Retired {
         Retired {
@@ -287,7 +292,7 @@ mod tests {
 
     #[test]
     fn ras_predicts_matched_calls() {
-        let mut g = Gshare::new(8);
+        let mut g = Predictor::Gshare(Gshare::new(8));
         let call = Retired {
             pc: 0x1000,
             inst: Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 100 },
@@ -340,7 +345,7 @@ mod tests {
 
     #[test]
     fn btb_learns_indirect_targets() {
-        let mut g = Gshare::new(8);
+        let mut g = Predictor::Gshare(Gshare::new(8));
         let jmp = Retired {
             pc: 0x2000,
             inst: Inst::Jmp { kind: JmpKind::Jmp, ra: Reg::ZERO, rb: Reg::T0 },

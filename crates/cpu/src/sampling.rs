@@ -5,9 +5,10 @@
 //! instruction; the functional emulator is orders of magnitude faster. A
 //! [`SampleSpec`] picks a set of *measured intervals* along the committed
 //! instruction stream; between them the program runs at emulator speed
-//! while a [`WarmupSink`] keeps the long-lived structures — cache tags and
-//! dirty bits, SVF / stack-cache contents, branch predictor tables — warm
-//! off the same [`Retired`] records the timing model would have seen. Each
+//! while a [`Warmer`] per configuration keeps the long-lived structures —
+//! cache tags and dirty bits, SVF / stack-cache contents, branch predictor
+//! tables — warm off the same committed instructions the timing model
+//! would have seen. Each
 //! interval then runs the real pipeline on the same machine, picking up
 //! where the functional run left it, with warm structures but a cold
 //! (drained) pipeline, and the per-interval statistics are pooled and
@@ -16,14 +17,16 @@
 //! The flow per measured interval:
 //!
 //! 1. **Fast-forward** the primary emulator to `start - warmup` with
-//!    [`Emulator::run`] (no records materialized).
-//! 2. **Warm up** for `warmup` instructions: step with records, feeding
-//!    every config's [`Warmer`] so its structures observe exactly the
-//!    accesses the pipeline's dispatch would have routed to them. (The
-//!    execution-driven model is functional-first, so structure-touch order
-//!    equals record order — the warmer is faithful by construction.)
+//!    [`Emulator::run`]: the stepping loop with nothing observing it.
+//! 2. **Warm up** for `warmup` instructions: the same loop with every
+//!    config's [`Warmer`] inlined as its sink, so each config's structures
+//!    observe exactly the accesses the pipeline's dispatch would have
+//!    routed to them. (The execution-driven model is functional-first, so
+//!    structure-touch order equals commit order — the warmer is faithful
+//!    by construction.)
 //! 3. **Measure**: lend the primary emulator to the detailed lockstep loop,
-//!    which steps it over the interval's ramp, measured window and tail;
+//!    which steps it over the interval's ramp, measured window and tail,
+//!    writing each instruction's facts straight into the lockstep window;
 //!    the fast-forward to the next interval resumes from where the loop
 //!    stopped. Structure statistics are reset at the interval boundary so
 //!    each interval's counters cover only itself.
@@ -53,8 +56,8 @@
 //! error (phase variation between strata), which shrinks with more or
 //! longer intervals.
 
-use svf_emu::{Emulator, RecordSource, Retired, StreamError};
-use svf_isa::{Program, Reg};
+use svf_emu::{Commit, Emulator, StepSink, StreamError};
+use svf_isa::{MemRegion, Program, Reg};
 
 use crate::config::{CpuConfig, StackEngine};
 use crate::lockstep::{drive_fanout, run_lockstep_fanout};
@@ -84,7 +87,7 @@ pub enum SampleMode {
 /// Around each *measured* interval sit three kinds of lead-in/lead-out:
 ///
 /// * `warmup` instructions of **functional** warmup (structures observe
-///   the stream via [`WarmupSink`]s, no cycles simulated);
+///   the stream through functional warmers, no cycles simulated);
 /// * `ramp` instructions of **detailed** pre-roll: simulated by the
 ///   pipeline but excluded from the interval's statistics, so measurement
 ///   starts with a full, steady-state instruction window instead of an
@@ -227,59 +230,62 @@ fn parse_count(s: &str) -> Result<u64, String> {
     n.checked_mul(mult).ok_or_else(|| format!("count `{s}` overflows"))
 }
 
-/// A consumer of committed-instruction records used to keep long-lived
-/// timing structures warm while the program runs at functional speed.
-/// [`run_sampled`] feeds every record of each pre-interval warmup window
-/// through one sink per configuration.
-pub trait WarmupSink {
-    /// Observes one committed record. `heap_base` classifies memory
-    /// regions, exactly as in detailed simulation.
-    fn warm(&mut self, r: &Retired, heap_base: u64);
-}
-
-/// The standard warmer: routes each record's structure accesses exactly as
-/// the pipeline's fetch/dispatch stages would — I-cache once per line
-/// change, `$sp` updates into the SVF at decode order, memory references
-/// steered per the config's stack engine, control records through the
-/// predictor. Because the timing model is functional-first (it replays the
-/// committed stream), this routing touches the same structures in the same
-/// order as a detailed run; only the cycle accounting is skipped.
+/// The functional warmer: routes each committed instruction's structure
+/// accesses exactly as the pipeline's fetch/dispatch stages would — I-cache
+/// once per line change, `$sp` updates into the SVF at decode order, memory
+/// references steered per the config's stack engine, control instructions
+/// through the predictor. Because the timing model is functional-first (it
+/// replays the committed stream), this routing touches the same structures
+/// in the same order as a detailed run; only the cycle accounting is
+/// skipped.
 pub(crate) struct Warmer<'a> {
     cfg: &'a CpuConfig,
     state: &'a mut EngineState,
     il1_line_shift: u32,
+    heap_base: u64,
 }
 
 impl<'a> Warmer<'a> {
-    pub(crate) fn new(cfg: &'a CpuConfig, state: &'a mut EngineState) -> Warmer<'a> {
-        Warmer { cfg, state, il1_line_shift: cfg.hierarchy.il1.line_bytes.trailing_zeros() }
+    pub(crate) fn new(
+        cfg: &'a CpuConfig,
+        state: &'a mut EngineState,
+        heap_base: u64,
+    ) -> Warmer<'a> {
+        Warmer {
+            cfg,
+            state,
+            il1_line_shift: cfg.hierarchy.il1.line_bytes.trailing_zeros(),
+            heap_base,
+        }
     }
-}
 
-impl WarmupSink for Warmer<'_> {
-    fn warm(&mut self, r: &Retired, heap_base: u64) {
+    /// Observes one committed instruction.
+    #[inline]
+    fn warm(&mut self, c: &Commit<'_>) {
+        let info = c.info();
         // Fetch side: the pipeline charges the IL1 once per line change.
-        let line = r.pc >> self.il1_line_shift;
+        let line = c.pc >> self.il1_line_shift;
         if line != self.state.last_fetch_line {
             self.state.last_fetch_line = line;
-            self.state.hier.inst_fetch(r.pc);
+            self.state.hier.inst_fetch(c.pc);
         }
         // Decode-order $sp tracking (§3.1) keeps the SVF window in step.
-        if let Some(sp) = r.sp_update {
+        if info.writes_sp() {
             if let Some(svf) = self.state.svf.as_mut() {
-                svf.on_sp_update(sp.old_sp, sp.new_sp);
+                svf.on_sp_update(c.sp_before, c.sp_after);
             }
         }
         // Memory references, steered exactly like `Pipeline::plan`.
-        if let Some(m) = r.mem {
-            let is_stack = m.region(heap_base).is_stack();
+        if info.is_mem() {
+            let (addr, is_store) = (c.addr, info.is_store());
+            let is_stack = MemRegion::classify(addr, self.heap_base).is_stack();
             match (self.cfg.stack_engine, is_stack) {
                 // Ideal morphing touches no structure at all.
                 (StackEngine::IdealSvf, true) => {}
                 (StackEngine::StackCache, true) => {
                     let sc = self.state.stack_cache.as_mut().expect("stack cache engine");
-                    if !sc.access(m.addr, m.is_store) {
-                        self.state.hier.l2_access(m.addr, m.is_store);
+                    if !sc.access(addr, is_store) {
+                        self.state.hier.l2_access(addr, is_store);
                     }
                 }
                 (StackEngine::Svf, true) => {
@@ -287,55 +293,42 @@ impl WarmupSink for Warmer<'_> {
                     // the DL1 only on a demand fill) identically; only
                     // out-of-window references fall through to the DL1.
                     let svf = self.state.svf.as_mut().expect("svf engine");
-                    if svf.in_range(m.addr) {
-                        let acc = if m.is_store {
-                            svf.store(m.addr, m.size)
+                    if svf.in_range(addr) {
+                        let acc = if is_store {
+                            svf.store(addr, info.size)
                         } else {
-                            svf.load(m.addr, m.size)
+                            svf.load(addr, info.size)
                         }
                         .expect("in range");
                         if acc.filled {
-                            self.state.hier.data_access(m.addr, false);
+                            self.state.hier.data_access(addr, false);
                         }
                     } else {
-                        self.state.hier.data_access(m.addr, m.is_store);
+                        self.state.hier.data_access(addr, is_store);
                     }
                 }
                 _ => {
-                    self.state.hier.data_access(m.addr, m.is_store);
+                    self.state.hier.data_access(addr, is_store);
                 }
             }
         }
-        // Predictor tables train on every control record.
-        if r.control.is_some() {
-            self.state.predictor.predict_and_update(r);
+        // Predictor tables train on every control instruction.
+        if info.is_control() {
+            self.state.predictor.train(c.pc, info.control, c.taken, c.next_pc);
         }
     }
 }
 
-/// A [`RecordSource`] over a borrowed emulator: the sampled driver owns
-/// the machine across intervals and lends it to the lockstep loop for the
-/// duration of one measured interval.
-struct BorrowedSource<'a> {
-    emu: &'a mut Emulator,
-    initial_sp: u64,
-}
+/// Every config's [`Warmer`], as the sink of the emulator's stepping loop
+/// over a warmup window.
+struct Warmers<'a>(Vec<Warmer<'a>>);
 
-impl RecordSource for BorrowedSource<'_> {
-    fn heap_base(&self) -> u64 {
-        self.emu.heap_base()
-    }
-
-    fn initial_sp(&self) -> u64 {
-        self.initial_sp
-    }
-
-    fn next_record(&mut self, out: &mut Retired) -> Result<bool, StreamError> {
-        if self.emu.is_halted() {
-            return Ok(false);
+impl StepSink for Warmers<'_> {
+    #[inline]
+    fn commit(&mut self, c: &Commit<'_>) {
+        for w in &mut self.0 {
+            w.warm(c);
         }
-        self.emu.step_record(out)?;
-        Ok(true)
     }
 }
 
@@ -510,7 +503,6 @@ pub fn run_sampled_fanout(
     let mut warmed = 0u64;
     let mut intervals = 0u64;
     let mut schedule = Schedule::new(spec);
-    let mut rec = Retired::PLACEHOLDER;
 
     loop {
         if spec.max_intervals != 0 && intervals >= spec.max_intervals {
@@ -533,16 +525,18 @@ pub fn run_sampled_fanout(
         for st in &mut states {
             resync_svf(st, emu.reg(Reg::SP));
         }
-        {
-            let mut warmers: Vec<Warmer> =
-                configs.iter().zip(states.iter_mut()).map(|(c, st)| Warmer::new(c, st)).collect();
-            while emu.steps() < detail_start && emu.steps() < max_insts && !emu.is_halted() {
-                emu.step_record(&mut rec).unwrap_or_else(|e| emu_fault(e));
-                warmed += 1;
-                for w in &mut warmers {
-                    w.warm(&rec, heap_base);
-                }
-            }
+        let warm_end = detail_start.min(max_insts);
+        if emu.steps() < warm_end {
+            let before = emu.steps();
+            let mut warmers = Warmers(
+                configs
+                    .iter()
+                    .zip(states.iter_mut())
+                    .map(|(c, st)| Warmer::new(c, st, heap_base))
+                    .collect(),
+            );
+            emu.run_with(warm_end - before, &mut warmers).unwrap_or_else(|e| emu_fault(e));
+            warmed += emu.steps() - before;
         }
         if emu.is_halted() || emu.steps() >= max_insts {
             break;
@@ -564,8 +558,7 @@ pub fn run_sampled_fanout(
                 p
             })
             .collect();
-        let mut src = BorrowedSource { initial_sp: emu.reg(Reg::SP), emu: &mut emu };
-        drive_fanout(&mut pipes, &mut src, budget, fanout).unwrap_or_else(|e| fault(e));
+        drive_fanout(&mut pipes, &mut emu, budget, fanout).unwrap_or_else(|e| fault(e));
         for (slot, pipe) in measured.iter_mut().zip(pipes) {
             let (stats, st) = pipe.finish_into_state();
             slot.push(stats);
@@ -831,8 +824,7 @@ mod tests {
         let mut pl = Pipeline::new(cfg, initial_sp);
         pl.set_measure_window(from, to);
         let mut pipes = vec![pl];
-        let mut src = BorrowedSource { initial_sp, emu: &mut emu };
-        drive_fanout(&mut pipes, &mut src, u64::MAX, 1).unwrap();
+        drive_fanout(&mut pipes, &mut emu, u64::MAX, 1).unwrap();
         pipes.pop().unwrap().finish()
     }
 

@@ -1,20 +1,26 @@
 //! # svf-emu — functional emulator for the SVF reproduction ISA
 //!
 //! Executes [`svf_isa::Program`] images instruction-by-instruction with full
-//! architectural fidelity and no timing. It plays three roles:
+//! architectural fidelity and no timing. There is one stepping loop
+//! ([`Emulator::run_with`]): it dispatches on the program's lowered
+//! micro-ops ([`svf_isa::Lowered`], built once per image) and hands each
+//! committed instruction to a [`StepSink`] inlined into it, so every caller
+//! pays only for what its sink reads. The emulator plays three roles:
 //!
 //! 1. **Oracle / front end for the timing model.** The cycle simulator in
-//!    `svf-cpu` is *execution-driven, functional-first*: this emulator
-//!    produces the committed dynamic instruction stream ([`Retired`]
-//!    records), and the timing model replays it through the pipeline.
+//!    `svf-cpu` is *execution-driven, functional-first*: its sink writes
+//!    the per-instruction facts the pipeline needs straight into the shared
+//!    lockstep window, and functional warming between sampled intervals is
+//!    another sink. [`Retired`] records are built only where a whole record
+//!    is wanted ([`Emulator::step_record`]: trace capture, the CLI's
+//!    instruction listing, [`RecordRing`]).
 //! 2. **Workload validation.** Each benchmark prints a checksum through the
 //!    `putint` system call; tests compare it against a known-good value.
 //! 3. **Reference-behaviour characterization.** The classification helpers
 //!    ([`AccessMethod`], [`MemAccess`]) drive the paper's Figures 1–3, and
 //!    the traffic tables replay the same reference stream; both take it
-//!    from [`Emulator::run_observe`] through a [`StepObserver`], which
-//!    skips building the [`Retired`] record and inlines the observer into
-//!    the emulator's own stepping loop.
+//!    from [`Emulator::run_observe`] through a [`StepObserver`], whose
+//!    hooks the stepping loop inlines.
 //!
 //! # Example
 //!
@@ -44,7 +50,7 @@ mod retired;
 mod stream;
 mod trace;
 
-pub use machine::{EmuError, Emulator, RunOutcome, StepObserver};
+pub use machine::{Commit, EmuError, Emulator, RunOutcome, StepObserver, StepSink};
 pub use memory::Memory;
 pub use retired::{AccessMethod, ControlFlow, MemAccess, Retired, SpUpdate};
 pub use stream::{LiveSource, RecordRing, RecordSource, SalvageReport, StreamError, TraceSource};

@@ -1,11 +1,14 @@
-//! The functional machine.
+//! The functional machine: one stepping loop over the program's lowered
+//! micro-ops ([`svf_isa::Lowered`]), monomorphized per [`StepSink`].
 
 use std::error::Error;
 use std::fmt;
 
 use std::sync::Arc;
 
-use svf_isa::{Inst, MemOp, Operand, Program, Reg, SysFunc, STACK_BASE, TEXT_BASE};
+use svf_isa::{
+    AluOp, CondOp, Inst, Lowered, Program, Reg, StaticInfo, Uop, REG_SLOTS, STACK_BASE, TEXT_BASE,
+};
 
 use crate::memory::Memory;
 use crate::retired::{ControlFlow, MemAccess, Retired, SpUpdate};
@@ -59,6 +62,61 @@ pub enum RunOutcome {
     StepLimit,
 }
 
+/// One committed instruction, as the stepping loop hands it to a
+/// [`StepSink`]. The dynamic values are plain fields; what the instruction
+/// *is* comes from the program's lowering through [`Commit::info`].
+#[derive(Debug, Clone, Copy)]
+pub struct Commit<'a> {
+    /// Address of the instruction.
+    pub pc: u64,
+    /// Address of the next committed instruction.
+    pub next_pc: u64,
+    /// Effective address of a memory reference (`0` for other instructions).
+    pub addr: u64,
+    /// Whether a control-transfer instruction redirected the PC: always for
+    /// jumps and calls, the condition's outcome for a conditional branch.
+    pub taken: bool,
+    /// `$sp` before the instruction executed.
+    pub sp_before: u64,
+    /// `$sp` after it executed.
+    pub sp_after: u64,
+    /// The instruction's 1-based position in the committed stream
+    /// ([`Emulator::steps`] once it has committed).
+    pub step: u64,
+    code: &'a Lowered,
+    idx: usize,
+}
+
+impl<'a> Commit<'a> {
+    /// The instruction's static facts.
+    #[inline]
+    #[must_use]
+    pub fn info(&self) -> &'a StaticInfo {
+        &self.code.info[self.idx]
+    }
+
+    /// The decoded instruction.
+    #[inline]
+    #[must_use]
+    pub fn inst(&self) -> Inst {
+        self.code.insts[self.idx]
+    }
+}
+
+/// Receives every instruction [`Emulator::run_with`] commits. The loop is
+/// monomorphized per sink with [`StepSink::commit`] inlined into it, so a
+/// sink pays only for the [`Commit`] fields it reads.
+pub trait StepSink {
+    /// Called once per committed instruction, after its architectural
+    /// effects.
+    fn commit(&mut self, c: &Commit<'_>);
+}
+
+impl StepSink for () {
+    #[inline]
+    fn commit(&mut self, _c: &Commit<'_>) {}
+}
+
 /// Receives the stack-relevant events of each instruction that
 /// [`Emulator::run_observe`] commits, without a [`Retired`] record being
 /// written.
@@ -73,59 +131,73 @@ pub trait StepObserver {
     fn mem(&mut self, access: MemAccess, sp_before: u64);
 }
 
-/// How the stepping core hands a committed instruction to its caller. The
-/// core is monomorphized per sink and assembles only what the sink's
-/// constants ask for: [`Emulator::run`] (`()`) nothing,
-/// [`Emulator::run_observe`] the `$sp` update and memory reference, and
-/// [`Emulator::step_record`] (`Retired`) the full record.
-trait Sink {
-    /// Assemble the `$sp` update and the memory reference.
-    const EVENTS: bool = true;
-    /// Also assemble the control-flow outcome and the full record.
-    const RECORD: bool = false;
+/// The [`StepSink`] behind [`Emulator::run_observe`].
+struct Observe<'o, O>(&'o mut O);
 
+impl<O: StepObserver> StepSink for Observe<'_, O> {
     #[inline]
-    fn sp_update(&mut self, _update: SpUpdate, _step: u64) {}
-
-    #[inline]
-    fn mem(&mut self, _access: MemAccess, _sp_before: u64) {}
-
-    #[inline]
-    fn record(&mut self, _r: Retired) {}
-}
-
-impl Sink for () {
-    const EVENTS: bool = false;
-}
-
-impl Sink for Retired {
-    const RECORD: bool = true;
-
-    #[inline]
-    fn record(&mut self, r: Retired) {
-        *self = r;
+    fn commit(&mut self, c: &Commit<'_>) {
+        let info = c.info();
+        if let Some(u) = sp_update(c) {
+            self.0.sp_update(u, c.step);
+        }
+        if info.is_mem() {
+            self.0.mem(mem_access(c), c.sp_before);
+        }
     }
 }
 
-impl<O: StepObserver> Sink for O {
-    #[inline]
-    fn sp_update(&mut self, update: SpUpdate, step: u64) {
-        StepObserver::sp_update(self, update, step);
-    }
+/// The [`StepSink`] behind [`Emulator::step_record`].
+struct Record<'r>(&'r mut Retired);
 
+impl StepSink for Record<'_> {
     #[inline]
-    fn mem(&mut self, access: MemAccess, sp_before: u64) {
-        StepObserver::mem(self, access, sp_before);
+    fn commit(&mut self, c: &Commit<'_>) {
+        let info = c.info();
+        *self.0 = Retired {
+            pc: c.pc,
+            inst: c.inst(),
+            next_pc: c.next_pc,
+            mem: info.is_mem().then(|| mem_access(c)),
+            control: info.is_control().then_some(ControlFlow { taken: c.taken, target: c.next_pc }),
+            sp_update: sp_update(c),
+            sp_before: c.sp_before,
+        };
     }
+}
+
+/// The committed instruction's memory reference (it must have one).
+#[inline]
+fn mem_access(c: &Commit<'_>) -> MemAccess {
+    let info = c.info();
+    MemAccess {
+        addr: c.addr,
+        size: info.size,
+        is_store: info.is_store(),
+        base: Reg::from_number(info.base),
+    }
+}
+
+/// The committed instruction's `$sp` update, if it wrote `$sp`.
+#[inline]
+fn sp_update(c: &Commit<'_>) -> Option<SpUpdate> {
+    let info = c.info();
+    info.writes_sp().then_some(SpUpdate {
+        old_sp: c.sp_before,
+        new_sp: c.sp_after,
+        immediate: info.flags & StaticInfo::SP_INTERLOCK == 0,
+    })
 }
 
 /// The functional emulator. See the [crate docs](crate) for an example.
 #[derive(Debug, Clone)]
 pub struct Emulator {
-    regs: [u64; 32],
+    /// The architectural registers, then the `$zero`-write scratch slot and
+    /// padding ([`REG_SLOTS`]).
+    regs: [u64; REG_SLOTS],
     pc: u64,
     mem: Memory,
-    decoded: Arc<[Inst]>,
+    code: Arc<Lowered>,
     heap_base: u64,
     output: Vec<u8>,
     halted: bool,
@@ -133,7 +205,7 @@ pub struct Emulator {
 }
 
 impl Emulator {
-    /// Loads a program: the shared [`Program::decoded`] image is taken by
+    /// Loads a program: the shared [`Program::lowered`] image is taken by
     /// reference count (no per-emulator re-decode), data copied in, `$sp`
     /// set to [`STACK_BASE`], and the PC set to the entry point.
     ///
@@ -143,16 +215,16 @@ impl Emulator {
     /// (assembled programs never do).
     #[must_use]
     pub fn new(program: &Program) -> Emulator {
-        let decoded = program.decoded();
+        let code = program.lowered();
         let mut mem = Memory::new();
         mem.load(program.data_base(), &program.data);
-        let mut regs = [0u64; 32];
+        let mut regs = [0u64; REG_SLOTS];
         regs[Reg::SP.number() as usize] = STACK_BASE;
         Emulator {
             regs,
             pc: program.entry,
             mem,
-            decoded,
+            code,
             heap_base: program.heap_base,
             output: Vec::new(),
             halted: false,
@@ -217,9 +289,9 @@ impl Emulator {
 
     /// Executes one instruction and returns its record by value. This
     /// copies the whole [`Retired`] out on every call; it is a convenience
-    /// for tests and one-off probes. A hot loop steps in place with
-    /// [`Emulator::step_record`], or runs [`Emulator::run_observe`] when it
-    /// needs only the `$sp` updates and memory references.
+    /// for tests and one-off probes. A hot loop runs [`Emulator::run_with`]
+    /// with a [`StepSink`], or [`Emulator::run_observe`] when it needs only
+    /// the `$sp` updates and memory references.
     ///
     /// # Errors
     ///
@@ -232,9 +304,8 @@ impl Emulator {
     }
 
     /// Executes one instruction, writing the committed record into `out`
-    /// in place. This is [`Emulator::step`] without the by-value return of
-    /// the wide record — the cycle simulator calls it once per instruction,
-    /// targeting its fetch-queue ring slot directly.
+    /// in place: [`Emulator::step`] without the by-value return of the wide
+    /// record (trace capture, record rings).
     ///
     /// # Errors
     ///
@@ -242,148 +313,10 @@ impl Emulator {
     /// machine is already halted; `out` is untouched on error.
     #[inline]
     pub fn step_record(&mut self, out: &mut Retired) -> Result<(), EmuError> {
-        self.step_impl(out)
-    }
-
-    /// The fetch-decode-execute core, monomorphized over what its caller
-    /// observes (see [`Sink`]); the architectural effects are identical
-    /// for every sink.
-    #[allow(clippy::too_many_lines)]
-    fn step_impl<S: Sink>(&mut self, sink: &mut S) -> Result<(), EmuError> {
         if self.halted {
             return Err(EmuError::Halted);
         }
-        let pc = self.pc;
-        if pc < TEXT_BASE || !pc.is_multiple_of(4) {
-            return Err(EmuError::BadPc(pc));
-        }
-        let idx = ((pc - TEXT_BASE) / 4) as usize;
-        let inst = *self.decoded.get(idx).ok_or(EmuError::BadPc(pc))?;
-
-        let sp_before = self.reg(Reg::SP);
-        let mut next_pc = pc + 4;
-        let mut mem_access = None;
-        let mut control = None;
-        // The register the instruction writes, `$zero` when none: noting it
-        // per arm answers `Inst::writes_sp` without a second decode.
-        let mut dest = Reg::ZERO;
-
-        match inst {
-            Inst::Sys { func } => match func {
-                SysFunc::Halt => self.halted = true,
-                SysFunc::PutInt => {
-                    let v = self.reg(Reg::A0) as i64;
-                    self.output.extend_from_slice(v.to_string().as_bytes());
-                    self.output.push(b'\n');
-                }
-                SysFunc::PutChar => {
-                    self.output.push(self.reg(Reg::A0) as u8);
-                }
-            },
-            Inst::Mem { op, ra, rb, disp } => {
-                let addr = self.reg(rb).wrapping_add(disp as u64);
-                let size = op.size() as u8;
-                if !addr.is_multiple_of(u64::from(size)) {
-                    return Err(EmuError::Misaligned { pc, addr, size });
-                }
-                match op {
-                    MemOp::Ldq => {
-                        let v = self.mem.read_u64(addr);
-                        self.set_reg(ra, v);
-                        dest = ra;
-                    }
-                    MemOp::Ldl => {
-                        let v = self.mem.read_u32(addr) as i32 as i64 as u64;
-                        self.set_reg(ra, v);
-                        dest = ra;
-                    }
-                    MemOp::Ldbu => {
-                        let v = u64::from(self.mem.read_u8(addr));
-                        self.set_reg(ra, v);
-                        dest = ra;
-                    }
-                    MemOp::Stq => self.mem.write_u64(addr, self.reg(ra)),
-                    MemOp::Stl => self.mem.write_u32(addr, self.reg(ra) as u32),
-                    MemOp::Stb => self.mem.write_u8(addr, self.reg(ra) as u8),
-                }
-                if S::EVENTS {
-                    mem_access =
-                        Some(MemAccess { addr, size, is_store: op.is_store(), base: rb });
-                }
-            }
-            Inst::Lda { high, ra, rb, disp } => {
-                let d = if high { i64::from(disp) << 16 } else { i64::from(disp) };
-                let v = self.reg(rb).wrapping_add(d as u64);
-                self.set_reg(ra, v);
-                dest = ra;
-            }
-            Inst::Br { ra, disp, .. } => {
-                self.set_reg(ra, pc + 4);
-                dest = ra;
-                let target = (pc + 4).wrapping_add((i64::from(disp) * 4) as u64);
-                next_pc = target;
-                if S::RECORD {
-                    control = Some(ControlFlow { taken: true, target });
-                }
-            }
-            Inst::CondBr { op, ra, disp } => {
-                let taken = op.taken(self.reg(ra));
-                let target = (pc + 4).wrapping_add((i64::from(disp) * 4) as u64);
-                if taken {
-                    next_pc = target;
-                }
-                if S::RECORD {
-                    control = Some(ControlFlow { taken, target: next_pc });
-                }
-            }
-            Inst::Op { op, ra, rb, rc } => {
-                let a = self.reg(ra);
-                let b = match rb {
-                    Operand::Reg(r) => self.reg(r),
-                    Operand::Lit(l) => u64::from(l),
-                };
-                self.set_reg(rc, op.apply(a, b));
-                dest = rc;
-            }
-            Inst::Jmp { ra, rb, .. } => {
-                let target = self.reg(rb) & !3;
-                self.set_reg(ra, pc + 4);
-                dest = ra;
-                next_pc = target;
-                if S::RECORD {
-                    control = Some(ControlFlow { taken: true, target });
-                }
-            }
-        }
-
-        self.pc = next_pc;
-        self.steps += 1;
-        if S::EVENTS {
-            let sp_after = self.reg(Reg::SP);
-            let sp_update = (dest == Reg::SP).then(|| SpUpdate {
-                old_sp: sp_before,
-                new_sp: sp_after,
-                immediate: inst.sp_immediate_adjust().is_some(),
-            });
-            if let Some(u) = sp_update {
-                sink.sp_update(u, self.steps);
-            }
-            if let Some(m) = mem_access {
-                sink.mem(m, sp_before);
-            }
-            if S::RECORD {
-                sink.record(Retired {
-                    pc,
-                    inst,
-                    next_pc,
-                    mem: mem_access,
-                    control,
-                    sp_update,
-                    sp_before,
-                });
-            }
-        }
-        Ok(())
+        self.run_with(1, &mut Record(out)).map(|_| ())
     }
 
     /// Runs until `halt` or until `max_steps` more instructions have
@@ -394,7 +327,7 @@ impl Emulator {
     /// Returns an [`EmuError`] on bad PCs or misaligned accesses; the
     /// instructions before the faulting one stay committed.
     pub fn run(&mut self, max_steps: u64) -> Result<RunOutcome, EmuError> {
-        self.run_impl(max_steps, &mut ())
+        self.run_with(max_steps, &mut ())
     }
 
     /// [`Emulator::run`] that hands each committed instruction's `$sp`
@@ -415,20 +348,183 @@ impl Emulator {
         max_steps: u64,
         observer: &mut O,
     ) -> Result<RunOutcome, EmuError> {
-        self.run_impl(max_steps, observer)
+        self.run_with(max_steps, &mut Observe(observer))
     }
 
-    /// The stepping loop behind [`Emulator::run`] and
-    /// [`Emulator::run_observe`], monomorphized per sink with the step
-    /// body inlined into it.
-    fn run_impl<S: Sink>(&mut self, max_steps: u64, sink: &mut S) -> Result<RunOutcome, EmuError> {
-        for _ in 0..max_steps {
-            if self.halted {
-                return Ok(RunOutcome::Halted);
-            }
-            self.step_impl(sink)?;
+    /// The stepping loop: runs until `halt` or until `max_steps` more
+    /// instructions have committed, handing each to `sink`. It dispatches
+    /// once per instruction on the lowered micro-op, and keeps the PC, the
+    /// step count and a borrow of the register file in locals for the whole
+    /// run (writing the register file in place measured faster than a
+    /// local copy, and costs a one-step call nothing). [`Emulator::run`],
+    /// [`Emulator::run_observe`] and [`Emulator::step_record`] are this
+    /// loop with their own sinks.
+    ///
+    /// # Errors
+    ///
+    /// As [`Emulator::run`]; `sink` has seen every instruction before the
+    /// faulting one and nothing of it.
+    #[allow(clippy::too_many_lines)]
+    pub fn run_with<S: StepSink>(
+        &mut self,
+        max_steps: u64,
+        sink: &mut S,
+    ) -> Result<RunOutcome, EmuError> {
+        if self.halted {
+            return Ok(RunOutcome::Halted);
         }
-        Ok(if self.halted { RunOutcome::Halted } else { RunOutcome::StepLimit })
+        let Emulator { regs, pc: pc_slot, mem, code, output, halted, steps: steps_slot, .. } = self;
+        let code: &Lowered = code;
+        let mut pc = *pc_slot;
+        let mut steps = *steps_slot;
+        let mut left = max_steps;
+        // Lowered register numbers are below `REG_SLOTS`; the mask lets the
+        // compiler drop the bounds check.
+        macro_rules! r {
+            ($i:expr) => {
+                regs[usize::from($i) & (REG_SLOTS - 1)]
+            };
+        }
+        const SP: usize = Reg::SP.number() as usize;
+        let outcome = loop {
+            if left == 0 {
+                break Ok(RunOutcome::StepLimit);
+            }
+            // `TEXT_BASE` is word-aligned, and a PC below it wraps to an
+            // offset past any text.
+            let offset = pc.wrapping_sub(TEXT_BASE);
+            let idx = (offset / 4) as usize;
+            let op = match code.ops.get(idx) {
+                Some(op) if offset % 4 == 0 => *op,
+                _ => break Err(EmuError::BadPc(pc)),
+            };
+            let sp_before = regs[SP];
+            let mut next_pc = pc + 4;
+            let mut addr = 0;
+            let mut taken = false;
+            // The effective address, checked for natural alignment.
+            macro_rules! effective {
+                () => {
+                    addr = r!(op.rb).wrapping_add(op.imm)
+                };
+                ($size:expr) => {{
+                    effective!();
+                    if addr % $size != 0 {
+                        break Err(EmuError::Misaligned { pc, addr, size: $size });
+                    }
+                }};
+            }
+            macro_rules! branch {
+                ($cond:expr) => {{
+                    taken = $cond.taken(r!(op.ra));
+                    if taken {
+                        next_pc = op.imm;
+                    }
+                }};
+            }
+            match op.uop {
+                Uop::AddqR => r!(op.rc) = AluOp::Addq.apply(r!(op.ra), r!(op.rb)),
+                Uop::SubqR => r!(op.rc) = AluOp::Subq.apply(r!(op.ra), r!(op.rb)),
+                Uop::MulqR => r!(op.rc) = AluOp::Mulq.apply(r!(op.ra), r!(op.rb)),
+                Uop::DivqR => r!(op.rc) = AluOp::Divq.apply(r!(op.ra), r!(op.rb)),
+                Uop::RemqR => r!(op.rc) = AluOp::Remq.apply(r!(op.ra), r!(op.rb)),
+                Uop::AndR => r!(op.rc) = AluOp::And.apply(r!(op.ra), r!(op.rb)),
+                Uop::BisR => r!(op.rc) = AluOp::Bis.apply(r!(op.ra), r!(op.rb)),
+                Uop::XorR => r!(op.rc) = AluOp::Xor.apply(r!(op.ra), r!(op.rb)),
+                Uop::SllR => r!(op.rc) = AluOp::Sll.apply(r!(op.ra), r!(op.rb)),
+                Uop::SrlR => r!(op.rc) = AluOp::Srl.apply(r!(op.ra), r!(op.rb)),
+                Uop::SraR => r!(op.rc) = AluOp::Sra.apply(r!(op.ra), r!(op.rb)),
+                Uop::CmpeqR => r!(op.rc) = AluOp::Cmpeq.apply(r!(op.ra), r!(op.rb)),
+                Uop::CmpltR => r!(op.rc) = AluOp::Cmplt.apply(r!(op.ra), r!(op.rb)),
+                Uop::CmpleR => r!(op.rc) = AluOp::Cmple.apply(r!(op.ra), r!(op.rb)),
+                Uop::CmpultR => r!(op.rc) = AluOp::Cmpult.apply(r!(op.ra), r!(op.rb)),
+                Uop::CmpuleR => r!(op.rc) = AluOp::Cmpule.apply(r!(op.ra), r!(op.rb)),
+                Uop::AddqL => r!(op.rc) = AluOp::Addq.apply(r!(op.ra), op.imm),
+                Uop::SubqL => r!(op.rc) = AluOp::Subq.apply(r!(op.ra), op.imm),
+                Uop::MulqL => r!(op.rc) = AluOp::Mulq.apply(r!(op.ra), op.imm),
+                Uop::DivqL => r!(op.rc) = AluOp::Divq.apply(r!(op.ra), op.imm),
+                Uop::RemqL => r!(op.rc) = AluOp::Remq.apply(r!(op.ra), op.imm),
+                Uop::AndL => r!(op.rc) = AluOp::And.apply(r!(op.ra), op.imm),
+                Uop::BisL => r!(op.rc) = AluOp::Bis.apply(r!(op.ra), op.imm),
+                Uop::XorL => r!(op.rc) = AluOp::Xor.apply(r!(op.ra), op.imm),
+                Uop::SllL => r!(op.rc) = AluOp::Sll.apply(r!(op.ra), op.imm),
+                Uop::SrlL => r!(op.rc) = AluOp::Srl.apply(r!(op.ra), op.imm),
+                Uop::SraL => r!(op.rc) = AluOp::Sra.apply(r!(op.ra), op.imm),
+                Uop::CmpeqL => r!(op.rc) = AluOp::Cmpeq.apply(r!(op.ra), op.imm),
+                Uop::CmpltL => r!(op.rc) = AluOp::Cmplt.apply(r!(op.ra), op.imm),
+                Uop::CmpleL => r!(op.rc) = AluOp::Cmple.apply(r!(op.ra), op.imm),
+                Uop::CmpultL => r!(op.rc) = AluOp::Cmpult.apply(r!(op.ra), op.imm),
+                Uop::CmpuleL => r!(op.rc) = AluOp::Cmpule.apply(r!(op.ra), op.imm),
+                Uop::Lda => r!(op.rc) = r!(op.rb).wrapping_add(op.imm),
+                Uop::Ldq => {
+                    effective!(8);
+                    r!(op.rc) = mem.read_u64(addr);
+                }
+                Uop::Ldl => {
+                    effective!(4);
+                    r!(op.rc) = mem.read_u32(addr) as i32 as i64 as u64;
+                }
+                Uop::Ldbu => {
+                    effective!();
+                    r!(op.rc) = u64::from(mem.read_u8(addr));
+                }
+                Uop::Stq => {
+                    effective!(8);
+                    mem.write_u64(addr, r!(op.ra));
+                }
+                Uop::Stl => {
+                    effective!(4);
+                    mem.write_u32(addr, r!(op.ra) as u32);
+                }
+                Uop::Stb => {
+                    effective!();
+                    mem.write_u8(addr, r!(op.ra) as u8);
+                }
+                Uop::Br => {
+                    r!(op.rc) = pc + 4;
+                    next_pc = op.imm;
+                    taken = true;
+                }
+                Uop::Beq => branch!(CondOp::Beq),
+                Uop::Bne => branch!(CondOp::Bne),
+                Uop::Blt => branch!(CondOp::Blt),
+                Uop::Ble => branch!(CondOp::Ble),
+                Uop::Bge => branch!(CondOp::Bge),
+                Uop::Bgt => branch!(CondOp::Bgt),
+                Uop::Jmp => {
+                    // Read the target before linking: `ra` may equal `rb`.
+                    next_pc = r!(op.rb) & !3;
+                    r!(op.rc) = pc + 4;
+                    taken = true;
+                }
+                Uop::Halt => *halted = true,
+                Uop::PutInt => {
+                    output.extend_from_slice((r!(op.ra) as i64).to_string().as_bytes());
+                    output.push(b'\n');
+                }
+                Uop::PutChar => output.push(r!(op.ra) as u8),
+            }
+            steps += 1;
+            left -= 1;
+            sink.commit(&Commit {
+                pc,
+                next_pc,
+                addr,
+                taken,
+                sp_before,
+                sp_after: regs[SP],
+                step: steps,
+                code,
+                idx,
+            });
+            pc = next_pc;
+            if *halted {
+                break Ok(RunOutcome::Halted);
+            }
+        };
+        *pc_slot = pc;
+        *steps_slot = steps;
+        outcome
     }
 }
 

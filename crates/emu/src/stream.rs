@@ -1,14 +1,16 @@
-//! One functional stream, many consumers: the shared committed-record
-//! plumbing behind lockstep timing sweeps.
+//! Committed-record streams: one functional stream, many consumers.
 //!
 //! A [`RecordSource`] produces [`Retired`] records one at a time — either
 //! live from an [`Emulator`] ([`LiveSource`]) or replayed from a captured
-//! binary trace ([`TraceSource`]). A [`RecordRing`] buffers the stream into
-//! a bounded, seq-indexed window so any number of timing models can walk
-//! the same records without the producer re-executing per consumer: the
-//! ring is filled once per window, consumers read records by sequence
-//! number, and [`RecordRing::fill`] never overwrites a record an attached
-//! consumer still needs (the caller passes the oldest live seq).
+//! binary trace ([`TraceSource`]; `svf-cpu`'s lockstep timing replays a
+//! trace through it). A [`RecordRing`] buffers the stream into a bounded,
+//! seq-indexed window so any number of consumers can walk the same records
+//! without the producer re-executing per consumer: the ring is filled once
+//! per window, consumers read records by sequence number, and
+//! [`RecordRing::fill`] never overwrites a record an attached consumer
+//! still needs (the caller passes the oldest live seq). A live timing run
+//! builds no records at all: it writes its facts from inside the stepping
+//! loop ([`Emulator::run_with`]).
 
 use std::io::Read;
 use std::ops::Range;

@@ -20,7 +20,9 @@
 //! * [`Inst`] — the decoded instruction representation with classification
 //!   helpers used by the pipeline models (`is_load`, `writes_sp`, …);
 //! * [`encode`]/[`decode`] — the 32-bit binary encoding (round-trip tested);
-//! * [`Program`] — a linked binary image (text + data + layout constants).
+//! * [`Program`] — a linked binary image (text + data + layout constants);
+//! * [`Lowered`] — a program's text pre-decoded once into [`MicroOp`]s and
+//!   per-PC [`StaticInfo`], the tables the emulator and timing model index.
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@
 mod encoding;
 mod inst;
 mod layout;
+mod lower;
 mod program;
 mod reg;
 
@@ -46,6 +49,9 @@ pub use encoding::{decode, encode, DecodeError};
 pub use inst::{AluOp, BrOp, CondOp, Inst, JmpKind, MemOp, Operand, SysFunc};
 pub use layout::{
     MemRegion, DATA_BASE, QW_BYTES, STACK_BASE, STACK_REGION_FLOOR, TEXT_BASE,
+};
+pub use lower::{
+    ControlKind, Lowered, MicroOp, StaticInfo, Uop, NO_REG, REG_SLOTS, SCRATCH_REG,
 };
 pub use program::{Program, Symbol};
 pub use reg::Reg;

@@ -7,6 +7,7 @@ use std::sync::{Arc, OnceLock};
 use crate::encoding::decode;
 use crate::inst::Inst;
 use crate::layout::{DATA_BASE, TEXT_BASE};
+use crate::lower::Lowered;
 
 /// A symbol-table entry: a label and the address it resolved to.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,8 +34,9 @@ pub struct Program {
     pub heap_base: u64,
     /// Function symbols (sorted by address) for profiling and disassembly.
     pub functions: BTreeMap<u64, String>,
-    /// Lazily-initialized shared decode of `text` — see [`Program::decoded`].
-    decoded: OnceLock<Arc<[Inst]>>,
+    /// Lazily-initialized decode and lowering of `text` — see
+    /// [`Program::lowered`].
+    lowered: OnceLock<Arc<Lowered>>,
 }
 
 impl Clone for Program {
@@ -48,7 +50,7 @@ impl Clone for Program {
             entry: self.entry,
             heap_base: self.heap_base,
             functions: self.functions.clone(),
-            decoded: OnceLock::new(),
+            lowered: OnceLock::new(),
         }
     }
 }
@@ -79,13 +81,32 @@ impl Program {
         heap_base: u64,
         functions: BTreeMap<u64, String>,
     ) -> Program {
-        Program { text, data, entry, heap_base, functions, decoded: OnceLock::new() }
+        Program {
+            text,
+            data,
+            entry,
+            heap_base,
+            functions,
+            lowered: OnceLock::new(),
+        }
     }
 
-    /// The decoded text segment: decoded **once per program image** on first
-    /// use and shared (`Arc`) by every consumer — the functional emulator,
-    /// the pipeline front-end, the disassembler-driven tools. Index `i`
-    /// holds the instruction at `TEXT_BASE + 4*i`.
+    /// The decoded text segment, shared (`Arc`) with [`Program::lowered`].
+    /// Index `i` holds the instruction at `TEXT_BASE + 4*i`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Program::lowered`].
+    #[must_use]
+    pub fn decoded(&self) -> Arc<[Inst]> {
+        Arc::clone(&self.lowered().insts)
+    }
+
+    /// The text segment decoded and lowered into micro-ops and per-PC
+    /// static facts ([`Lowered`]): built **once per program image** on
+    /// first use and shared (`Arc`) by every consumer — the functional
+    /// emulator (and through its stepping loop the timing model), the
+    /// disassembler-driven tools.
     ///
     /// The text must be frozen before the first call; mutating `text`
     /// afterwards leaves the cache stale (assembled images are never
@@ -96,16 +117,18 @@ impl Program {
     /// Panics if the text contains an undecodable word (assembled programs
     /// never do).
     #[must_use]
-    pub fn decoded(&self) -> Arc<[Inst]> {
-        Arc::clone(self.decoded.get_or_init(|| {
-            self.text
+    pub fn lowered(&self) -> Arc<Lowered> {
+        Arc::clone(self.lowered.get_or_init(|| {
+            let insts = self
+                .text
                 .iter()
                 .enumerate()
                 .map(|(i, &w)| {
                     decode(w)
                         .unwrap_or_else(|e| panic!("undecodable word at text index {i}: {e}"))
                 })
-                .collect()
+                .collect();
+            Arc::new(Lowered::new(insts))
         }))
     }
 
@@ -222,5 +245,9 @@ mod tests {
         let c = p.clone();
         assert_eq!(c, p, "decode cache is invisible to equality");
         assert!(!Arc::ptr_eq(&d1, &c.decoded()), "clone re-decodes");
+        let l1 = p.lowered();
+        assert!(Arc::ptr_eq(&l1, &p.lowered()), "lowered once per image");
+        assert!(Arc::ptr_eq(&l1.insts, &d1), "the lowering shares the decode");
+        assert!(!Arc::ptr_eq(&l1, &c.lowered()), "clone re-lowers");
     }
 }

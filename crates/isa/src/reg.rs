@@ -112,7 +112,7 @@ impl Reg {
 
     /// The architectural register number (0–31).
     #[must_use]
-    pub fn number(self) -> u8 {
+    pub const fn number(self) -> u8 {
         self.0
     }
 

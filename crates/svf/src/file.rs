@@ -209,6 +209,9 @@ impl StackValueFile {
     ///   allocated quad-words are marked invalid with **no** fill;
     /// * **shrink** (`new_sp > old_sp`): the deallocated quad-words are
     ///   killed — dirty data is discarded, never written back.
+    ///
+    /// `old_sp` is not read: the range's low end already tracks the
+    /// committed `$sp`, so only the new value matters.
     pub fn on_sp_update(&mut self, old_sp: u64, new_sp: u64) -> SpAdjustEffect {
         debug_assert_eq!(new_sp % 8, 0, "unaligned stack pointer {new_sp:#x}");
         let mut effect = SpAdjustEffect::default();

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: release build, the complete test suite (release mode also
 # enables the timing-heavy figure-shape tests), compile-checked benchmarks,
-# a quick throughput smoke gate against the committed baseline, and
-# warning-free clippy across every target (benches included).
+# the CLI smokes, warning-free clippy across every target (benches
+# included), and last a quick throughput smoke gate against the committed
+# baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -25,20 +26,9 @@ RUST_TEST_THREADS=1 cargo test --release -q --test golden_stats
 # it depends on into a check failure instead of a broken benchmark run.
 cargo test --release --offline -q --manifest-path e2e-bench/Cargo.toml
 cargo bench --workspace --no-run
-# Throughput smoke gate: a few quick runs per benchmark, compared against
-# the committed baseline. Quick sampling is noisy (20-30% machine-wide
-# swings on a shared box), so this catches collapses (the binary flags
-# >50% drops in --quick mode), not drifts — scripts/bench.sh does the
-# tracking-quality measurement with the strict 20% gate. The report goes to a scratch file so
-# the committed BENCH_*.json only change when bench.sh is run on purpose. (The
-# baseline stays BENCH_pr10.json: BENCH_pr12.json and BENCH_pr15.json were
-# taken on a shared host whose untouched rows read 10-50% below it, and rows
-# they add show as "new" against the older report.)
-# (The binary also asserts the sampled-vs-full contract: 5x speedup, 2% IPC.)
 smoke_out="$(mktemp /tmp/svf-bench-smoke.XXXXXX.json)"
 smoke_dir="$(mktemp -d /tmp/svf-trace-smoke.XXXXXX)"
 trap 'rm -rf "$smoke_out" "$smoke_dir"' EXIT
-cargo run --release -p svf-bench --bin throughput -- "$smoke_out" --quick --compare BENCH_pr10.json
 # Trace capture -> replay smoke: a live run and a replay of its captured
 # .svft trace must report identical timing lines (the replay path promises
 # bit-identical statistics; here that contract is checked end-to-end
@@ -203,3 +193,16 @@ grep -q '\[timing\] 240/240 jobs.*(240 resumed)  (shared=84)' "$smoke_dir/all-ag
     || { echo "timing-plan smoke: second run did not resume every job" >&2; exit 1; }
 echo "timing-plan smoke: 324 jobs stored 240 results, all resumed on the second run"
 cargo clippy --workspace --all-targets -- -D warnings
+# Throughput smoke gate: a few quick runs per benchmark, compared against
+# the committed baseline. Quick sampling is noisy (20-30% machine-wide
+# swings on a shared box), so this catches collapses (the binary flags
+# >50% drops in --quick mode), not drifts — scripts/bench.sh does the
+# tracking-quality measurement with the strict 20% gate. The report goes to a scratch file so
+# the committed BENCH_*.json only change when bench.sh is run on purpose. (The
+# baseline stays BENCH_pr10.json: BENCH_pr12.json and BENCH_pr15.json were
+# taken on a shared host whose untouched rows read 10-50% below it, and rows
+# they add show as "new" against the older report.)
+# (The binary also asserts the sampled-vs-full contract: 5x speedup, 2% IPC.)
+# It runs last, so a failing gate (a collapse, or the sampled-vs-full
+# floor on a slow host) cannot hide a broken smoke or a clippy warning.
+cargo run --release -p svf-bench --bin throughput -- "$smoke_out" --quick --compare BENCH_pr10.json
