@@ -119,7 +119,8 @@ fn lockstep_threads(c: &mut Criterion) {
 }
 
 /// The flattened set-associative cache alone: shift/mask indexing,
-/// MRU-first probe, nibble-packed recency, miss/evict/writeback path.
+/// MRU-first probe over one recency-ordered block per set,
+/// miss/evict/writeback path.
 fn cache_probe(c: &mut Criterion) {
     c.bench_function("hotpath/cache-probe", |b| {
         b.iter(|| black_box(svf_bench::cache_probe(black_box(100_000))));

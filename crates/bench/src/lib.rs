@@ -237,10 +237,10 @@ pub fn cache_probe(n: u64) -> u64 {
     n
 }
 
-/// Branch-predictor microbenchmark: `n` committed control-flow records
-/// through a 12-bit gshare — biased conditional branches (pattern table),
-/// call/return pairs (return-address stack), and indirect jumps over a
-/// spread of targets (BTB). Returns `n` for rate math.
+/// Branch-predictor microbenchmark: `n` committed control-flow outcomes
+/// trained into a 12-bit gshare — biased conditional branches (pattern
+/// table), call/return pairs (return-address stack), and indirect jumps
+/// over a spread of targets (BTB). Returns `n` for rate math.
 ///
 /// # Panics
 ///
@@ -249,57 +249,37 @@ pub fn cache_probe(n: u64) -> u64 {
 #[must_use]
 pub fn predictor_churn(n: u64) -> u64 {
     use svf_cpu::{Predictor, PredictorKind};
-    use svf_emu::{ControlFlow, Retired};
-    use svf_isa::{BrOp, CondOp, Inst, JmpKind, Reg};
-
-    fn record(pc: u64, inst: Inst, taken: bool, target: u64) -> Retired {
-        Retired {
-            pc,
-            inst,
-            next_pc: if taken { target } else { pc + 4 },
-            mem: None,
-            control: Some(ControlFlow { taken, target }),
-            sp_update: None,
-            sp_before: 0,
-        }
-    }
+    use svf_isa::ControlKind;
 
     let mut p = Predictor::new(PredictorKind::Gshare, 12);
     let mut x = 0xB12A_D0C5u64;
     let mut correct = 0u64;
     for i in 0..n {
         let r = splitmix64(&mut x);
-        let ret = match i & 3 {
+        let (pc, kind, taken, target) = match i & 3 {
             0 | 1 => {
                 // Conditional, biased 3:1 taken, over 256 branch sites.
                 let pc = 0x1000 + (r & 0xFF) * 4;
                 let taken = (r >> 16) & 3 != 0;
-                record(
-                    pc,
-                    Inst::CondBr { op: CondOp::Bne, ra: Reg::T0, disp: 10 },
-                    taken,
-                    if taken { pc + 40 } else { pc + 4 },
-                )
+                (pc, ControlKind::Cond, taken, if taken { pc + 40 } else { pc + 4 })
             }
             2 => {
                 // Direct call: pushes the return-address stack.
                 let pc = 0x2000 + (r & 0x3F) * 4;
-                record(pc, Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 64 }, true, pc + 260)
+                (pc, ControlKind::Call, true, pc + 260)
             }
             _ if r & 1 == 0 => {
                 // Return: pops the RAS (matched against the call above
                 // half the time, cold the other half).
-                let target = 0x2000 + ((r >> 8) & 0x3F) * 4 + 4;
-                record(0x3000, Inst::Jmp { kind: JmpKind::Ret, ra: Reg::ZERO, rb: Reg::RA }, true, target)
+                (0x3000, ControlKind::Return, true, 0x2000 + ((r >> 8) & 0x3F) * 4 + 4)
             }
             _ => {
                 // Indirect jump over 64 sites × a few targets each: BTB.
                 let pc = 0x4000 + ((r >> 4) & 0x3F) * 4;
-                let target = 0x8000 + ((r >> 12) & 0x3) * 0x100;
-                record(pc, Inst::Jmp { kind: JmpKind::Jmp, ra: Reg::ZERO, rb: Reg::T0 }, true, target)
+                (pc, ControlKind::Indirect, true, 0x8000 + ((r >> 12) & 0x3) * 0x100)
             }
         };
-        if p.predict_and_update(&ret) {
+        if p.train(pc, kind, taken, target) {
             correct += 1;
         }
     }

@@ -6,7 +6,6 @@
 //! fixed ring instead of a `Vec` that shifted all entries on overflow.
 //! Both are exact-semantics replacements — predictions are identical.
 
-use svf_emu::Retired;
 use svf_isa::ControlKind;
 
 use crate::config::PredictorKind;
@@ -38,21 +37,13 @@ impl Predictor {
         }
     }
 
-    /// Predicts the committed control-flow instruction `r`, updates
-    /// predictor state with the actual outcome, and returns `true` when the
-    /// prediction was correct. A record without a control outcome is
-    /// predicted trivially.
-    pub fn predict_and_update(&mut self, r: &Retired) -> bool {
-        r.control.is_none_or(|c| {
-            self.train(r.pc, ControlKind::of(&r.inst), c.taken, c.target)
-        })
-    }
-
-    /// [`Predictor::predict_and_update`] for the control instruction at
-    /// `pc` of kind `kind`, whose outcome was `taken` to `target` (the
-    /// next PC): what fetch and functional warming train on.
+    /// Predicts the committed control instruction at `pc` of kind `kind`,
+    /// whose outcome was `taken` to `target` (the next PC), updates
+    /// predictor state with that outcome, and returns `true` when the
+    /// prediction was correct: what fetch and functional warming train on.
+    /// [`ControlKind::None`] is predicted trivially.
     #[inline]
-    pub(crate) fn train(&mut self, pc: u64, kind: ControlKind, taken: bool, target: u64) -> bool {
+    pub fn train(&mut self, pc: u64, kind: ControlKind, taken: bool, target: u64) -> bool {
         match self {
             Predictor::Perfect => true,
             Predictor::Gshare(g) => g.train(pc, kind, taken, target),
@@ -240,26 +231,17 @@ impl Gshare {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use svf_emu::ControlFlow;
-    use svf_isa::{BrOp, CondOp, Inst, JmpKind, Reg};
 
-    fn cond_branch(pc: u64, taken: bool) -> Retired {
-        Retired {
-            pc,
-            inst: Inst::CondBr { op: CondOp::Bne, ra: Reg::T0, disp: 4 },
-            next_pc: if taken { pc + 20 } else { pc + 4 },
-            mem: None,
-            control: Some(ControlFlow { taken, target: if taken { pc + 20 } else { pc + 4 } }),
-            sp_update: None,
-            sp_before: 0,
-        }
+    /// Trains `p` on the conditional branch at `pc`.
+    fn cond_branch(p: &mut Predictor, pc: u64, taken: bool) -> bool {
+        p.train(pc, ControlKind::Cond, taken, if taken { pc + 20 } else { pc + 4 })
     }
 
     #[test]
     fn perfect_never_mispredicts() {
         let mut p = Predictor::new(PredictorKind::Perfect, 12);
         for i in 0..100 {
-            assert!(p.predict_and_update(&cond_branch(0x1000, i % 3 == 0)));
+            assert!(cond_branch(&mut p, 0x1000, i % 3 == 0));
         }
     }
 
@@ -268,7 +250,7 @@ mod tests {
         let mut p = Predictor::new(PredictorKind::Gshare, 12);
         let mut wrong = 0;
         for _ in 0..100 {
-            if !p.predict_and_update(&cond_branch(0x1000, true)) {
+            if !cond_branch(&mut p, 0x1000, true) {
                 wrong += 1;
             }
         }
@@ -283,7 +265,7 @@ mod tests {
         let mut wrong = 0;
         for _ in 0..1000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            if !p.predict_and_update(&cond_branch(0x1000, (x >> 40) & 1 == 1)) {
+            if !cond_branch(&mut p, 0x1000, (x >> 40) & 1 == 1) {
                 wrong += 1;
             }
         }
@@ -293,28 +275,10 @@ mod tests {
     #[test]
     fn ras_predicts_matched_calls() {
         let mut g = Predictor::Gshare(Gshare::new(8));
-        let call = Retired {
-            pc: 0x1000,
-            inst: Inst::Br { op: BrOp::Bsr, ra: Reg::RA, disp: 100 },
-            next_pc: 0x1194,
-            mem: None,
-            control: Some(ControlFlow { taken: true, target: 0x1194 }),
-            sp_update: None,
-            sp_before: 0,
-        };
-        assert!(g.predict_and_update(&call));
-        let ret = Retired {
-            pc: 0x1200,
-            inst: Inst::Jmp { kind: JmpKind::Ret, ra: Reg::ZERO, rb: Reg::RA },
-            next_pc: 0x1004,
-            mem: None,
-            control: Some(ControlFlow { taken: true, target: 0x1004 }),
-            sp_update: None,
-            sp_before: 0,
-        };
-        assert!(g.predict_and_update(&ret), "RAS should predict the return");
+        assert!(g.train(0x1000, ControlKind::Call, true, 0x1194));
+        assert!(g.train(0x1200, ControlKind::Return, true, 0x1004), "RAS should predict the return");
         // A second return with an empty RAS mispredicts.
-        assert!(!g.predict_and_update(&ret));
+        assert!(!g.train(0x1200, ControlKind::Return, true, 0x1004));
     }
 
     #[test]
@@ -346,16 +310,7 @@ mod tests {
     #[test]
     fn btb_learns_indirect_targets() {
         let mut g = Predictor::Gshare(Gshare::new(8));
-        let jmp = Retired {
-            pc: 0x2000,
-            inst: Inst::Jmp { kind: JmpKind::Jmp, ra: Reg::ZERO, rb: Reg::T0 },
-            next_pc: 0x3000,
-            mem: None,
-            control: Some(ControlFlow { taken: true, target: 0x3000 }),
-            sp_update: None,
-            sp_before: 0,
-        };
-        assert!(!g.predict_and_update(&jmp), "cold BTB misses");
-        assert!(g.predict_and_update(&jmp), "warm BTB hits");
+        assert!(!g.train(0x2000, ControlKind::Indirect, true, 0x3000), "cold BTB misses");
+        assert!(g.train(0x2000, ControlKind::Indirect, true, 0x3000), "warm BTB hits");
     }
 }

@@ -75,12 +75,19 @@ pub enum SampleMode {
     /// separated by `interval + uniform(0 ..= 2*(period - interval))` —
     /// mean spacing `period`, guaranteed non-overlap. The schedule is a
     /// pure function of the spec, so results are deterministic for a seed
-    /// regardless of harness worker count.
+    /// regardless of harness worker count. `period` is at most
+    /// `u64::MAX / 2`, so every spacing (at most `2*period - interval`)
+    /// fits in a `u64`.
     Random {
         /// Seed for the splitmix64 schedule generator.
         seed: u64,
     },
 }
+
+/// The largest `period` a [`SampleMode::Random`] plan accepts: twice it
+/// still fits in a `u64`, so the schedule's spacing arithmetic cannot
+/// overflow.
+const MAX_RANDOM_PERIOD: u64 = u64::MAX / 2;
 
 /// A sampling plan: which instructions run under the detailed model.
 ///
@@ -148,7 +155,7 @@ impl SampleSpec {
     /// # Errors
     ///
     /// Returns a human-readable message on unknown keys, malformed counts,
-    /// a zero `interval`, or `period < interval`.
+    /// or a plan [`SampleSpec::validate`] rejects.
     pub fn parse(s: &str) -> Result<SampleSpec, String> {
         let mut spec = SampleSpec::default();
         let mut seed: Option<u64> = None;
@@ -183,8 +190,9 @@ impl SampleSpec {
     ///
     /// # Errors
     ///
-    /// Returns a message when `interval` is zero or `period < interval`
-    /// (intervals would overlap).
+    /// Returns a message when `interval` is zero, `period < interval`
+    /// (intervals would overlap), or a random-mode `period` exceeds
+    /// `u64::MAX / 2` (its spacing would overflow).
     pub fn validate(&self) -> Result<(), String> {
         if self.interval == 0 {
             return Err("sample interval must be positive".into());
@@ -193,6 +201,12 @@ impl SampleSpec {
             return Err(format!(
                 "sample period ({}) must be at least the interval ({})",
                 self.period, self.interval
+            ));
+        }
+        if matches!(self.mode, SampleMode::Random { .. }) && self.period > MAX_RANDOM_PERIOD {
+            return Err(format!(
+                "random sample period ({}) must be at most {MAX_RANDOM_PERIOD}",
+                self.period
             ));
         }
         Ok(())
@@ -694,6 +708,17 @@ mod tests {
         assert!(SampleSpec::parse("period=abc").is_err(), "malformed count");
         assert!(SampleSpec::parse("period").is_err(), "not key=value");
         assert!(SampleSpec::parse("mode=sometimes").is_err(), "unknown mode");
+        let err = SampleSpec::parse("mode=random,seed=1,period=18000000000000000000,interval=1k")
+            .unwrap_err();
+        assert!(err.contains("period"), "{err}");
+        let top = format!("mode=random,seed=1,period={MAX_RANDOM_PERIOD},interval=1k");
+        let mut sched = Schedule::new(&SampleSpec::parse(&top).expect("the bound itself is valid"));
+        let (a, b) = (sched.next(), sched.next());
+        assert!(b - a >= 1_000, "spacing at the bound is computed, not wrapped");
+        assert!(
+            SampleSpec::parse("period=18000000000000000000,interval=1k").is_ok(),
+            "periodic plans saturate and need no bound"
+        );
     }
 
     #[test]

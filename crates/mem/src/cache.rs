@@ -3,18 +3,27 @@
 //! # Hot-path layout
 //!
 //! The model sits on the simulator's per-instruction path (one to three
-//! probes per committed memory reference), so its state is flat and its
-//! per-access arithmetic is shift/mask only:
+//! probes per committed memory reference), and every config of a lockstep
+//! batch owns a full hierarchy, so its state is one flat array of one word
+//! per way and its per-access arithmetic is shift/mask only:
 //!
-//! * All lines live in **one contiguous boxed slice**, set-major
-//!   (`lines[set * assoc + way]`) — no per-set `Vec`, no pointer chasing.
+//! * All ways live in **one contiguous boxed slice of `u64`**, set-major:
+//!   set `s` owns the block `ways[s * assoc..(s + 1) * assoc]`. No per-set
+//!   `Vec`, no side arrays.
+//! * Each block is kept in **recency order, most recently used first**,
+//!   so the position in the block *is* the LRU state. The probe walks the
+//!   block front to back, so loops and other high-locality streams usually
+//!   match on the first compare. A hit at position `p` rotates
+//!   `block[0..=p]` right by one; a miss evicts the last word (the true
+//!   LRU, or an empty way) and shifts the whole block right by one.
+//! * Each valid word is **`tag << 1 | dirty`**. Empty ways hold the
+//!   sentinel [`EMPTY`] (`u64::MAX`) and always trail the valid ones:
+//!   fills enter at the front and only `flush` empties ways, all at once.
+//! * **Tag bound.** `line_bytes ≥ 8` is asserted, so a tag (the address
+//!   shifted right by at least 3) is below 2^61. `tag << 1` therefore
+//!   cannot overflow, and no stored word can equal the sentinel.
 //! * Set index and tag come from **precomputed shifts/masks** (the
 //!   geometry is asserted power-of-two at construction), not division.
-//! * Recency is a **per-set nibble-packed way ordering** (`order[set]`,
-//!   MRU in the low nibble). A hit moves one nibble to the front; a miss
-//!   reads the LRU way from the top nibble — no stamped scan over the
-//!   ways, and the probe itself walks ways MRU-first, so loops and other
-//!   high-locality streams usually match on the first compare.
 //!
 //! The replacement decisions, [`AccessOutcome`]s and [`TrafficStats`] are
 //! bit-identical to the naive stamped `Vec<Vec<Line>>` model this replaced:
@@ -70,15 +79,6 @@ impl CacheConfig {
     }
 }
 
-/// One way of one set. Validity is positional: ways `0..valid_count[set]`
-/// are valid (fills allocate ways in index order and only `flush`
-/// invalidates, so the valid ways of a set are always a prefix).
-#[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    dirty: bool,
-}
-
 /// Result of a cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessOutcome {
@@ -88,13 +88,14 @@ pub struct AccessOutcome {
     pub writeback: bool,
 }
 
-/// Removes the nibble at `pos` from the packed way order and reinserts
-/// `way` at the front (the MRU position). Nibbles above `pos` keep their
-/// place; nibbles below shift up by one.
+/// The word of an empty way. Valid words are `tag << 1 | dirty` with
+/// `tag < 2^61` (see the module doc), so none can equal it.
+const EMPTY: u64 = u64::MAX;
+
+/// Whether `word` holds a valid, dirty line.
 #[inline]
-fn move_to_front(order: u64, pos: u32, way: u64) -> u64 {
-    let below = (1u64 << (4 * pos)) - 1;
-    (order & !(below | (0xF << (4 * pos)))) | ((order & below) << 4) | way
+fn is_dirty(word: u64) -> bool {
+    word != EMPTY && word & 1 == 1
 }
 
 /// A set-associative, write-back, write-allocate cache with true-LRU
@@ -102,20 +103,16 @@ fn move_to_front(order: u64, pos: u32, way: u64) -> u64 {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// All lines, set-major: `lines[set * assoc + way]`.
-    lines: Box<[Line]>,
-    /// Per-set recency: way indices packed one nibble each, MRU in the low
-    /// nibble, covering the set's `valid_count` valid ways.
-    order: Box<[u64]>,
-    /// Per-set count of valid ways (valid ways are the prefix `0..count`).
-    valid_count: Box<[u8]>,
+    /// One word per way, set-major, each set's block most recently used
+    /// first: `tag << 1 | dirty`, or [`EMPTY`] behind the valid ways.
+    ways: Box<[u64]>,
     /// `log2(line_bytes)`.
     line_shift: u32,
     /// `num_sets - 1`.
     set_mask: u64,
     /// `log2(num_sets)`.
     set_shift: u32,
-    assoc: u32,
+    assoc: usize,
     /// Quad-words per line, precomputed.
     line_qw: u64,
     stats: TrafficStats,
@@ -127,8 +124,8 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if the geometry is not a power-of-two layout with at least one
-    /// set, or if the associativity is outside `1..=16` (the packed
-    /// recency ordering holds one nibble per way).
+    /// set, if a line is under 8 bytes, or if the associativity is outside
+    /// `1..=16` (the envelope the configuration space validates).
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Cache {
         let sets = cfg.num_sets();
@@ -141,14 +138,11 @@ impl Cache {
             cfg.name
         );
         Cache {
-            lines: vec![Line::default(); (sets * u64::from(cfg.assoc)) as usize]
-                .into_boxed_slice(),
-            order: vec![0u64; sets as usize].into_boxed_slice(),
-            valid_count: vec![0u8; sets as usize].into_boxed_slice(),
+            ways: vec![EMPTY; (sets * u64::from(cfg.assoc)) as usize].into_boxed_slice(),
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: sets - 1,
             set_shift: sets.trailing_zeros(),
-            assoc: cfg.assoc,
+            assoc: cfg.assoc as usize,
             line_qw: cfg.line_bytes / 8,
             cfg,
             stats: TrafficStats::default(),
@@ -186,10 +180,12 @@ impl Cache {
         self.line_qw
     }
 
+    /// The word range of `addr`'s set, and `addr`'s tag.
     #[inline]
-    fn set_tag(&self, addr: u64) -> (usize, u64) {
+    fn block_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
         let line = addr >> self.line_shift;
-        ((line & self.set_mask) as usize, line >> self.set_shift)
+        let base = (line & self.set_mask) as usize * self.assoc;
+        (base..base + self.assoc, line >> self.set_shift)
     }
 
     /// Probes the cache, allocating on miss (write-allocate for stores).
@@ -199,45 +195,26 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
         self.stats.accesses += 1;
-        let (set, tag) = self.set_tag(addr);
-        let base = set * self.assoc as usize;
-        let order = self.order[set];
-        let nvalid = u32::from(self.valid_count[set]);
-        // Probe MRU-first: the vast majority of hits match the low nibble.
-        let mut o = order;
-        for pos in 0..nvalid {
-            let way = (o & 0xF) as usize;
-            o >>= 4;
-            let line = &mut self.lines[base + way];
-            if line.tag == tag {
-                line.dirty |= is_write;
-                if pos != 0 {
-                    self.order[set] = move_to_front(order, pos, way as u64);
-                }
-                self.stats.hits += 1;
-                return AccessOutcome { hit: true, writeback: false };
-            }
+        let (range, tag) = self.block_tag(addr);
+        let block = &mut self.ways[range];
+        // Probe MRU-first: the vast majority of hits match the first word.
+        // An empty way's word shifted down exceeds every tag.
+        if let Some(p) = block.iter().position(|&w| w >> 1 == tag) {
+            let word = block[p] | u64::from(is_write);
+            block.copy_within(0..p, 1);
+            block[0] = word;
+            self.stats.hits += 1;
+            return AccessOutcome { hit: true, writeback: false };
         }
         self.stats.misses += 1;
-        let (way, writeback) = if nvalid < self.assoc {
-            // Fill a fresh way (index order keeps valid ways a prefix) and
-            // push it onto the front of the recency order.
-            self.valid_count[set] = (nvalid + 1) as u8;
-            self.order[set] = (order << 4) | u64::from(nvalid);
-            (nvalid as usize, false)
-        } else {
-            // Evict the LRU way: the top live nibble of the packed order.
-            let lru_pos = self.assoc - 1;
-            let way = ((order >> (4 * lru_pos)) & 0xF) as usize;
-            let dirty = self.lines[base + way].dirty;
-            if dirty {
-                self.stats.writebacks += 1;
-                self.stats.qw_out += self.line_qw;
-            }
-            self.order[set] = move_to_front(order, lru_pos, way as u64);
-            (way, dirty)
-        };
-        self.lines[base + way] = Line { tag, dirty: is_write };
+        // The victim is the last word: an empty way or the true LRU.
+        let writeback = is_dirty(block[block.len() - 1]);
+        if writeback {
+            self.stats.writebacks += 1;
+            self.stats.qw_out += self.line_qw;
+        }
+        block.copy_within(0..block.len() - 1, 1);
+        block[0] = tag << 1 | u64::from(is_write);
         self.stats.qw_in += self.line_qw;
         AccessOutcome { hit: false, writeback }
     }
@@ -246,30 +223,19 @@ impl Cache {
     /// diagnostics).
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
-        let (set, tag) = self.set_tag(addr);
-        let base = set * self.assoc as usize;
-        self.lines[base..base + self.valid_count[set] as usize].iter().any(|l| l.tag == tag)
+        let (range, tag) = self.block_tag(addr);
+        self.ways[range].iter().any(|&w| w >> 1 == tag)
     }
 
     /// Writes back and invalidates everything (context switch), returning
     /// the number of *bytes* written back — the paper's Table 4 metric.
     /// A conventional cache must write whole dirty lines.
     pub fn flush(&mut self) -> u64 {
-        let mut bytes = 0;
-        for set in 0..self.order.len() {
-            let base = set * self.assoc as usize;
-            for line in &mut self.lines[base..base + self.valid_count[set] as usize] {
-                if line.dirty {
-                    bytes += self.cfg.line_bytes;
-                    self.stats.writebacks += 1;
-                    self.stats.qw_out += self.line_qw;
-                }
-                *line = Line::default();
-            }
-            self.order[set] = 0;
-            self.valid_count[set] = 0;
-        }
-        bytes
+        let dirty = self.ways.iter().filter(|&&w| is_dirty(w)).count() as u64;
+        self.ways.fill(EMPTY);
+        self.stats.writebacks += dirty;
+        self.stats.qw_out += dirty * self.line_qw;
+        dirty * self.cfg.line_bytes
     }
 }
 
@@ -380,7 +346,7 @@ mod tests {
 
     #[test]
     fn full_associativity_order_rotates() {
-        // A fully-nibble-packed 16-way set: touch all ways, then re-touch
+        // A 16-way set, the widest supported: touch all ways, then re-touch
         // them in reverse and check every eviction hits the true LRU.
         let mut c = Cache::new(CacheConfig {
             size_bytes: 16 * 32,

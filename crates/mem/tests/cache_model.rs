@@ -7,7 +7,7 @@ use svf_mem::{Cache, CacheConfig, StackCache, StackCacheConfig};
 
 /// Naive reference: per-set `Vec<Vec<_>>` ordered most-recently-used first —
 /// the structure the production [`Cache`] used before it was flattened, kept
-/// here as the oracle the flat shift/mask + packed-recency model must match.
+/// here as the oracle the flat one-word-per-way model must match.
 struct RefCache {
     sets: Vec<Vec<(u64, bool)>>, // (tag, dirty), MRU first
     assoc: usize,
@@ -61,6 +61,12 @@ impl RefCache {
         self.qw_in += self.line / 8;
         (false, wb)
     }
+
+    /// Bytes a flush must write back: every resident dirty line, whole.
+    fn dirty_bytes(&self) -> u64 {
+        let dirty = self.sets.iter().flatten().filter(|&&(_, d)| d).count() as u64;
+        dirty * self.line
+    }
 }
 
 proptest! {
@@ -109,15 +115,24 @@ proptest! {
         sets_log2 in 0u32..4,
         assoc in 1u32..17,
         line_log2 in 3u64..7,
+        top in any::<bool>(),
+        base_lines in 0u64..1024,
         ops in proptest::collection::vec((0u64..48, any::<bool>()), 1..400)
     ) {
         // Geometry drawn from the full supported envelope: 1–8 sets,
-        // 1–16 ways (the packed recency order is one nibble per way, so
-        // assoc 16 exercises the fully-populated u64), 8–64B lines. The
-        // whole TrafficStats must match the naive model, counter for
-        // counter, not just per-access outcomes.
+        // 1–16 ways, 8–64B lines. The whole TrafficStats must match the
+        // naive model, counter for counter, not just per-access outcomes.
+        // Half the streams sit at a line-aligned base near the top of the
+        // address space, so tags reach toward 2^61: the packed
+        // `tag << 1 | dirty` word and the empty-way sentinel must never
+        // collide with a real line.
         let sets = 1u64 << sets_log2;
         let line = 1u64 << line_log2;
+        let base = if top {
+            ((u64::MAX >> line_log2) - 47 - base_lines) << line_log2
+        } else {
+            base_lines << line_log2
+        };
         let cfg = CacheConfig {
             size_bytes: sets * u64::from(assoc) * line,
             assoc,
@@ -128,7 +143,7 @@ proptest! {
         let mut dut = Cache::new(cfg);
         let mut model = RefCache::new(sets as usize, assoc as usize, line);
         for (i, (line_no, write)) in ops.into_iter().enumerate() {
-            let addr = line_no * line + (line_no % (line / 8)) * 8 + (line_no % 8);
+            let addr = base + line_no * line + (line_no % (line / 8)) * 8 + (line_no % 8);
             let out = dut.access(addr, write);
             let (hit, wb) = model.access(addr, write);
             prop_assert_eq!(out.hit, hit, "hit/miss diverged at op {} line {}", i, line_no);
@@ -150,20 +165,17 @@ proptest! {
     ) {
         let cfg = CacheConfig { size_bytes: 1024, assoc: 4, line_bytes: 64, hit_latency: 3, name: "t" };
         let mut dut = Cache::new(cfg);
-        let mut dirty_lines = std::collections::HashSet::new();
+        let mut model = RefCache::new(4, 4, 64);
         for (line_no, write) in ops {
-            dut.access(line_no * 64, write);
-            if write {
-                dirty_lines.insert(line_no);
-            }
             // 1024B/64B = 16 lines with 32 distinct: evictions can clean.
+            dut.access(line_no * 64, write);
+            model.access(line_no * 64, write);
         }
-        // The flush can only report lines still resident; it is bounded by
-        // the dirty set and by the cache capacity.
-        let bytes = dut.flush();
-        prop_assert_eq!(bytes % 64, 0);
-        prop_assert!(bytes / 64 <= dirty_lines.len() as u64);
-        prop_assert!(bytes / 64 <= 16);
+        // The flush writes back exactly the resident dirty lines, whole.
+        let want = model.dirty_bytes();
+        prop_assert_eq!(dut.flush(), want);
+        prop_assert_eq!(dut.stats().writebacks, model.writebacks + want / 64);
+        prop_assert_eq!(dut.stats().qw_out, model.qw_out + want / 8);
         prop_assert_eq!(dut.flush(), 0, "second flush is empty");
     }
 }

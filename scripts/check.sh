@@ -56,24 +56,30 @@ cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.svft" \
 diff -u "$smoke_dir/live.txt" "$smoke_dir/replay.txt" \
     || { echo "trace replay diverged from live run" >&2; exit 1; }
 echo "trace capture->replay smoke: identical timing report"
-# Bad-config smoke: a machine the simulator cannot build must be a named
-# error with exit 1, never a panic. A 3 KB DL1 has no power-of-two set
-# count; a 2000-entry IFQ plus a 16-wide fetch group overflows the
-# 1024-record lockstep window.
-for bad in "dl1_bytes=3k:dl1" "ifq_size=2000:lockstep window"; do
-    overlay="${bad%%:*}"
-    want="${bad#*:}"
+# Bad-input smoke: a machine the simulator cannot build, or a sampling
+# plan it cannot schedule, must be a named error with exit 1, never a
+# panic. A 3 KB DL1 has no power-of-two set count; a 2000-entry IFQ plus
+# a 16-wide fetch group overflows the 1024-record lockstep window; a
+# random-mode period above u64::MAX / 2 would overflow the schedule's
+# spacing arithmetic.
+for bad in "--config|wide16+dl1_bytes=3k|dl1" \
+    "--config|wide16+ifq_size=2000|lockstep window" \
+    "--sample|mode=random,seed=1,period=18000000000000000000,interval=1k|period"; do
+    flag="${bad%%|*}"
+    rest="${bad#*|}"
+    value="${rest%%|*}"
+    want="${rest#*|}"
     bad_status=0
     cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.c" \
-        --config "wide16+$overlay" > /dev/null 2> "$smoke_dir/bad-config.err" || bad_status=$?
+        "$flag" "$value" > /dev/null 2> "$smoke_dir/bad-config.err" || bad_status=$?
     if [ "$bad_status" -ne 1 ] || ! grep -q "$want" "$smoke_dir/bad-config.err" \
         || grep -q 'panicked' "$smoke_dir/bad-config.err"; then
-        echo "bad-config smoke ($overlay): want exit 1 naming $want, got $bad_status:" >&2
+        echo "bad-input smoke ($flag $value): want exit 1 naming $want, got $bad_status:" >&2
         cat "$smoke_dir/bad-config.err" >&2
         exit 1
     fi
 done
-echo "bad-config smoke: both rejected with named errors"
+echo "bad-input smoke: all three rejected with named errors"
 # Sampled-simulation smoke: the same program once in full detail and once
 # under a seeded random sampling plan, through the real CLI. The estimate
 # must land within 2% IPC of the full run while paying detailed cost for

@@ -444,6 +444,9 @@ mod tests {
         assert_eq!(o.sample, Some(SampleSpec::default()), "empty spec is the default plan");
         assert!(parse_args(&args(&["p.c", "--sample", "interval=0"])).is_err());
         assert!(parse_args(&args(&["p.c", "--sample", "bogus"])).is_err());
+        let huge = "mode=random,seed=1,period=18000000000000000000,interval=1k";
+        let err = parse_args(&args(&["p.c", "--sample", huge])).unwrap_err();
+        assert!(err.contains("period"), "{err}");
         assert!(parse_args(&args(&["p.c", "--sample"])).is_err(), "flag needs a value");
         let err = run_cli(&args(&["t.svft", "--sample", ""])).unwrap_err();
         assert!(err.to_string().contains("trace replay"), "{err}");
