@@ -96,9 +96,9 @@ pub struct SweepSpec {
     pub axes: Vec<Axis>,
     /// Sampled-simulation plan from the optional `[sampling]` section:
     /// when present, the sweep driver runs every point sampled
-    /// ([`svf_cpu::run_sampled`]) instead of fully detailed. Keys mirror
-    /// [`svf_cpu::SampleSpec::parse`] (`mode`, `seed`, `period`,
-    /// `interval`, `warmup`, `ramp`, `tail`, `intervals`), with counts
+    /// ([`svf_cpu::simulate`] under this plan) instead of fully detailed.
+    /// Keys mirror [`svf_cpu::SampleSpec::parse`] (`mode`, `seed`,
+    /// `period`, `interval`, `warmup`, `ramp`, `tail`, `intervals`), with counts
     /// accepting the same *binary* `k`/`m` suffixes as axis values (TOML
     /// `100k` is 102400, unlike the CLI grammar's decimal `k`).
     pub sampling: Option<svf_cpu::SampleSpec>,

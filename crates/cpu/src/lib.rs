@@ -25,6 +25,12 @@
 //! cycle by cycle. Branch mispredictions stall fetch until the branch
 //! resolves (wrong-path instructions are not simulated — see DESIGN.md §1).
 //!
+//! Every run goes through [`simulate`]: a batch of configurations over one
+//! shared stream — a live program, in full detail or sampled, or a `.svft`
+//! trace — at any timing fan-out, with bit-identical statistics on every
+//! path. [`Simulator`], [`run_lockstep`], [`run_lockstep_fanout`] and
+//! [`run_sampled`] wrap it for the repository benchmark.
+//!
 //! # Example
 //!
 //! ```
@@ -56,10 +62,12 @@ mod sampling;
 mod stats;
 
 pub use config::{CpuConfig, PredictorKind, StackEngine};
-pub use lockstep::{run_lockstep, run_lockstep_fanout, run_lockstep_trace, LOCKSTEP_WINDOW};
+pub use lockstep::{
+    run_lockstep, run_lockstep_fanout, run_sampled, simulate, RunOptions, Source, LOCKSTEP_WINDOW,
+};
 pub use pipeline::Simulator;
 pub use predictor::{Gshare, Predictor};
-pub use sampling::{run_sampled, run_sampled_fanout, SampleMode, SampleSpec, SampledStats};
+pub use sampling::{SampleMode, SampleSpec, SampledStats};
 pub use stats::{relative_error, SimStats, CSV_COLUMNS};
 
 #[cfg(test)]

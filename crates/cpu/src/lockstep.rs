@@ -1,4 +1,5 @@
-//! One functional stream, N timing models: batched lockstep simulation.
+//! One functional stream, N timing models: batched lockstep simulation,
+//! and [`simulate`], the one entry point every run goes through.
 //!
 //! A multi-config sweep used to run the functional emulator once *per
 //! configuration*. Here the stream is produced once per (program, input):
@@ -40,7 +41,7 @@ use std::any::Any;
 use std::io::Read;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::{Barrier, Mutex, PoisonError, RwLock};
 
 use svf_emu::{
     Commit, Emulator, RecordSource, Retired, RunOutcome, StepSink, StreamError, TraceSource,
@@ -50,6 +51,7 @@ use svf_isa::{ControlKind, MemRegion, Program, Reg, StaticInfo, NO_REG};
 use crate::alias::{AliasTable, NO_SEQ};
 use crate::config::CpuConfig;
 use crate::pipeline::Pipeline;
+use crate::sampling::{self, SampleSpec, SampledStats};
 use crate::stats::SimStats;
 
 /// Shared lockstep window capacity in instructions. Bounded so the facts
@@ -360,60 +362,126 @@ impl Window {
 
     /// Produces from `src` through `builder` until the window is full
     /// relative to `keep` (the oldest seq any consumer still needs), the
-    /// budget is reached, or the stream ends. Returns whether anything new
-    /// was produced.
+    /// budget is reached, or the stream ends.
     fn fill<S: FactsSource + ?Sized>(
         &mut self,
         src: &mut S,
         builder: &mut FactsBuilder,
         keep: u64,
-    ) -> Result<bool, StreamError> {
+    ) -> Result<(), StreamError> {
         debug_assert!(keep <= self.hi, "cannot retain instructions never produced");
         let room = keep.saturating_add(self.mask + 1).min(self.limit);
         if self.done || self.hi >= room {
             self.done |= self.hi >= self.limit;
-            return Ok(false);
+            // The window always has ifq+width headroom over the slowest
+            // consumer, so a fill with no room means the stream ended and
+            // the pipelines are draining; anything else would loop forever.
+            debug_assert!(self.done, "lockstep window stalled");
+            return Ok(());
         }
-        let lo = self.hi;
-        let mut fill = Fill { builder, facts: &mut self.facts, mask: self.mask, hi: lo };
-        let more = src.produce(room - lo, &mut fill)?;
+        let mut fill = Fill { builder, facts: &mut self.facts, mask: self.mask, hi: self.hi };
+        let more = src.produce(room - self.hi, &mut fill)?;
         self.hi = fill.hi;
         self.done = !more || self.hi >= self.limit;
-        Ok(self.hi > lo)
+        Ok(())
     }
 }
 
-/// Runs every configuration over one shared functional execution of
-/// `program`, in lockstep, and returns per-config statistics in input
-/// order. Each result is bit-identical to
-/// `Simulator::new(cfg).run(program, max_insts)` — the emulator just runs
-/// once instead of `configs.len()` times.
+/// What [`simulate`] runs over. A trace has no emulator to fast-forward,
+/// so the type cannot express a sampled trace.
+#[derive(Debug)]
+pub enum Source<'a, R: Read = std::io::Empty> {
+    /// A live run of a program.
+    Live {
+        /// The program.
+        program: &'a Program,
+        /// The sampling plan; `None` runs every instruction in detail.
+        sample: Option<&'a SampleSpec>,
+    },
+    /// A `.svft` trace, replayed in full detail: bit-identical to the live
+    /// run that captured it.
+    Trace(TraceSource<R>),
+}
+
+impl<'a> Source<'a> {
+    /// [`Source::Live`] (a constructor, so the unused trace reader type
+    /// needs no annotation).
+    #[must_use]
+    pub fn live(program: &'a Program, sample: Option<&'a SampleSpec>) -> Source<'a> {
+        Source::Live { program, sample }
+    }
+}
+
+/// How [`simulate`] runs its batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunOptions {
+    /// Committed-instruction budget of the stream.
+    pub max_insts: u64,
+    /// Timing threads (the caller's included), clamped to
+    /// `[1, configs.len()]`; results are bit-identical at any fan-out.
+    pub fanout: usize,
+}
+
+/// Runs every configuration over one shared stream from `source` — the
+/// emulator or the trace reader runs once, not once per config — and
+/// returns per-config results in input order, each bit-identical to
+/// running that config alone. A full run or a trace replay reports one
+/// interval covering the whole run.
+///
+/// # Errors
+///
+/// A functional fault ([`StreamError::Emu`]) or a truncated or corrupt
+/// trace ([`StreamError::Trace`]).
 ///
 /// # Panics
 ///
-/// Panics if the program faults functionally, or if a pipeline deadlocks
-/// (either would be a simulator bug).
+/// On a pipeline deadlock (a simulator bug), with the same payload at any
+/// fan-out, or a sampling plan that fails [`SampleSpec::validate`].
+pub fn simulate<R: Read>(
+    configs: &[CpuConfig],
+    source: Source<'_, R>,
+    opts: &RunOptions,
+) -> Result<Vec<SampledStats>, StreamError> {
+    match source {
+        Source::Live { program, sample: Some(spec) } => {
+            sampling::sample(configs, program, spec, opts)
+        }
+        Source::Live { program, sample: None } => {
+            let mut emu = Emulator::new(program);
+            let initial_sp = emu.reg(Reg::SP);
+            run_full(configs, &mut emu, initial_sp, opts)
+        }
+        Source::Trace(mut src) => {
+            let initial_sp = src.initial_sp();
+            run_full(configs, &mut src, initial_sp, opts)
+        }
+    }
+}
+
+/// A full detailed run of every config over `src`, whose stream starts
+/// with `$sp` at `initial_sp`.
+pub(crate) fn run_full<S: FactsSource>(
+    configs: &[CpuConfig],
+    src: &mut S,
+    initial_sp: u64,
+    opts: &RunOptions,
+) -> Result<Vec<SampledStats>, StreamError> {
+    let mut pipes: Vec<Pipeline> = configs.iter().map(|c| Pipeline::new(c, initial_sp)).collect();
+    drive(&mut pipes, src, opts.max_insts, opts.fanout)?;
+    Ok(pipes.into_iter().map(|p| SampledStats::whole_run(p.finish())).collect())
+}
+
+/// [`simulate`] over a live program in full detail. Panics on a
+/// functional fault or a pipeline deadlock. Kept because the repository
+/// benchmark (`e2e-bench/`) calls it.
 #[must_use]
 pub fn run_lockstep(configs: &[CpuConfig], program: &Program, max_insts: u64) -> Vec<SimStats> {
     run_lockstep_fanout(configs, program, max_insts, 1)
 }
 
-/// [`run_lockstep`] with the per-window pipeline advancement fanned out
-/// over `fanout` threads (the calling thread plus `fanout - 1` scoped
-/// workers). Each thread advances a disjoint chunk of the pipelines over
-/// the same shared window behind a per-window barrier, so the statistics
-/// are bit-identical to the serial path for any `fanout` — the fill
-/// sequence is a pure function of the global slowest dispatch point, and
-/// each pipeline reads only the immutable window while mutating only
-/// itself. `fanout` is clamped to `[1, configs.len()]`; `1` (or a single
-/// config) takes the serial path with zero threading overhead.
-///
-/// # Panics
-///
-/// Panics if the program faults functionally, or if a pipeline deadlocks
-/// (either would be a simulator bug). A panic on a worker thread is
-/// re-raised on the calling thread with its original payload, so callers
-/// that `catch_unwind` the serial path observe the same message.
+/// [`simulate`] over a live program in full detail at `fanout` timing
+/// threads. Panics on a functional fault or a pipeline deadlock. Kept
+/// because the repository benchmark (`e2e-bench/`) calls it.
 #[must_use]
 pub fn run_lockstep_fanout(
     configs: &[CpuConfig],
@@ -421,62 +489,51 @@ pub fn run_lockstep_fanout(
     max_insts: u64,
     fanout: usize,
 ) -> Vec<SimStats> {
-    let mut emu = Emulator::new(program);
-    let initial_sp = emu.reg(Reg::SP);
-    run_source(configs, &mut emu, initial_sp, max_insts, fanout)
+    simulate(configs, Source::live(program, None), &RunOptions { max_insts, fanout })
         .unwrap_or_else(|e| panic!("functional fault during simulation: {e}"))
+        .into_iter()
+        .map(|s| s.stats)
+        .collect()
 }
 
-/// [`run_lockstep`] over a captured binary trace instead of a live
-/// emulator: replaying a lossless trace produces bit-identical statistics
-/// to the run that captured it.
-///
-/// # Errors
-///
-/// Truncated or corrupt traces surface as [`StreamError::Trace`]; the
-/// partial simulation is discarded.
-pub fn run_lockstep_trace<R: Read>(
+/// [`simulate`] over a live program sampled under `spec`. Panics on a
+/// functional fault, a pipeline deadlock or an invalid `spec`. Kept
+/// because the repository benchmark (`e2e-bench/`) calls it.
+#[must_use]
+pub fn run_sampled(
     configs: &[CpuConfig],
-    src: TraceSource<R>,
+    program: &Program,
     max_insts: u64,
-) -> Result<Vec<SimStats>, StreamError> {
-    let mut src = src;
-    let initial_sp = src.initial_sp();
-    run_source(configs, &mut src, initial_sp, max_insts, 1)
+    spec: &SampleSpec,
+) -> Vec<SampledStats> {
+    simulate(configs, Source::live(program, Some(spec)), &RunOptions { max_insts, fanout: 1 })
+        .unwrap_or_else(|e| panic!("functional fault during sampled simulation: {e}"))
 }
 
-/// The lockstep driver: fill the shared window, let every pipeline advance
-/// as far as the window allows, repeat until all pipelines drain.
-fn run_source<S: FactsSource>(
-    configs: &[CpuConfig],
-    src: &mut S,
-    initial_sp: u64,
-    max_insts: u64,
-    fanout: usize,
-) -> Result<Vec<SimStats>, StreamError> {
-    let mut pipes: Vec<Pipeline> = configs.iter().map(|c| Pipeline::new(c, initial_sp)).collect();
-    drive_fanout(&mut pipes, src, max_insts, fanout)?;
-    Ok(pipes.into_iter().map(Pipeline::finish).collect())
-}
-
-/// Drives a set of already-constructed pipelines over `src` until they all
-/// drain (stream halt or `max_insts` committed instructions). This is the
-/// reusable inner loop of [`run_source`]; sampled simulation calls it once
-/// per measured interval with pipelines built from warm [`EngineState`]s
-/// and an emulator positioned mid-program. `fanout` spreads the per-window
-/// pipeline advancement over that many threads; the serial path is taken
-/// whenever the clamped fanout is one, so single-config runs never pay for
-/// threading.
+/// Drives already-constructed pipelines over `src` until they all drain
+/// (stream halt or `max_insts` committed instructions): the one drive loop
+/// behind [`crate::simulate`], which sampled simulation also runs once per
+/// measured interval, with pipelines built from warm [`EngineState`]s and
+/// an emulator positioned mid-program.
+///
+/// The calling thread leads: it owns the source and the facts builder,
+/// fills the window between rounds, and advances its own chunk of the
+/// pipelines in each round. Above fan-out 1 (clamped to `pipes.len()`),
+/// `fanout - 1` scoped workers advance the other chunks behind a
+/// [`Rendezvous`]; at fan-out 1 none exists, so a round touches no barrier,
+/// lock or atomic. Results are bit-identical at any fan-out: the fill
+/// sequence depends only on the global minimum dispatch point, which the
+/// chunks accumulate exactly, and each `Pipeline::advance` reads nothing
+/// but the immutable window and its own state. A worker's panic reaches
+/// the caller with its original payload.
 ///
 /// [`EngineState`]: crate::pipeline::EngineState
-pub(crate) fn drive_fanout<S: FactsSource>(
+pub(crate) fn drive<S: FactsSource>(
     pipes: &mut [Pipeline],
     src: &mut S,
     max_insts: u64,
     fanout: usize,
 ) -> Result<(), StreamError> {
-    let builder = FactsBuilder::new(src.heap_base());
-    let win = Window::new(LOCKSTEP_WINDOW, max_insts);
     for p in pipes.iter() {
         let cfg = p.config();
         assert!(
@@ -486,45 +543,135 @@ pub(crate) fn drive_fanout<S: FactsSource>(
             cfg.width
         );
     }
+    let builder = FactsBuilder::new(src.heap_base());
+    let win = Window::new(LOCKSTEP_WINDOW, max_insts);
     let fanout = fanout.clamp(1, pipes.len().max(1));
-    if fanout <= 1 {
-        drive_serial(pipes, src, builder, win)
-    } else {
-        drive_parallel(pipes, src, builder, win, fanout)
+    if fanout == 1 {
+        return lead(pipes, src, builder, Crew::Alone(win));
     }
+    let rv = Rendezvous {
+        window: RwLock::new(win),
+        start: Barrier::new(fanout),
+        end: Barrier::new(fanout),
+        min_head: AtomicU64::new(0),
+        all_done: AtomicBool::new(true),
+        stop: AtomicBool::new(false),
+        panicked: Mutex::new(None),
+    };
+    // Exactly `fanout` chunks, sizes differing by at most one (plain
+    // `chunks_mut` could come up short — 4 pipes over 3 threads would
+    // yield 2 chunks of 2 and deadlock the 3-party barriers).
+    let mut chunks = Vec::with_capacity(fanout);
+    let mut rest = pipes;
+    for i in 0..fanout {
+        let (head, tail) = rest.split_at_mut(rest.len().div_ceil(fanout - i));
+        chunks.push(head);
+        rest = tail;
+    }
+    let mut chunks = chunks.into_iter();
+    let leader_chunk = chunks.next().expect("fanout > 1 implies pipelines");
+    let result = std::thread::scope(|scope| {
+        for worker_pipes in chunks {
+            let rv = &rv;
+            scope.spawn(move || worker_loop(worker_pipes, rv));
+        }
+        lead(leader_chunk, src, builder, Crew::Shared(&rv))
+    });
+    // The scope has joined: re-raise a worker (or leader-chunk) panic on
+    // the calling thread with its original payload.
+    let payload = rv.panicked.into_inner().unwrap_or_else(PoisonError::into_inner);
+    if let Some(payload) = payload {
+        resume_unwind(payload);
+    }
+    result
 }
 
-/// The serial inner loop: one thread fills and advances everything.
-fn drive_serial<S: FactsSource>(
-    pipes: &mut [Pipeline],
+/// The leader's loop: run rounds until every pipeline has drained. Every
+/// pipeline starts dispatching at seq 0; after that, instructions older
+/// than every dispatch point are dead and the window may overwrite them (a
+/// finished pipeline's dispatch point sits at the final stream length, so
+/// it never constrains).
+fn lead<S: FactsSource>(
+    chunk: &mut [Pipeline],
     src: &mut S,
     mut builder: FactsBuilder,
-    mut win: Window,
+    mut crew: Crew<'_>,
 ) -> Result<(), StreamError> {
-    loop {
-        // Instructions older than every pipeline's dispatch point are dead;
-        // the window may overwrite them. (A finished pipeline's dispatch
-        // point sits at the final stream length, so it never constrains.)
-        let keep = pipes.iter().map(Pipeline::ifq_head).min().unwrap_or_else(|| win.hi());
-        let fresh = win.fill(src, &mut builder, keep)?;
-        let mut all_done = true;
-        for p in pipes.iter_mut() {
-            all_done &= p.advance(&win);
+    let mut keep = 0;
+    let result = loop {
+        match crew.round(chunk, src, &mut builder, keep) {
+            Ok((false, head)) => keep = head,
+            Ok((true, _)) => break Ok(()),
+            Err(e) => break Err(e),
         }
-        if all_done {
-            break;
-        }
-        // The window always has ifq+width headroom over the slowest
-        // consumer, so an empty fill with unfinished pipelines means the
-        // stream ended and they are still draining — anything else would
-        // loop forever.
-        debug_assert!(fresh || win.done(), "lockstep window stalled");
-    }
-    Ok(())
+    };
+    crew.stop();
+    result
 }
 
-/// Rendezvous state for one parallel drive: the shared window, the two
-/// round barriers, and the accumulators each chunk folds its progress
+/// Who advances the pipelines outside the leader's chunk.
+enum Crew<'r> {
+    /// Fan-out 1: the leader owns the window and every pipeline.
+    Alone(Window),
+    /// Workers advance the other chunks; the rendezvous owns the window.
+    Shared(&'r Rendezvous),
+}
+
+impl Crew<'_> {
+    /// One round: fill the window past `keep`, then let every chunk
+    /// advance as far as it allows. Returns whether the drive is over
+    /// (every pipeline drained, or a chunk panicked) and the minimum
+    /// dispatch point, the next `keep`.
+    fn round<S: FactsSource>(
+        &mut self,
+        chunk: &mut [Pipeline],
+        src: &mut S,
+        builder: &mut FactsBuilder,
+        keep: u64,
+    ) -> Result<(bool, u64), StreamError> {
+        Ok(match self {
+            Crew::Alone(win) => {
+                win.fill(src, builder, keep)?;
+                advance_all(chunk, win)
+            }
+            Crew::Shared(rv) => {
+                // Every worker is parked at, or headed to, the start
+                // barrier, so the write lock is uncontended.
+                rv.window.write().unwrap_or_else(PoisonError::into_inner).fill(src, builder, keep)?;
+                rv.min_head.store(u64::MAX, Ordering::Release);
+                rv.all_done.store(true, Ordering::Release);
+                rv.start.wait();
+                advance_chunk(chunk, rv);
+                rv.end.wait();
+                let done = rv.has_panicked() || rv.all_done.load(Ordering::Acquire);
+                (done, rv.min_head.load(Ordering::Acquire))
+            }
+        })
+    }
+
+    /// Releases the workers for good.
+    fn stop(&self) {
+        if let Crew::Shared(rv) = self {
+            rv.stop.store(true, Ordering::Release);
+            rv.start.wait();
+        }
+    }
+}
+
+/// Advances every pipeline of `pipes` over `win`: whether all have
+/// drained, and their minimum dispatch point.
+fn advance_all(pipes: &mut [Pipeline], win: &Window) -> (bool, u64) {
+    let mut done = true;
+    let mut head = u64::MAX;
+    for p in pipes.iter_mut() {
+        done &= p.advance(win);
+        head = head.min(p.ifq_head());
+    }
+    (done, head)
+}
+
+/// Rendezvous state for a drive at fan-out above 1: the shared window, the
+/// two round barriers, and the accumulators each chunk folds its progress
 /// into during a round (reset by the leader between rounds).
 ///
 /// The leader mutates the window exclusively between rounds (write lock
@@ -553,12 +700,12 @@ struct Rendezvous {
 impl Rendezvous {
     /// Parks the payload of a panicking chunk; first writer wins.
     fn park_panic(&self, payload: Box<dyn Any + Send>) {
-        let mut slot = self.panicked.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut slot = self.panicked.lock().unwrap_or_else(PoisonError::into_inner);
         slot.get_or_insert(payload);
     }
 
     fn has_panicked(&self) -> bool {
-        self.panicked.lock().unwrap_or_else(std::sync::PoisonError::into_inner).is_some()
+        self.panicked.lock().unwrap_or_else(PoisonError::into_inner).is_some()
     }
 }
 
@@ -569,14 +716,7 @@ impl Rendezvous {
 /// the leader to re-raise.
 fn advance_chunk(pipes: &mut [Pipeline], rv: &Rendezvous) {
     let advanced = catch_unwind(AssertUnwindSafe(|| {
-        let win = rv.window.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut done = true;
-        let mut head = u64::MAX;
-        for p in pipes.iter_mut() {
-            done &= p.advance(&win);
-            head = head.min(p.ifq_head());
-        }
-        (done, head)
+        advance_all(pipes, &rv.window.read().unwrap_or_else(PoisonError::into_inner))
     }));
     match advanced {
         Ok((done, head)) => {
@@ -602,102 +742,17 @@ fn worker_loop(pipes: &mut [Pipeline], rv: &Rendezvous) {
     }
 }
 
-/// The parallel inner loop. The calling thread is the leader: it owns the
-/// source and the facts builder, fills the window exclusively between
-/// rounds, and advances the first chunk itself during rounds; `fanout - 1`
-/// scoped workers (spawned once per drive, not per window) advance the
-/// remaining chunks. Bit-identity with [`drive_serial`] holds because the
-/// fill sequence depends only on the global minimum dispatch point —
-/// which the chunks accumulate exactly — and each `Pipeline::advance`
-/// reads nothing but the immutable window and its own state, so chunk
-/// assignment and thread interleaving are timing-invisible.
-fn drive_parallel<S: FactsSource>(
-    pipes: &mut [Pipeline],
-    src: &mut S,
-    mut builder: FactsBuilder,
-    win: Window,
-    fanout: usize,
-) -> Result<(), StreamError> {
-    let rv = Rendezvous {
-        window: RwLock::new(win),
-        start: Barrier::new(fanout),
-        end: Barrier::new(fanout),
-        // Every pipeline starts dispatching at seq 0, like the serial
-        // path's first `keep`.
-        min_head: AtomicU64::new(0),
-        all_done: AtomicBool::new(true),
-        stop: AtomicBool::new(false),
-        panicked: Mutex::new(None),
-    };
-    // Exactly `fanout` chunks, sizes differing by at most one (plain
-    // `chunks_mut` could come up short — 4 pipes over 3 threads would
-    // yield 2 chunks of 2 and deadlock the 3-party barriers).
-    let mut chunks = Vec::with_capacity(fanout);
-    let mut rest = pipes;
-    for i in 0..fanout {
-        let (head, tail) = rest.split_at_mut(rest.len().div_ceil(fanout - i));
-        chunks.push(head);
-        rest = tail;
-    }
-    let mut chunks = chunks.into_iter();
-    let leader_chunk = chunks.next().expect("fanout > 1 implies pipelines");
-
-    let result = std::thread::scope(|scope| {
-        for worker_pipes in chunks {
-            let rv = &rv;
-            scope.spawn(move || worker_loop(worker_pipes, rv));
-        }
-        loop {
-            // Exclusive phase: every worker is parked at (or headed to)
-            // the start barrier, so the write lock is uncontended.
-            {
-                let mut win = rv.window.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-                let keep = rv.min_head.load(Ordering::Acquire);
-                match win.fill(src, &mut builder, keep) {
-                    Ok(fresh) => {
-                        // Same invariant as the serial loop: an empty fill
-                        // with unfinished pipelines means the stream ended
-                        // and they are draining.
-                        debug_assert!(fresh || win.done(), "lockstep window stalled");
-                    }
-                    Err(e) => {
-                        rv.stop.store(true, Ordering::Release);
-                        rv.start.wait();
-                        break Err(e);
-                    }
-                }
-            }
-            rv.min_head.store(u64::MAX, Ordering::Release);
-            rv.all_done.store(true, Ordering::Release);
-            rv.start.wait();
-            // Parallel phase: the leader works its own chunk too.
-            advance_chunk(leader_chunk, &rv);
-            rv.end.wait();
-            if rv.has_panicked() || rv.all_done.load(Ordering::Acquire) {
-                rv.stop.store(true, Ordering::Release);
-                rv.start.wait();
-                break Ok(());
-            }
-        }
-    });
-    // The scope has joined: re-raise a worker (or leader-chunk) panic on
-    // the calling thread with its original payload, exactly as the serial
-    // path would have panicked.
-    let payload =
-        rv.panicked.into_inner().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(payload) = payload {
-        resume_unwind(payload);
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StackEngine;
+    use crate::config::{CpuConfig, StackEngine};
     use crate::pipeline::Simulator;
+    use crate::{run_lockstep, run_lockstep_fanout, simulate, RunOptions, Source};
     use svf_emu::{TraceReader, TraceWriter};
-    use svf_isa::{Reg, STACK_BASE};
+    use svf_isa::{Program, Reg, STACK_BASE};
+
+    /// The whole stream, on one timing thread.
+    const WHOLE_RUN: RunOptions = RunOptions { max_insts: u64::MAX, fanout: 1 };
 
     fn kernel() -> Program {
         svf_cc::compile_to_program_with(
@@ -836,10 +891,12 @@ mod tests {
         // Replay it under every config and compare against live runs.
         let configs = config_set();
         let src = TraceSource::new(TraceReader::new(bytes.as_slice()).expect("header"));
-        let replayed = run_lockstep_trace(&configs, src, u64::MAX).expect("replays");
+        let replayed =
+            simulate(&configs, Source::Trace(src), &WHOLE_RUN).expect("replays");
         for (cfg, got) in configs.iter().zip(&replayed) {
             let alone = Simulator::new(cfg.clone()).run(&p, u64::MAX);
-            assert_eq!(got.to_csv_row(), alone.to_csv_row(), "{cfg:?} diverged on replay");
+            assert_eq!(got.stats.to_csv_row(), alone.to_csv_row(), "{cfg:?} diverged on replay");
+            assert_eq!((got.intervals, got.detailed_insts), (1, got.total_insts), "one whole run");
         }
     }
 
@@ -892,7 +949,7 @@ mod tests {
         let mut bytes = w.finish().expect("finish");
         bytes.truncate(bytes.len() - 2);
         let src = TraceSource::new(TraceReader::new(bytes.as_slice()).expect("header"));
-        let err = run_lockstep_trace(&[CpuConfig::wide16()], src, u64::MAX)
+        let err = simulate(&[CpuConfig::wide16()], Source::Trace(src), &WHOLE_RUN)
             .expect_err("truncated trace must fail");
         assert!(matches!(err, StreamError::Trace(_)), "typed trace error, got {err:?}");
     }

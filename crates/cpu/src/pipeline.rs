@@ -113,9 +113,11 @@ struct Plan {
 /// class has no units, or a producer never issues).
 const UNISSUED: u64 = u64::MAX;
 
-/// The cycle-level simulator. Construct with a [`CpuConfig`] and call
-/// [`Simulator::run`]. To sweep several configurations over one shared
-/// functional execution, see [`crate::run_lockstep`].
+/// The cycle-level simulator of one configuration: a wrapper over
+/// [`crate::simulate`] with a batch of one, kept because the repository
+/// benchmark (`e2e-bench/`) calls it by name. To run several
+/// configurations over one shared stream, sample, fan out or replay a
+/// trace, call [`crate::simulate`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
     cfg: CpuConfig,
@@ -138,9 +140,7 @@ impl Simulator {
     /// deadlocks (which would be a simulator bug).
     #[must_use]
     pub fn run(&self, program: &Program, max_insts: u64) -> SimStats {
-        let mut out =
-            crate::lockstep::run_lockstep(std::slice::from_ref(&self.cfg), program, max_insts);
-        out.pop().expect("one config in, one result out")
+        crate::run_lockstep(std::slice::from_ref(&self.cfg), program, max_insts).remove(0)
     }
 }
 

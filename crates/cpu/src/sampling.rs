@@ -42,7 +42,8 @@
 //!    being over-weighted when the interval count is small.
 //!
 //! A spec whose first interval covers the whole program degenerates to a
-//! plain full run, bit-identical to [`crate::run_lockstep`] — pinned by a test.
+//! plain full run, bit-identical to a full [`crate::simulate`] — pinned by a
+//! test here and, over every golden and oracle row, by the workspace tests.
 //!
 //! # Bias and the ramp
 //!
@@ -60,7 +61,7 @@ use svf_emu::{Commit, Emulator, StepSink, StreamError};
 use svf_isa::{MemRegion, Program, Reg};
 
 use crate::config::{CpuConfig, StackEngine};
-use crate::lockstep::{drive_fanout, run_lockstep_fanout};
+use crate::lockstep::{drive, run_full, RunOptions};
 use crate::pipeline::{EngineState, Pipeline};
 use crate::stats::SimStats;
 
@@ -406,7 +407,9 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// What a sampled run measured and estimated for one configuration.
+/// What a run measured and estimated for one configuration. A sampled run
+/// fills in its stratified estimate and coverage; a full run is one
+/// interval covering the whole run, every instruction of it detailed.
 #[derive(Debug, Clone)]
 pub struct SampledStats {
     /// Whole-run estimate: pooled interval statistics extrapolated to the
@@ -425,6 +428,17 @@ pub struct SampledStats {
 }
 
 impl SampledStats {
+    /// A full detailed run, reported as one interval covering all of it.
+    pub(crate) fn whole_run(stats: SimStats) -> SampledStats {
+        SampledStats {
+            total_insts: stats.committed,
+            detailed_insts: stats.committed,
+            warmed_insts: 0,
+            intervals: 1,
+            stats,
+        }
+    }
+
     /// Instructions that ran at pure emulator speed (neither measured nor
     /// warming).
     #[must_use]
@@ -455,52 +469,21 @@ fn resync_svf(state: &mut EngineState, sp: u64) {
 }
 
 /// Runs every configuration over one sampled execution of `program` and
-/// returns per-config estimates in input order. The functional emulator
-/// runs the program exactly once end to end; only the measured intervals
-/// pay detailed-simulation cost. If the schedule places no interval before
-/// the program ends, the run falls back to a plain full [`crate::run_lockstep`]
-/// (reported as one interval covering everything).
-///
-/// # Panics
-///
-/// Panics if the program faults functionally, or if a pipeline deadlocks
-/// (either would be a simulator bug) — matching [`crate::run_lockstep`].
-#[must_use]
-pub fn run_sampled(
+/// returns per-config estimates in input order: [`crate::simulate`] with a
+/// sampling plan. The functional emulator runs the program exactly once
+/// end to end; only the measured intervals pay detailed-simulation cost,
+/// each driven at `opts.fanout` (the fast-forward and functional warmup
+/// are a single serial stream on the calling thread). If the schedule
+/// places no interval before the program ends, the run falls back to a
+/// plain full run (reported as one interval covering everything).
+pub(crate) fn sample(
     configs: &[CpuConfig],
     program: &Program,
-    max_insts: u64,
     spec: &SampleSpec,
-) -> Vec<SampledStats> {
-    run_sampled_fanout(configs, program, max_insts, spec, 1)
-}
-
-/// [`run_sampled`] with each measured interval's lockstep advancement
-/// fanned out over `fanout` threads (see [`crate::run_lockstep_fanout`]).
-/// The fast-forward and functional warmup remain on the calling thread —
-/// they are a single serial stream — but the detailed windows, where the
-/// per-config timing cost lives, run their pipelines in parallel. The
-/// estimates are bit-identical to [`run_sampled`] for any `fanout`.
-///
-/// # Panics
-///
-/// Panics if the program faults functionally, or if a pipeline deadlocks
-/// (either would be a simulator bug) — matching [`crate::run_lockstep`].
-#[must_use]
-pub fn run_sampled_fanout(
-    configs: &[CpuConfig],
-    program: &Program,
-    max_insts: u64,
-    spec: &SampleSpec,
-    fanout: usize,
-) -> Vec<SampledStats> {
+    opts: &RunOptions,
+) -> Result<Vec<SampledStats>, StreamError> {
     spec.validate().expect("invalid sample spec");
-    if configs.is_empty() {
-        return Vec::new();
-    }
-    let fault = |e: StreamError| -> ! { panic!("functional fault during sampled simulation: {e}") };
-    let emu_fault = |e: svf_emu::EmuError| -> ! { fault(StreamError::Emu(e)) };
-
+    let max_insts = opts.max_insts;
     let mut emu = Emulator::new(program);
     let initial_sp = emu.reg(Reg::SP);
     let heap_base = emu.heap_base();
@@ -530,7 +513,7 @@ pub fn run_sampled_fanout(
         let warm_start = detail_start.saturating_sub(spec.warmup);
         // Fast-forward (recordless) to the warmup window.
         if emu.steps() < warm_start {
-            emu.run(warm_start - emu.steps()).unwrap_or_else(|e| emu_fault(e));
+            emu.run(warm_start - emu.steps())?;
         }
         if emu.is_halted() {
             break;
@@ -549,7 +532,7 @@ pub fn run_sampled_fanout(
                     .map(|(c, st)| Warmer::new(c, st, heap_base))
                     .collect(),
             );
-            emu.run_with(warm_end - before, &mut warmers).unwrap_or_else(|e| emu_fault(e));
+            emu.run_with(warm_end - before, &mut warmers)?;
             warmed += emu.steps() - before;
         }
         if emu.is_halted() || emu.steps() >= max_insts {
@@ -572,7 +555,7 @@ pub fn run_sampled_fanout(
                 p
             })
             .collect();
-        drive_fanout(&mut pipes, &mut emu, budget, fanout).unwrap_or_else(|e| fault(e));
+        drive(&mut pipes, &mut emu, budget, opts.fanout)?;
         for (slot, pipe) in measured.iter_mut().zip(pipes) {
             let (stats, st) = pipe.finish_into_state();
             slot.push(stats);
@@ -595,30 +578,22 @@ pub fn run_sampled_fanout(
 
     // Finish the functional run so the reported total is exact.
     if !emu.is_halted() && emu.steps() < max_insts {
-        emu.run(max_insts - emu.steps()).unwrap_or_else(|e| emu_fault(e));
+        emu.run(max_insts - emu.steps())?;
     }
     let total = emu.steps();
 
     if intervals == 0 {
         // The schedule never fired (program shorter than the first start):
         // fall back to a plain full run rather than report nothing.
-        return run_lockstep_fanout(configs, program, max_insts, fanout)
-            .into_iter()
-            .map(|s| SampledStats {
-                total_insts: s.committed,
-                detailed_insts: s.committed,
-                warmed_insts: 0,
-                intervals: 1,
-                stats: s,
-            })
-            .collect();
+        let mut emu = Emulator::new(program);
+        return run_full(configs, &mut emu, initial_sp, opts);
     }
     // Whatever ran after the last interval (fast-forward to program end)
     // belongs to the last stratum.
     if let Some(last) = represented.last_mut() {
         *last += total - stratum_start;
     }
-    measured
+    Ok(measured
         .into_iter()
         .map(|ivs| {
             // Stratified extrapolation: each interval's counters are scaled
@@ -641,14 +616,14 @@ pub fn run_sampled_fanout(
                 intervals,
             }
         })
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_lockstep;
     use crate::stats::relative_error;
+    use crate::{run_lockstep, run_sampled};
 
     fn kernel() -> Program {
         svf_cc::compile_to_program_with(
@@ -849,7 +824,7 @@ mod tests {
         let mut pl = Pipeline::new(cfg, initial_sp);
         pl.set_measure_window(from, to);
         let mut pipes = vec![pl];
-        drive_fanout(&mut pipes, &mut emu, u64::MAX, 1).unwrap();
+        drive(&mut pipes, &mut emu, u64::MAX, 1).unwrap();
         pipes.pop().unwrap().finish()
     }
 

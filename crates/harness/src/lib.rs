@@ -19,7 +19,7 @@
 //!    the *functional execution* is shared the same way: jobs with the
 //!    same program form one group, and a *batch plan* cuts each group's shared
 //!    jobs into balanced lockstep batches driven by
-//!    [`svf_cpu::run_lockstep`] — at least two batches per worker, so no
+//!    [`svf_cpu::simulate`] — at least two batches per worker, so no
 //!    worker sits idle behind one long program — and the emulator runs
 //!    once per batch instead of once per job, with bit-identical results.
 //!    Every fresh job runs inside such a batch — a job that must run alone
@@ -33,7 +33,7 @@
 //!    output bit-identical to serial output (every simulation is itself
 //!    deterministic).
 //! 4. **Sinks & resume** — with an output directory configured, each job's
-//!    [`SimStats`](svf_cpu::SimStats) is written to
+//!    [`SimStats`] is written to
 //!    `<out>/<experiment>/<content-key>.csv` (atomically — temp file +
 //!    rename; every `svf-experiments` figure command shares the
 //!    experiment `timing`), and jobs whose result file already exists are
@@ -57,13 +57,13 @@
 //!    (process-globally, by content key) so later runs in the
 //!    process never batch it again — survivors keep sharing streams
 //!    instead of all falling back to serial. The deterministic
-//!    `SVF_FAULT_PLAN` hook (see [`crate::fault`] via
-//!    [`install_fault_plan`]) injects panics, I/O errors, hangs, truncated
-//!    traces, and process aborts at chosen job ids to test all of this.
+//!    `SVF_FAULT_PLAN` hook (see [`install_fault_plan`]) injects panics,
+//!    I/O errors, hangs, truncated traces, and process aborts at chosen
+//!    job ids to test all of this.
 //!
-//! 6. **Sampled simulation** — [`Harness::with_sample`] switches every
-//!    batch (a batch of one included) to [`svf_cpu::run_sampled`]: the
-//!    program runs functionally end to end and only the plan's measured
+//! 6. **Sampled simulation** — [`Harness::with_sample`] hands its plan to
+//!    every batch's [`svf_cpu::simulate`] call (a batch of one included):
+//!    the program runs functionally end to end and only the plan's measured
 //!    intervals pay detailed cost, with the stratified whole-run estimate
 //!    reported in the ordinary [`SimStats`] shape — so sinks, resume,
 //!    retries, fault injection, and sweeps compose unchanged.
@@ -112,7 +112,7 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use svf_cpu::{CpuConfig, SampleSpec, SimStats};
+use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SampledStats, SimStats, Source};
 use svf_isa::Program;
 
 pub use error::{JobError, RetryPolicy};
@@ -186,7 +186,7 @@ impl Harness {
     /// intra-batch timing fan-out so that `jobs × fanout ≤ total`. Workers
     /// are capped at the budget; whatever the workers do not use funds a
     /// spare pool that lockstep batches claim extra timing threads from
-    /// ([`svf_cpu::run_lockstep_fanout`]) when they start. A worker that
+    /// ([`svf_cpu::RunOptions::fanout`]) when they start. A worker that
     /// drains the job queue donates its seat to that pool, where only the
     /// *next* batch anyone claims can use it — a later piece of the batch
     /// plan, a retry or a bisection half; a batch already running keeps
@@ -221,7 +221,7 @@ impl Harness {
     /// group, which the batch plan cuts into contiguous batches of at most
     /// `⌈fresh jobs / (2 × workers)⌉`, each
     /// riding a single functional execution of the program
-    /// ([`svf_cpu::run_lockstep`]); off, every job is a batch of one that
+    /// ([`svf_cpu::simulate`]); off, every job is a batch of one that
     /// re-runs the emulator. Results are bit-identical either way (pinned
     /// by the workspace golden tests); lockstep does the functional work
     /// once per batch instead of once per job, and the cap keeps enough
@@ -252,8 +252,8 @@ impl Harness {
         self
     }
 
-    /// Enables sampled simulation ([`svf_cpu::run_sampled`]): every job
-    /// runs the program functionally end to end, pays detailed-simulation
+    /// Enables sampled simulation ([`svf_cpu::simulate`] under the plan):
+    /// every job runs the program functionally end to end, pays detailed-simulation
     /// cost only inside the plan's measured intervals, and reports the
     /// stratified whole-run estimate as its [`SimStats`]. Each lockstep
     /// batch — a batch of one included — shares one sampled stream, so
@@ -436,13 +436,15 @@ fn run_batch(
         progress.record_fanout(fanout);
         let attempted = attempt_lockstep(jobs, members, &program, policy.timeout, sample, fanout);
         match &attempted {
-            Ok((_, Some((detailed, fast_forwarded)))) => {
-                progress.record_sample(*detailed, *fast_forwarded);
+            // One schedule serves the whole batch: its first member's
+            // coverage is every member's.
+            Ok(runs) if sample.is_some() => {
+                progress.record_sample(runs[0].detailed_insts, runs[0].fast_forwarded());
             }
             Err(JobError::Timeout { .. }) => progress.record_timeout(),
             _ => {}
         }
-        attempted.map(|(stats, _)| stats)
+        attempted
     };
     let attempted = match members {
         [i] => {
@@ -455,7 +457,9 @@ fn run_batch(
         _ => attempt(),
     };
     match (attempted, members) {
-        (Ok(stats), _) => members.iter().copied().zip(stats.into_iter().map(Ok)).collect(),
+        (Ok(runs), _) => {
+            members.iter().copied().zip(runs.into_iter().map(|s| Ok(s.stats))).collect()
+        }
         (Err(e), [i]) => vec![(*i, Err(e))],
         (Err(_), _) => {
             let (a, b) = members.split_at(members.len() / 2);
@@ -475,22 +479,17 @@ fn report_for(job: &Job, outcome: JobOutcome, wall: Duration) -> JobReport {
     }
 }
 
-/// `(detailed, fast-forwarded)` instruction counts of one sampled
-/// execution, reported to the progress line. `None` for full runs.
-type SampleMeta = Option<(u64, u64)>;
-
 /// One lockstep-batch attempt over `members`, panic-caught, optionally
 /// under a watchdog whose limit scales with the batch width (N jobs ride
 /// one stream). The attempt first fires any `SVF_FAULT_PLAN` fault planned
 /// for a member, so injected failures traverse exactly the machinery a
-/// real one would. With a sampling plan the whole batch rides one sampled
-/// stream ([`svf_cpu::run_sampled_fanout`]) instead of one full stream;
-/// the schedule is shared, so one `(detailed, fast-forwarded)` pair
-/// describes every member. `fanout` is the number of timing threads the
-/// batch may spread its pipelines over (1 = the classic serial advance);
+/// real one would, then runs the batch through [`svf_cpu::simulate`] over
+/// one live stream, sampled under `sample` if given. `fanout` is the
+/// number of timing threads the batch may spread its pipelines over;
 /// results are bit-identical at any fanout, and a panic on any timing
-/// thread surfaces here with its original payload, so bisection and
-/// quarantine behave exactly as they do on the serial path.
+/// thread surfaces here with its original payload. A functional fault
+/// fails the attempt with the [`JobError::Panic`] text the kept wrappers'
+/// panic produces, so bisection and quarantine treat it like a divergence.
 fn attempt_lockstep(
     jobs: &[Job],
     members: &[usize],
@@ -498,7 +497,7 @@ fn attempt_lockstep(
     timeout: Option<Duration>,
     sample: Option<&SampleSpec>,
     fanout: usize,
-) -> Result<(Vec<SimStats>, SampleMeta), JobError> {
+) -> Result<Vec<SampledStats>, JobError> {
     let ids: Vec<usize> = members.iter().map(|&i| jobs[i].id).collect();
     let configs: Vec<CpuConfig> = members.iter().map(|&i| jobs[i].config.clone()).collect();
     let program = Arc::clone(program);
@@ -507,14 +506,10 @@ fn attempt_lockstep(
         for id in ids {
             fault::fire(id)?;
         }
-        Ok(match &sample {
-            None => (svf_cpu::run_lockstep_fanout(&configs, &program, u64::MAX, fanout), None),
-            Some(spec) => {
-                let sampled =
-                    svf_cpu::run_sampled_fanout(&configs, &program, u64::MAX, spec, fanout);
-                let meta = sampled.first().map(|s| (s.detailed_insts, s.fast_forwarded()));
-                (sampled.into_iter().map(|s| s.stats).collect(), meta)
-            }
+        let opts = RunOptions { max_insts: u64::MAX, fanout };
+        svf_cpu::simulate(&configs, Source::live(&program, sample.as_ref()), &opts).map_err(|e| {
+            let during = if sample.is_some() { "sampled simulation" } else { "simulation" };
+            JobError::Panic(format!("panicked: functional fault during {during}: {e}"))
         })
     };
     let Some(limit) = timeout else {
@@ -650,4 +645,38 @@ pub fn configure(harness: Harness) {
 #[must_use]
 pub fn global() -> Harness {
     GLOBAL.get_or_init(|| Mutex::new(Harness::parallel())).lock().expect("global harness").clone()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A functional fault comes back from `simulate` as an error, and the
+    /// attempt reports it with exactly the text the kept wrappers' panic
+    /// produces, so failure lines, retries and quarantine see no change.
+    #[test]
+    fn a_functional_fault_fails_with_the_wrappers_panic_text() {
+        // An empty text segment: the first fetch leaves it.
+        let program = Arc::new(Program::new());
+        let config = CpuConfig::wide4();
+        let jobs = [Job {
+            id: usize::MAX,
+            program: ProgramSpec::source("empty", ""),
+            config_label: "wide4".into(),
+            config: config.clone(),
+        }];
+        let plan = SampleSpec::parse("period=2k,interval=1k").expect("plan parses");
+        let configs = [config];
+        for sample in [None, Some(&plan)] {
+            let attempted = attempt_lockstep(&jobs, &[0], &program, None, sample, 1);
+            let panicked = catch_unwind(|| match sample {
+                None => drop(svf_cpu::run_lockstep(&configs, &program, u64::MAX)),
+                Some(spec) => drop(svf_cpu::run_sampled(&configs, &program, u64::MAX, spec)),
+            })
+            .expect_err("the wrapper panics on a functional fault");
+            let want = JobError::from_panic(panicked.as_ref());
+            assert!(matches!(want, JobError::Panic(ref m) if m.contains("functional fault")));
+            assert_eq!(attempted.expect_err("the fault fails the attempt"), want);
+        }
+    }
 }

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: release build, the complete test suite (release mode also
 # enables the timing-heavy figure-shape tests), compile-checked benchmarks,
-# the CLI smokes, warning-free clippy across every target (benches
-# included), and last a quick throughput smoke gate against the committed
-# baseline.
+# the CLI smokes, warning-free rustdoc, warning-free clippy across every
+# target (benches included), and last a quick throughput smoke gate against
+# the committed baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -198,6 +198,9 @@ cmp "$smoke_dir/all.out" "$smoke_dir/all-again.out" \
 grep -q '\[timing\] 240/240 jobs.*(240 resumed)  (shared=84)' "$smoke_dir/all-again.err" \
     || { echo "timing-plan smoke: second run did not resume every job" >&2; exit 1; }
 echo "timing-plan smoke: 324 jobs stored 240 results, all resumed on the second run"
+# Rustdoc gate: a broken or private intra-doc link (say, to a deleted entry
+# point) fails here instead of rotting in the published docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo clippy --workspace --all-targets -- -D warnings
 # Throughput smoke gate: a few quick runs per benchmark, compared against
 # the committed baseline. Quick sampling is noisy (20-30% machine-wide

@@ -14,7 +14,7 @@
 use std::error::Error;
 use std::fmt::Write as _;
 
-use svf_cpu::{CpuConfig, SampleSpec, SimStats, Simulator, StackEngine};
+use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SampledStats, Source, StackEngine};
 use svf_emu::{Emulator, Retired};
 use svf_isa::Program;
 
@@ -259,91 +259,79 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
         );
     }
 
-    let cfg = build_config(&o)?;
+    let runs = run_timed(&o, Source::live(&program, o.sample.as_ref()))?;
+    timing_report(&mut report, &o, &runs);
+    Ok(report)
+}
+
+/// The one timing run, over a live program or a replayed trace: the
+/// machine, plus with `--compare` its baseline — the same machine with the
+/// stack structure removed — riding one lockstep batch over the shared
+/// stream, fanned out across up to `o.threads` timing threads. A sampled
+/// compare is sampled-vs-sampled. Returns `[machine]` or
+/// `[machine, baseline]`.
+fn run_timed<R: std::io::Read>(
+    o: &CliOptions,
+    source: Source<'_, R>,
+) -> Result<Vec<SampledStats>, Box<dyn Error>> {
+    let cfg = build_config(o)?;
+    let mut configs = vec![cfg.clone()];
     if o.compare {
-        // The baseline is the same machine with the stack structure removed;
-        // both ride one lockstep pair over a shared functional stream, in
-        // the same execution mode (a sampled compare is sampled-vs-sampled).
-        let base_cfg = CpuConfig { stack_engine: StackEngine::None, stack_ports: 0, ..cfg.clone() };
-        let (stats, base) = run_timed_pair(&mut report, &o, &cfg, &base_cfg, &program);
+        configs.push(CpuConfig { stack_engine: StackEngine::None, stack_ports: 0, ..cfg });
+    }
+    let opts = RunOptions { max_insts: o.max_insts, fanout: o.threads };
+    Ok(svf_cpu::simulate(&configs, source, &opts)?)
+}
+
+/// The timing lines of [`run_timed`]'s runs, shared by live runs and trace
+/// replays (identical stream, identical text): each run's greppable
+/// `SAMPLED` coverage line when sampled (the `scripts/check.sh` smoke gate
+/// parses it), the machine's lines, and with `--compare` the speedup over
+/// the baseline.
+fn timing_report(report: &mut String, o: &CliOptions, runs: &[SampledStats]) {
+    for (i, s) in runs.iter().enumerate() {
+        if o.sample.is_some() {
+            let _ = writeln!(
+                report,
+                "--- SAMPLED intervals={} detailed={} fast-forwarded={} warmed={} of {} insts ---",
+                s.intervals,
+                s.detailed_insts,
+                s.fast_forwarded(),
+                s.warmed_insts,
+                s.total_insts
+            );
+        }
+        if i > 0 {
+            continue;
+        }
+        let stats = &s.stats;
+        let _ = writeln!(report, "[{}] {} cycles, IPC {:.2}", o.config, stats.cycles, stats.ipc());
+        let morphed = stats.svf_morphed_loads + stats.svf_morphed_stores;
+        if morphed + stats.svf_rerouted > 0 {
+            let _ = writeln!(
+                report,
+                "  SVF: {} morphed, {} re-routed, {} out-of-window, {} squashes",
+                morphed, stats.svf_rerouted, stats.svf_out_of_window, stats.svf_squashes
+            );
+        }
+        let _ = writeln!(
+            report,
+            "  DL1: {} accesses ({:.1}% hit); L2: {} accesses",
+            stats.dl1.accesses,
+            100.0 * stats.dl1.hit_rate(),
+            stats.l2.accesses
+        );
+    }
+    if let [main, base] = runs {
         let _ = writeln!(
             report,
             "[baseline {} - stack structure] {} cycles, IPC {:.2} -> speedup {:.3}x",
             o.config,
-            base.cycles,
-            base.ipc(),
-            stats.speedup_over(&base)
+            base.stats.cycles,
+            base.stats.ipc(),
+            main.stats.speedup_over(&base.stats)
         );
-    } else {
-        let stats = run_timed(&mut report, &o, &cfg, &program);
-        append_timing_report(&mut report, &o, &stats);
     }
-    Ok(report)
-}
-
-/// One timing run under the options' execution mode: a full detailed
-/// simulation, or — with `--sample` — a sampled one, with a greppable
-/// `SAMPLED` coverage line appended (the `scripts/check.sh` smoke gate
-/// parses it).
-fn run_timed(report: &mut String, o: &CliOptions, cfg: &CpuConfig, program: &Program) -> SimStats {
-    match &o.sample {
-        Some(spec) => {
-            let s = svf_cpu::run_sampled(std::slice::from_ref(cfg), program, o.max_insts, spec)
-                .pop()
-                .expect("one config in, one estimate out");
-            sampled_line(report, &s);
-            s.stats
-        }
-        None => Simulator::new(cfg.clone()).run(program, o.max_insts),
-    }
-}
-
-/// The `--compare` pair: both machines ride one lockstep batch over a
-/// shared functional stream, fanned out across up to `o.threads` timing
-/// threads. Reports the machine's lines (and each run's `SAMPLED` line);
-/// returns `(machine, baseline)` statistics.
-fn run_timed_pair(
-    report: &mut String,
-    o: &CliOptions,
-    cfg: &CpuConfig,
-    base_cfg: &CpuConfig,
-    program: &Program,
-) -> (SimStats, SimStats) {
-    let configs = [cfg.clone(), base_cfg.clone()];
-    match &o.sample {
-        Some(spec) => {
-            let mut runs =
-                svf_cpu::run_sampled_fanout(&configs, program, o.max_insts, spec, o.threads);
-            let base = runs.pop().expect("two configs in, two estimates out");
-            let main = runs.pop().expect("two configs in, two estimates out");
-            sampled_line(report, &main);
-            append_timing_report(report, o, &main.stats);
-            sampled_line(report, &base);
-            (main.stats, base.stats)
-        }
-        None => {
-            let mut runs =
-                svf_cpu::run_lockstep_fanout(&configs, program, o.max_insts, o.threads);
-            let base = runs.pop().expect("two configs in, two results out");
-            let main = runs.pop().expect("two configs in, two results out");
-            append_timing_report(report, o, &main);
-            (main, base)
-        }
-    }
-}
-
-/// The greppable `SAMPLED` coverage line (the `scripts/check.sh` smoke
-/// gate parses it).
-fn sampled_line(report: &mut String, s: &svf_cpu::SampledStats) {
-    let _ = writeln!(
-        report,
-        "--- SAMPLED intervals={} detailed={} fast-forwarded={} warmed={} of {} insts ---",
-        s.intervals,
-        s.detailed_insts,
-        s.fast_forwarded(),
-        s.warmed_insts,
-        s.total_insts
-    );
 }
 
 /// Replays a captured `.svft` binary trace (see `--dump-trace`) through
@@ -357,55 +345,26 @@ fn replay_trace(o: &CliOptions) -> Result<String, Box<dyn Error>> {
         // (the trace is the committed stream, consumed once, in order).
         return Err("--sample does not apply to .svft trace replay".into());
     }
-    let cfg = build_config(o)?;
     let file = std::io::BufReader::new(std::fs::File::open(&o.path)?);
-    let mut report = String::new();
-    let stats = if o.salvage {
-        // Salvage mode: a capture killed mid-write replays up to its last
-        // complete record, with the cut reported rather than fatal.
-        let salvage = svf_emu::SalvageReport::new();
-        let src = svf_emu::TraceSource::open_salvage(file, std::sync::Arc::clone(&salvage))?;
-        let stats = svf_cpu::run_lockstep_trace(std::slice::from_ref(&cfg), src, o.max_insts)?
-            .pop()
-            .expect("one config in, one result out");
-        if salvage.was_truncated() {
-            let _ = writeln!(
-                report,
-                "--- WARNING: trace truncated mid-record; salvaged the first {} complete records ---",
-                salvage.salvaged_records()
-            );
-        }
-        stats
-    } else {
-        let src = svf_emu::TraceSource::open(file)?;
-        svf_cpu::run_lockstep_trace(std::slice::from_ref(&cfg), src, o.max_insts)?
-            .pop()
-            .expect("one config in, one result out")
+    // Salvage mode: a capture killed mid-write replays up to its last
+    // complete record, with the cut reported rather than fatal.
+    let salvage = o.salvage.then(svf_emu::SalvageReport::new);
+    let src = match &salvage {
+        Some(report) => svf_emu::TraceSource::open_salvage(file, std::sync::Arc::clone(report))?,
+        None => svf_emu::TraceSource::open(file)?,
     };
-    let _ = writeln!(report, "--- replayed {} trace records ---", stats.committed);
-    append_timing_report(&mut report, o, &stats);
-    Ok(report)
-}
-
-/// The timing lines shared by live runs and trace replays — identical
-/// stream, identical text.
-fn append_timing_report(report: &mut String, o: &CliOptions, stats: &SimStats) {
-    let _ = writeln!(report, "[{}] {} cycles, IPC {:.2}", o.config, stats.cycles, stats.ipc());
-    let morphed = stats.svf_morphed_loads + stats.svf_morphed_stores;
-    if morphed + stats.svf_rerouted > 0 {
+    let runs = run_timed(o, Source::Trace(src))?;
+    let mut report = String::new();
+    if let Some(salvage) = salvage.filter(|s| s.was_truncated()) {
         let _ = writeln!(
             report,
-            "  SVF: {} morphed, {} re-routed, {} out-of-window, {} squashes",
-            morphed, stats.svf_rerouted, stats.svf_out_of_window, stats.svf_squashes
+            "--- WARNING: trace truncated mid-record; salvaged the first {} complete records ---",
+            salvage.salvaged_records()
         );
     }
-    let _ = writeln!(
-        report,
-        "  DL1: {} accesses ({:.1}% hit); L2: {} accesses",
-        stats.dl1.accesses,
-        100.0 * stats.dl1.hit_rate(),
-        stats.l2.accesses
-    );
+    let _ = writeln!(report, "--- replayed {} trace records ---", runs[0].stats.committed);
+    timing_report(&mut report, o, &runs);
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -475,6 +434,43 @@ mod tests {
             run_cli(&args(&[&p, "--compare", "--sample", "", "--threads", "2"])).unwrap();
         assert_eq!(sampled, sampled_mt, "sampled compare too");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// `t.svft --compare` replays the machine and its baseline over the
+    /// trace: the timing lines equal the live `--compare` run that
+    /// captured it, baseline line included.
+    #[test]
+    fn trace_replay_compare_matches_the_live_compare() {
+        let dir = std::env::temp_dir();
+        let src = dir.join(format!("svf_cli_replay_pair_{}.c", std::process::id()));
+        let trace = dir.join(format!("svf_cli_replay_pair_{}.svft", std::process::id()));
+        std::fs::write(
+            &src,
+            "int f(int n) { int b[4]; for (int i = 0; i < 4; i = i + 1) b[i] = i * n; \
+             return b[1] + b[3]; }\n\
+             int main() { int s = 0; for (int i = 0; i < 50; i = i + 1) s = s + f(i); \
+             print(s); return 0; }",
+        )
+        .unwrap();
+        let (src, trace) = (src.to_str().unwrap(), trace.to_str().unwrap());
+        let timing_lines = |report: &str| -> Vec<String> {
+            report
+                .lines()
+                .filter(|l| {
+                    l.starts_with('[') || l.starts_with("  SVF:") || l.starts_with("  DL1:")
+                })
+                .map(ToString::to_string)
+                .collect()
+        };
+        let live = run_cli(&args(&[src, "--compare", "--dump-trace", trace])).unwrap();
+        let replay = run_cli(&args(&[trace, "--compare"])).unwrap();
+        let live = timing_lines(&live);
+        assert!(live.iter().any(|l| l.starts_with("[baseline")), "{live:?}");
+        assert_eq!(live, timing_lines(&replay), "the replayed pair must match the live pair");
+        let threaded = run_cli(&args(&[trace, "--compare", "--threads", "2"])).unwrap();
+        assert_eq!(live, timing_lines(&threaded), "at any fan-out");
+        let _ = std::fs::remove_file(src);
+        let _ = std::fs::remove_file(trace);
     }
 
     #[test]

@@ -28,9 +28,15 @@
 //! golden gate: a preset that drifts from its pre-registry hardwired
 //! machine changes a pinned row and fails here.
 
-use svf_cpu::{CpuConfig, SimStats, Simulator};
+use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SimStats, Simulator, Source};
 use svf_isa::Program;
 use svf_workloads::Scale;
+
+/// A sampling plan whose one interval spans every run here.
+const WHOLE_RUN_PLAN: &str = "period=100m,interval=100m,warmup=0,ramp=0,tail=0";
+
+/// The whole stream, on one timing thread.
+const WHOLE_RUN: RunOptions = RunOptions { max_insts: u64::MAX, fanout: 1 };
 
 /// The pinned (workload, config) matrix: three kernels spanning the key
 /// behaviours (shallow/loopy bzip2, call-heavy twolf, pointer-heavy gap).
@@ -198,7 +204,8 @@ fn trace_replay_matches_golden_snapshots() {
         let bytes = writer.finish().expect("trace flush");
         let cfgs: Vec<CpuConfig> = configs().into_iter().map(|(_, c)| c).collect();
         let src = svf_emu::TraceSource::open(bytes.as_slice()).expect("trace opens");
-        let stats = svf_cpu::run_lockstep_trace(&cfgs, src, u64::MAX).expect("trace replays");
+        let runs = svf_cpu::simulate(&cfgs, Source::Trace(src), &WHOLE_RUN).expect("trace replays");
+        let stats: Vec<SimStats> = runs.into_iter().map(|r| r.stats).collect();
         for ((label, _), (actual, expected)) in
             configs().iter().zip(stats.iter().zip(golden_for(w)))
         {
@@ -210,6 +217,32 @@ fn trace_replay_matches_golden_snapshots() {
                 expected.to_csv_row(),
                 actual.to_csv_row()
             );
+        }
+    }
+}
+
+/// A sampling plan whose single interval spans the whole run — no warmup,
+/// ramp or tail — is a full detailed run: the same 18 pinned rows come
+/// back, reported as one interval with every instruction detailed.
+#[test]
+fn whole_run_sampling_plan_matches_golden_snapshots() {
+    let plan = SampleSpec::parse(WHOLE_RUN_PLAN).expect("plan parses");
+    let cfgs: Vec<CpuConfig> = configs().into_iter().map(|(_, c)| c).collect();
+    for w in WORKLOADS {
+        let program = compile(w);
+        let source = Source::live(&program, Some(&plan));
+        let runs = svf_cpu::simulate(&cfgs, source, &WHOLE_RUN).expect("workload runs");
+        for ((label, _), (run, expected)) in configs().iter().zip(runs.iter().zip(golden_for(w))) {
+            assert_eq!(
+                run.stats, expected,
+                "{w}/{label}: the whole-run plan diverged from the pinned live run.\n\
+                 expected: {}\n\
+                 actual:   {}",
+                expected.to_csv_row(),
+                run.stats.to_csv_row()
+            );
+            assert_eq!(run.intervals, 1, "{w}/{label}: one interval");
+            assert_eq!(run.detailed_insts, run.total_insts, "{w}/{label}: all detailed");
         }
     }
 }

@@ -10,7 +10,7 @@
 //! bench.sh`); the simulator is deterministic, so the bounds are exact
 //! contracts, not statistical hopes.
 
-use svf_cpu::{relative_error, CpuConfig, SampleSpec, SimStats};
+use svf_cpu::{relative_error, CpuConfig, RunOptions, SampleSpec, SimStats, Source};
 use svf_isa::Program;
 use svf_workloads::Scale;
 
@@ -132,6 +132,35 @@ fn sampled_estimates_stay_within_declared_bounds_on_all_golden_rows() {
             );
             assert!(s.intervals >= 2, "{w}/{label}: the plan fires repeatedly on {w}");
             assert_row_within_bounds(&format!("{w}/{label}"), *ipc_bound, &s.stats, f);
+        }
+    }
+}
+
+/// Sampled fan-out is invisible in the results: a multi-interval seeded
+/// plan over the six golden configs gives bit-identical estimates and
+/// coverage at fan-out 1, 2 and 4. Every measured interval runs the drive
+/// loop at the given fan-out, so this covers the warm-state handoff from
+/// each interval to the next on every path.
+#[test]
+fn sampled_fanout_is_bit_identical_across_fanouts() {
+    let cfgs: Vec<CpuConfig> = configs().into_iter().map(|(_, c)| c).collect();
+    let (w, plan, _) = PLANS[0];
+    let spec = SampleSpec::parse(plan).expect("plan parses");
+    let program = compile(w);
+    let run = |fanout: usize| {
+        let opts = RunOptions { max_insts: u64::MAX, fanout };
+        svf_cpu::simulate(&cfgs, Source::live(&program, Some(&spec)), &opts).expect("runs")
+    };
+    let serial = run(1);
+    assert!(serial.iter().all(|s| s.intervals >= 2), "{w}: the plan fires repeatedly");
+    for fanout in [2, 4] {
+        for ((label, _), (a, b)) in configs().iter().zip(serial.iter().zip(run(fanout))) {
+            assert_eq!(a.stats, b.stats, "{w}/{label}: fan-out {fanout} estimate diverged");
+            assert_eq!(
+                (a.intervals, a.detailed_insts, a.warmed_insts, a.total_insts),
+                (b.intervals, b.detailed_insts, b.warmed_insts, b.total_insts),
+                "{w}/{label}: fan-out {fanout} coverage diverged"
+            );
         }
     }
 }
