@@ -150,36 +150,141 @@ impl Simulator {
 /// warms this functionally between measured intervals, then injects it into
 /// a fresh pipeline with [`Pipeline::from_state`]; a drained pipeline hands
 /// it back through [`Pipeline::finish_into_state`].
-#[derive(Debug)]
+///
+/// Every touch of these structures by a committed instruction goes through
+/// its methods — the IL1 charge ([`EngineState::fetch_line`]), the
+/// decode-order `$sp` window move ([`EngineState::move_sp`]) and the
+/// steering of a memory reference ([`EngineState::access`]) — plus
+/// [`Predictor::train`]. The pipeline's fetch and dispatch and sampling's
+/// functional warming call the same ones, so warming touches exactly what
+/// a detailed run would have.
+#[derive(Debug, PartialEq)]
 pub(crate) struct EngineState {
     /// The Table 2 cache hierarchy (tags, dirty bits, recency).
     pub hier: Hierarchy,
-    /// The SVF, when the config runs one.
-    pub svf: Option<StackValueFile>,
-    /// The decoupled stack cache, when the config runs one.
-    pub stack_cache: Option<StackCache>,
+    /// The stack engine and its structure.
+    stack: Stack,
     /// Branch predictor tables.
     pub predictor: Predictor,
     /// Last I-cache line fetched (fetch charges the IL1 once per line; the
     /// line boundary must survive interval boundaries to avoid a spurious
     /// extra fetch charge per interval).
-    pub last_fetch_line: u64,
+    last_fetch_line: u64,
+    /// `log2(il1.line_bytes)` — fetch runs once per instruction, so the
+    /// line split is a precomputed shift, not a division.
+    il1_line_shift: u32,
+}
+
+/// The structure behind a config's [`StackEngine`].
+#[derive(Debug, PartialEq)]
+enum Stack {
+    /// [`StackEngine::None`]: stack references go to the DL1.
+    None,
+    /// [`StackEngine::IdealSvf`]: stack references touch no structure.
+    Ideal,
+    /// [`StackEngine::Svf`].
+    Svf(StackValueFile),
+    /// [`StackEngine::StackCache`].
+    StackCache(StackCache),
+}
+
+/// What serviced one memory reference ([`EngineState::access`]), with the
+/// latency it charged.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Serviced {
+    /// The DL1 — a non-stack reference, or a stack reference under no
+    /// stack engine — with its access latency.
+    Dl1(u64),
+    /// The DL1, because the stack reference fell outside the SVF window.
+    OutOfWindow(u64),
+    /// The SVF, with the latency of its DL1 demand fill (`0` without one).
+    Svf(u64),
+    /// The stack cache, with the L2 latency of its miss (`0` on a hit).
+    StackCache(u64),
+    /// No structure: the ideal SVF morphs every stack reference.
+    Ideal,
 }
 
 impl EngineState {
     /// Cold state for a config, exactly what [`Pipeline::new`] builds.
     pub(crate) fn new(cfg: &CpuConfig, initial_sp: u64) -> EngineState {
-        let svf = (cfg.stack_engine == StackEngine::Svf)
-            .then(|| StackValueFile::new(cfg.svf, initial_sp));
-        let stack_cache =
-            (cfg.stack_engine == StackEngine::StackCache).then(|| StackCache::new(cfg.stack_cache));
+        let stack = match cfg.stack_engine {
+            StackEngine::None => Stack::None,
+            StackEngine::IdealSvf => Stack::Ideal,
+            StackEngine::Svf => Stack::Svf(StackValueFile::new(cfg.svf, initial_sp)),
+            StackEngine::StackCache => Stack::StackCache(StackCache::new(cfg.stack_cache)),
+        };
         EngineState {
             hier: Hierarchy::new(cfg.hierarchy.clone()),
-            svf,
-            stack_cache,
+            stack,
             predictor: Predictor::new(cfg.predictor, cfg.gshare_history_bits),
             last_fetch_line: u64::MAX,
+            il1_line_shift: cfg.hierarchy.il1.line_bytes.trailing_zeros(),
         }
+    }
+
+    /// Fetches the instruction at `pc`: the IL1 is charged once per line
+    /// change, and its latency returned then; `None` within the line.
+    #[inline]
+    pub(crate) fn fetch_line(&mut self, pc: u64) -> Option<u64> {
+        let line = pc >> self.il1_line_shift;
+        if line == self.last_fetch_line {
+            return None;
+        }
+        self.last_fetch_line = line;
+        Some(self.hier.inst_fetch(pc))
+    }
+
+    /// Moves the SVF window to a new `$sp` (§3.1): at decode, for every
+    /// `$sp` writer in program order, and after a fast-forward gap that
+    /// moved `$sp` unobserved. A no-op without an SVF or when `$sp` is
+    /// unchanged.
+    #[inline]
+    pub(crate) fn move_sp(&mut self, new_sp: u64) {
+        if let Stack::Svf(svf) = &mut self.stack {
+            let (old_sp, _) = svf.range();
+            svf.on_sp_update(old_sp, new_sp);
+        }
+    }
+
+    /// Steers one memory reference of `size` bytes at `addr` to the
+    /// structure that services it (§3.2): a stack reference to the stack
+    /// engine — morphed and rerouted alike into the SVF, which fills from
+    /// the DL1 on demand, unless it falls outside the window; into the
+    /// stack cache, backed by the L2 — and everything else to the DL1.
+    #[inline]
+    pub(crate) fn access(&mut self, addr: u64, size: u8, is_stack: bool, is_store: bool) -> Serviced {
+        if !is_stack {
+            return Serviced::Dl1(self.hier.data_access(addr, is_store));
+        }
+        match &mut self.stack {
+            Stack::None => Serviced::Dl1(self.hier.data_access(addr, is_store)),
+            Stack::Ideal => Serviced::Ideal,
+            Stack::Svf(svf) => {
+                let acc = if is_store { svf.store(addr, size) } else { svf.load(addr, size) };
+                match acc {
+                    Some(acc) if acc.filled => Serviced::Svf(self.hier.data_access(addr, false)),
+                    Some(_) => Serviced::Svf(0),
+                    None => Serviced::OutOfWindow(self.hier.data_access(addr, is_store)),
+                }
+            }
+            Stack::StackCache(sc) => {
+                let hit = sc.access(addr, is_store);
+                Serviced::StackCache(if hit { 0 } else { self.hier.l2_access(addr, is_store) })
+            }
+        }
+    }
+
+    /// Copies every structure's counters into `s`.
+    fn observe_into(&self, s: &mut SimStats) {
+        s.dl1 = self.hier.dl1().stats();
+        s.il1 = self.hier.il1().stats();
+        s.l2 = self.hier.l2().stats();
+        (s.svf, s.stack_cache) = match &self.stack {
+            Stack::Svf(svf) => (Some(svf.stats()), None),
+            Stack::StackCache(sc) => (None, Some(sc.stats())),
+            Stack::None | Stack::Ideal => (None, None),
+        };
     }
 
     /// Zeroes every structure's statistics counters while keeping the
@@ -187,11 +292,10 @@ impl EngineState {
     /// the interval's stats cover only its own accesses.
     pub(crate) fn reset_stats(&mut self) {
         self.hier.reset_stats();
-        if let Some(svf) = &mut self.svf {
-            svf.reset_stats();
-        }
-        if let Some(sc) = &mut self.stack_cache {
-            sc.reset_stats();
+        match &mut self.stack {
+            Stack::Svf(svf) => svf.reset_stats(),
+            Stack::StackCache(sc) => sc.reset_stats(),
+            Stack::None | Stack::Ideal => {}
         }
     }
 }
@@ -201,10 +305,8 @@ impl EngineState {
 /// [`Simulator::run`] is just a one-pipeline lockstep.
 pub(crate) struct Pipeline<'a> {
     cfg: &'a CpuConfig,
-    hier: Hierarchy,
-    svf: Option<StackValueFile>,
-    stack_cache: Option<StackCache>,
-    predictor: Predictor,
+    /// The caches, stack engine and predictor every instruction touches.
+    state: EngineState,
     stats: SimStats,
 
     now: u64,
@@ -243,11 +345,6 @@ pub(crate) struct Pipeline<'a> {
     fetch_blocked_on: Option<u64>,
     /// Decode is interlocked on this non-immediate `$sp` writer.
     decode_block_on: Option<u64>,
-    /// Last I-cache line fetched.
-    last_fetch_line: u64,
-    /// `log2(il1.line_bytes)` — fetch runs once per instruction, so the
-    /// line split is a precomputed shift, not a division.
-    il1_line_shift: u32,
     /// Instruction stream exhausted (halt or budget).
     stream_done: bool,
     /// The pipeline has drained: window empty, stream ended.
@@ -283,10 +380,7 @@ impl<'a> Pipeline<'a> {
         let cap = |n: usize| u32::try_from(n).unwrap_or(u32::MAX);
         Pipeline {
             cfg,
-            hier: state.hier,
-            svf: state.svf,
-            stack_cache: state.stack_cache,
-            predictor: state.predictor,
+            state,
             stats: SimStats::default(),
             now: 0,
             next_seq: 0,
@@ -309,8 +403,6 @@ impl<'a> Pipeline<'a> {
             fetch_resume_at: 0,
             fetch_blocked_on: None,
             decode_block_on: None,
-            last_fetch_line: state.last_fetch_line,
-            il1_line_shift: cfg.hierarchy.il1.line_bytes.trailing_zeros(),
             stream_done: false,
             finished: false,
             last_commit_cycle: 0,
@@ -344,11 +436,7 @@ impl<'a> Pipeline<'a> {
     fn observe(&self) -> SimStats {
         let mut s = self.stats.clone();
         s.cycles = self.now;
-        s.dl1 = self.hier.dl1().stats();
-        s.il1 = self.hier.il1().stats();
-        s.l2 = self.hier.l2().stats();
-        s.svf = self.svf.as_ref().map(|v| v.stats());
-        s.stack_cache = self.stack_cache.as_ref().map(|v| v.stats());
+        self.state.observe_into(&mut s);
         s
     }
 
@@ -429,14 +517,7 @@ impl<'a> Pipeline<'a> {
         if let Some(start) = self.start_snap.take() {
             stats = stats.delta(&start);
         }
-        let state = EngineState {
-            hier: self.hier,
-            svf: self.svf,
-            stack_cache: self.stack_cache,
-            predictor: self.predictor,
-            last_fetch_line: self.last_fetch_line,
-        };
-        (stats, state)
+        (stats, self.state)
     }
 
     // ---- commit ----
@@ -595,33 +676,25 @@ impl<'a> Pipeline<'a> {
         }
     }
 
-    /// Plans a dispatching instruction: picks the unit class it issues to,
-    /// steers memory references to the right structure, computes latencies
-    /// and the done cycle of its last producer — all off the shared
-    /// [`Facts`].
-    #[allow(clippy::too_many_lines)]
+    /// Plans a dispatching instruction: steers a memory reference to its
+    /// structure ([`EngineState::access`]), then picks the unit class it
+    /// issues to, its latency and the done cycle of its last producer — all
+    /// off the shared [`Facts`].
     fn plan(&mut self, f: &Facts) -> Plan {
-        // Speculative $sp tracking (§3.1): `$sp` writes update the stack
-        // engine in decode, in program order. The window's low end is the
-        // committed `$sp` the update moves from.
+        // Speculative $sp tracking (§3.1): `$sp` writes move the SVF window
+        // in decode, in program order.
         if f.flags & F_SP_UPDATE != 0 {
-            if let Some(svf) = self.svf.as_mut() {
-                let (old_sp, _) = svf.range();
-                svf.on_sp_update(old_sp, f.new_sp);
-            }
+            self.state.move_sp(f.new_sp);
         }
 
         let mut forward_from = None;
         let mut watched_store = NO_PRODUCER;
-        let mut unit;
-        let mut latency;
         let mut drop_sp_dep = false;
 
-        if f.flags & F_MEM != 0 {
+        let (unit, latency) = if f.flags & F_MEM != 0 {
             let is_stack = f.flags & F_STACK != 0;
             let is_store = f.flags & F_STORE != 0;
             let sp_base = f.flags & F_SP_BASE != 0;
-            let addr = f.addr;
             // The youngest-earlier-store chains are precomputed on the
             // stream; only the liveness filter against our own commit head
             // is per-config.
@@ -633,68 +706,35 @@ impl<'a> Pipeline<'a> {
                 (Some(x), Some(y)) => Some(x.max(y)),
                 (x, y) => x.or(y),
             };
-            enum Route {
-                Dl1,
-                Morph,
-                Reroute,
-                StackCache,
-                IdealMorph,
-            }
-            let route = match (self.cfg.stack_engine, is_stack) {
-                (StackEngine::IdealSvf, true) => Route::IdealMorph,
-                (StackEngine::StackCache, true) => Route::StackCache,
-                (StackEngine::Svf, true) => {
-                    let svf = self.svf.as_ref().expect("svf engine");
-                    if !svf.in_range(addr) {
-                        self.stats.svf_out_of_window += 1;
-                        Route::Dl1
-                    } else if sp_base {
-                        Route::Morph
-                    } else {
-                        Route::Reroute
-                    }
-                }
-                _ => Route::Dl1,
-            };
-
-            match route {
-                Route::Dl1 => {
-                    let lat = self.hier.data_access(addr, is_store);
+            let serviced = self.state.access(f.addr, f.size, is_stack, is_store);
+            match serviced {
+                Serviced::Dl1(lat) | Serviced::OutOfWindow(lat) => {
+                    self.stats.svf_out_of_window +=
+                        u64::from(matches!(serviced, Serviced::OutOfWindow(_)));
+                    drop_sp_dep = self.cfg.no_addr_calc_for_stack && sp_base && is_stack;
                     if is_store {
-                        unit = Unit::Dl1Port;
-                        latency = 1;
-                    } else {
-                        unit = Unit::Dl1Port;
-                        latency = lat;
+                        (Unit::Dl1Port, 1)
+                    } else if let Some(d) = youngest {
                         // LSQ forwarding from the youngest aliasing store.
-                        if let Some(d) = youngest {
-                            forward_from = Some(d);
-                            latency = self.cfg.store_forward_latency;
-                        }
-                    }
-                    if self.cfg.no_addr_calc_for_stack && sp_base && is_stack {
-                        drop_sp_dep = true;
+                        forward_from = Some(d);
+                        (Unit::Dl1Port, self.cfg.store_forward_latency)
+                    } else {
+                        (Unit::Dl1Port, lat)
                     }
                 }
-                Route::Morph => {
-                    drop_sp_dep = true; // early address resolution in decode
-                    let svf = self.svf.as_mut().expect("svf engine");
+                // Morphed: the address resolved early, in decode.
+                Serviced::Svf(fill) if sp_base => {
+                    drop_sp_dep = true;
                     if is_store {
-                        self.stats.svf_morphed_stores += 1;
-                        let acc = svf.store(addr, f.size).expect("in range");
                         // Morphed stores are plain register writes in the
                         // pipeline; the SVF array is updated at commit off
                         // the critical path (§3.2: "the morphed references
                         // are committed to the SVF"), so no read-port use.
-                        unit = Unit::Free;
-                        latency =
-                            1 + if acc.filled { self.hier.data_access(addr, false) } else { 0 };
+                        self.stats.svf_morphed_stores += 1;
+                        (Unit::Free, 1 + fill)
                     } else {
                         self.stats.svf_morphed_loads += 1;
-                        let acc = svf.load(addr, f.size).expect("in range");
-                        unit = Unit::StackPort;
-                        latency =
-                            1 + if acc.filled { self.hier.data_access(addr, false) } else { 0 };
+                        let mut unit = Unit::StackPort;
                         // Register-style forwarding from sp-based stores:
                         // the value is read from the physical register file
                         // through the RAT (§5.3.1), not through an SVF port.
@@ -711,67 +751,48 @@ impl<'a> Pipeline<'a> {
                                 watched_store = d;
                             }
                         }
+                        (unit, 1 + fill)
                     }
                 }
-                Route::Reroute => {
+                // Rerouted: address calculation and a late bounds check.
+                Serviced::Svf(fill) => {
                     self.stats.svf_rerouted += 1;
-                    let svf = self.svf.as_mut().expect("svf engine");
-                    let penalty = 2; // address calc + late bounds check (§3)
                     if is_store {
-                        let acc = svf.store(addr, f.size).expect("in range");
-                        unit = Unit::StackPort;
-                        latency =
-                            1 + if acc.filled { self.hier.data_access(addr, false) } else { 0 };
+                        (Unit::StackPort, 1 + fill)
                     } else {
-                        let acc = svf.load(addr, f.size).expect("in range");
-                        unit = Unit::StackPort;
-                        latency = penalty
-                            + if acc.filled { self.hier.data_access(addr, false) } else { 0 };
-                        if let Some(d) = youngest {
-                            forward_from = Some(d);
-                            latency = latency.max(self.cfg.store_forward_latency);
-                        }
+                        forward_from = youngest;
+                        (Unit::StackPort, self.load_latency(2 + fill, youngest))
                     }
                 }
-                Route::StackCache => {
+                Serviced::StackCache(miss) => {
                     self.stats.stack_cache_refs += 1;
-                    let sc = self.stack_cache.as_mut().expect("stack cache engine");
-                    let hit = sc.access(addr, is_store);
-                    let miss_extra = if hit { 0 } else { self.hier.l2_access(addr, is_store) };
                     if is_store {
-                        unit = Unit::StackPort;
-                        latency = 1 + miss_extra;
+                        (Unit::StackPort, 1 + miss)
                     } else {
-                        unit = Unit::StackPort;
-                        latency = sc.hit_latency() + miss_extra;
-                        if let Some(d) = youngest {
-                            forward_from = Some(d);
-                            latency = latency.max(self.cfg.store_forward_latency);
-                        }
+                        forward_from = youngest;
+                        let lat = self.cfg.stack_cache.hit_latency + miss;
+                        (Unit::StackPort, self.load_latency(lat, youngest))
                     }
                 }
-                Route::IdealMorph => {
+                Serviced::Ideal => {
                     drop_sp_dep = sp_base;
                     if is_store {
                         self.stats.svf_morphed_stores += 1;
-                        unit = Unit::Free;
-                        latency = 1;
                     } else {
                         self.stats.svf_morphed_loads += 1;
-                        unit = Unit::Free;
-                        latency = 1;
                         forward_from = youngest;
                     }
+                    (Unit::Free, 1)
                 }
             }
         } else {
             // Non-memory instruction: multiply, divide, or a one-cycle op.
-            (unit, latency) = match f.kind {
+            match f.kind {
                 1 => (Unit::MulDiv, self.cfg.mul_latency),
                 2 => (Unit::MulDiv, self.cfg.div_latency),
                 _ => (Unit::Alu, 1),
-            };
-        }
+            }
+        };
 
         // Register dependences off the precomputed youngest-earlier-writer
         // chains; the liveness filter against our commit head (and the SVF's
@@ -790,6 +811,16 @@ impl<'a> Pipeline<'a> {
         // as done in its issue cycle only if latency is at least one.
         debug_assert!(latency >= 1, "zero-latency execution is not modelled");
         Plan { unit, latency, operands_at, watched_store }
+    }
+
+    /// A stack-port load's latency: `lat`, or the store-forwarding latency
+    /// if that is longer and an aliasing store is still in flight.
+    fn load_latency(&self, lat: u64, youngest: Option<u64>) -> u64 {
+        if youngest.is_some() {
+            lat.max(self.cfg.store_forward_latency)
+        } else {
+            lat
+        }
     }
 
     // ---- fetch ----
@@ -816,11 +847,8 @@ impl<'a> Pipeline<'a> {
             }
             let seq = self.next_seq;
             let f = win.fact(seq);
-            // I-cache: charge once per line.
-            let line = f.pc >> self.il1_line_shift;
-            if line != self.last_fetch_line {
-                self.last_fetch_line = line;
-                let lat = self.hier.inst_fetch(f.pc);
+            // I-cache: charged once per line; a miss stalls fetch.
+            if let Some(lat) = self.state.fetch_line(f.pc) {
                 if lat > self.cfg.hierarchy.il1.hit_latency {
                     self.fetch_resume_at = self.now + lat;
                 }
@@ -829,7 +857,7 @@ impl<'a> Pipeline<'a> {
             let is_control = f.flags & F_CONTROL != 0;
             let taken = f.flags & F_TAKEN != 0;
             let correct =
-                !is_control || self.predictor.train(f.pc, f.control, taken, f.addr);
+                !is_control || self.state.predictor.train(f.pc, f.control, taken, f.addr);
             if is_control && !correct {
                 self.stats.mispredicts += 1;
                 self.fetch_blocked_on = Some(seq);

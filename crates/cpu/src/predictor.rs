@@ -18,7 +18,7 @@ use crate::config::PredictorKind;
 // instruction; keeping the gshare state inline (rather than boxed) saves a
 // pointer chase on that path at the cost of a large-but-singleton enum.
 #[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub enum Predictor {
     /// Never mispredicts.
     Perfect,
@@ -63,7 +63,7 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// capacity is a power of two and doubles past 50% load, so probe chains
 /// stay short and no entry is ever lost (identical predictions to the
 /// `HashMap` this replaced).
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Btb {
     /// `(pc, target)` pairs; `pc == BTB_EMPTY` marks a vacant slot.
     slots: Box<[(u64, u64)]>,
@@ -134,7 +134,7 @@ impl Btb {
 /// Hardware-style return-address stack: a fixed ring that silently
 /// overwrites the oldest entry on overflow — what `Vec::remove(0)` +
 /// `push` modeled, without shifting every entry.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct Ras {
     ring: [u64; Ras::CAP],
     /// Ring position one past the most recent entry.
@@ -170,7 +170,7 @@ impl Ras {
 
 /// Gshare with 2-bit saturating counters, a BTB for indirect jumps, and a
 /// return-address stack for `ret`.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Gshare {
     table: Vec<u8>,
     mask: u64,

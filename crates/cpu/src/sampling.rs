@@ -5,10 +5,10 @@
 //! instruction; the functional emulator is orders of magnitude faster. A
 //! [`SampleSpec`] picks a set of *measured intervals* along the committed
 //! instruction stream; between them the program runs at emulator speed
-//! while a [`Warmer`] per configuration keeps the long-lived structures —
-//! cache tags and dirty bits, SVF / stack-cache contents, branch predictor
-//! tables — warm off the same committed instructions the timing model
-//! would have seen. Each
+//! while functional warming keeps each configuration's long-lived
+//! structures ([`EngineState`]: cache tags and dirty bits, SVF /
+//! stack-cache contents, branch predictor tables) warm off the same
+//! committed instructions the timing model would have seen. Each
 //! interval then runs the real pipeline on the same machine, picking up
 //! where the functional run left it, with warm structures but a cold
 //! (drained) pipeline, and the per-interval statistics are pooled and
@@ -18,12 +18,18 @@
 //!
 //! 1. **Fast-forward** the primary emulator to `start - warmup` with
 //!    [`Emulator::run`]: the stepping loop with nothing observing it.
-//! 2. **Warm up** for `warmup` instructions: the same loop with every
-//!    config's [`Warmer`] inlined as its sink, so each config's structures
-//!    observe exactly the accesses the pipeline's dispatch would have
-//!    routed to them. (The execution-driven model is functional-first, so
-//!    structure-touch order equals commit order — the warmer is faithful
-//!    by construction.)
+//! 2. **Warm up** for `warmup` instructions: the same loop with the
+//!    [`Warming`] sink inlined. Each committed instruction touches every
+//!    config's structures through the [`EngineState`] methods the
+//!    pipeline's fetch and dispatch call, so warming cannot steer a
+//!    reference differently. The timing model is functional-first: fetch
+//!    (IL1, predictor) and dispatch (SVF window, DL1, stack cache) each
+//!    touch their structures in commit order, which is warming's order, so
+//!    the L1s, the SVF, the stack cache and the predictor end exactly as a
+//!    detailed run leaves them. Only the shared L2 could differ: a detailed
+//!    run interleaves IL1 and DL1 misses by cycle, warming by instruction.
+//!    `warming_leaves_the_state_a_detailed_run_leaves` pins the whole
+//!    state, L2 included, on four kernels and four machines.
 //! 3. **Measure**: lend the primary emulator to the detailed lockstep loop,
 //!    which steps it over the interval's ramp, measured window and tail,
 //!    writing each instruction's facts straight into the lockstep window;
@@ -60,7 +66,7 @@
 use svf_emu::{Commit, Emulator, StepSink, StreamError};
 use svf_isa::{MemRegion, Program, Reg};
 
-use crate::config::{CpuConfig, StackEngine};
+use crate::config::CpuConfig;
 use crate::lockstep::{drive, run_full, RunOptions};
 use crate::pipeline::{EngineState, Pipeline};
 use crate::stats::SimStats;
@@ -245,104 +251,33 @@ fn parse_count(s: &str) -> Result<u64, String> {
     n.checked_mul(mult).ok_or_else(|| format!("count `{s}` overflows"))
 }
 
-/// The functional warmer: routes each committed instruction's structure
-/// accesses exactly as the pipeline's fetch/dispatch stages would — I-cache
-/// once per line change, `$sp` updates into the SVF at decode order, memory
-/// references steered per the config's stack engine, control instructions
-/// through the predictor. Because the timing model is functional-first (it
-/// replays the committed stream), this routing touches the same structures
-/// in the same order as a detailed run; only the cycle accounting is
-/// skipped.
-pub(crate) struct Warmer<'a> {
-    cfg: &'a CpuConfig,
-    state: &'a mut EngineState,
-    il1_line_shift: u32,
+/// Functional warming: the sink of the emulator's stepping loop over a
+/// warmup window. Each committed instruction touches every config's
+/// structures through the [`EngineState`] methods the pipeline's fetch and
+/// dispatch call — the IL1 once per line change, the `$sp` window move, the
+/// steering of a memory reference — and trains the predictor as fetch
+/// does, so the only thing skipped is the cycle accounting.
+struct Warming<'a> {
+    states: &'a mut [EngineState],
     heap_base: u64,
 }
 
-impl<'a> Warmer<'a> {
-    pub(crate) fn new(
-        cfg: &'a CpuConfig,
-        state: &'a mut EngineState,
-        heap_base: u64,
-    ) -> Warmer<'a> {
-        Warmer {
-            cfg,
-            state,
-            il1_line_shift: cfg.hierarchy.il1.line_bytes.trailing_zeros(),
-            heap_base,
-        }
-    }
-
-    /// Observes one committed instruction.
-    #[inline]
-    fn warm(&mut self, c: &Commit<'_>) {
-        let info = c.info();
-        // Fetch side: the pipeline charges the IL1 once per line change.
-        let line = c.pc >> self.il1_line_shift;
-        if line != self.state.last_fetch_line {
-            self.state.last_fetch_line = line;
-            self.state.hier.inst_fetch(c.pc);
-        }
-        // Decode-order $sp tracking (§3.1) keeps the SVF window in step.
-        if info.writes_sp() {
-            if let Some(svf) = self.state.svf.as_mut() {
-                svf.on_sp_update(c.sp_before, c.sp_after);
-            }
-        }
-        // Memory references, steered exactly like `Pipeline::plan`.
-        if info.is_mem() {
-            let (addr, is_store) = (c.addr, info.is_store());
-            let is_stack = MemRegion::classify(addr, self.heap_base).is_stack();
-            match (self.cfg.stack_engine, is_stack) {
-                // Ideal morphing touches no structure at all.
-                (StackEngine::IdealSvf, true) => {}
-                (StackEngine::StackCache, true) => {
-                    let sc = self.state.stack_cache.as_mut().expect("stack cache engine");
-                    if !sc.access(addr, is_store) {
-                        self.state.hier.l2_access(addr, is_store);
-                    }
-                }
-                (StackEngine::Svf, true) => {
-                    // Morphed and rerouted references touch the SVF (and
-                    // the DL1 only on a demand fill) identically; only
-                    // out-of-window references fall through to the DL1.
-                    let svf = self.state.svf.as_mut().expect("svf engine");
-                    if svf.in_range(addr) {
-                        let acc = if is_store {
-                            svf.store(addr, info.size)
-                        } else {
-                            svf.load(addr, info.size)
-                        }
-                        .expect("in range");
-                        if acc.filled {
-                            self.state.hier.data_access(addr, false);
-                        }
-                    } else {
-                        self.state.hier.data_access(addr, is_store);
-                    }
-                }
-                _ => {
-                    self.state.hier.data_access(addr, is_store);
-                }
-            }
-        }
-        // Predictor tables train on every control instruction.
-        if info.is_control() {
-            self.state.predictor.train(c.pc, info.control, c.taken, c.next_pc);
-        }
-    }
-}
-
-/// Every config's [`Warmer`], as the sink of the emulator's stepping loop
-/// over a warmup window.
-struct Warmers<'a>(Vec<Warmer<'a>>);
-
-impl StepSink for Warmers<'_> {
+impl StepSink for Warming<'_> {
     #[inline]
     fn commit(&mut self, c: &Commit<'_>) {
-        for w in &mut self.0 {
-            w.warm(c);
+        let info = c.info();
+        let is_stack = info.is_mem() && MemRegion::classify(c.addr, self.heap_base).is_stack();
+        for st in self.states.iter_mut() {
+            st.fetch_line(c.pc);
+            if info.writes_sp() {
+                st.move_sp(c.sp_after);
+            }
+            if info.is_mem() {
+                st.access(c.addr, info.size, is_stack, info.is_store());
+            }
+            if info.is_control() {
+                st.predictor.train(c.pc, info.control, c.taken, c.next_pc);
+            }
         }
     }
 }
@@ -457,17 +392,6 @@ impl SampledStats {
     }
 }
 
-/// Re-aligns an SVF whose `$sp` tracking went stale across a fast-forward
-/// gap (the emulator moved `$sp` without the structure observing it).
-fn resync_svf(state: &mut EngineState, sp: u64) {
-    if let Some(svf) = state.svf.as_mut() {
-        let (lo, _) = svf.range();
-        if lo != sp {
-            svf.on_sp_update(lo, sp);
-        }
-    }
-}
-
 /// Runs every configuration over one sampled execution of `program` and
 /// returns per-config estimates in input order: [`crate::simulate`] with a
 /// sampling plan. The functional emulator runs the program exactly once
@@ -518,21 +442,16 @@ pub(crate) fn sample(
         if emu.is_halted() {
             break;
         }
-        // Functional warmup: every config's structures observe the stream.
+        // Functional warmup: every config's structures observe the stream,
+        // from an SVF window re-aligned with the `$sp` the fast-forward
+        // moved unobserved.
         for st in &mut states {
-            resync_svf(st, emu.reg(Reg::SP));
+            st.move_sp(emu.reg(Reg::SP));
         }
         let warm_end = detail_start.min(max_insts);
         if emu.steps() < warm_end {
             let before = emu.steps();
-            let mut warmers = Warmers(
-                configs
-                    .iter()
-                    .zip(states.iter_mut())
-                    .map(|(c, st)| Warmer::new(c, st, heap_base))
-                    .collect(),
-            );
-            emu.run_with(warm_end - before, &mut warmers)?;
+            emu.run_with(warm_end - before, &mut Warming { states: &mut states, heap_base })?;
             warmed += emu.steps() - before;
         }
         if emu.is_halted() || emu.steps() >= max_insts {
@@ -622,6 +541,7 @@ pub(crate) fn sample(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{PredictorKind, StackEngine};
     use crate::stats::relative_error;
     use crate::{run_lockstep, run_sampled};
 
@@ -867,6 +787,63 @@ mod tests {
         expect.accumulate(&w1.scaled(total - 2_000));
         expect.committed = total;
         assert_eq!(sampled.stats.to_csv_row(), expect.to_csv_row());
+    }
+
+    #[test]
+    fn warming_leaves_the_state_a_detailed_run_leaves() {
+        // The first `N` instructions once through the pipeline and once
+        // through the warming sink, from cold state. Both touch the
+        // structures through the same `EngineState` methods in commit
+        // order, so the L1s, the SVF, the stack cache, the predictor and
+        // the last fetch line are equal by construction. The L2 is not: it
+        // serves IL1 and DL1 misses, which a detailed run interleaves by
+        // cycle (fetch runs ahead of dispatch) and warming by instruction,
+        // so its equality is a finding on these kernels and machines, not
+        // a property of the code.
+        const N: u64 = 150_000;
+        let mut svf = CpuConfig::wide16().with_ports(2, 2);
+        svf.stack_engine = StackEngine::Svf;
+        svf.predictor = PredictorKind::Gshare;
+        let mut stack_cache = CpuConfig::wide8().with_ports(2, 2);
+        stack_cache.stack_engine = StackEngine::StackCache;
+        let mut small_dl1 = CpuConfig::wide4();
+        small_dl1.hierarchy.dl1.size_bytes = 4 << 10;
+        small_dl1.predictor = PredictorKind::Gshare;
+        let machines = [
+            ("svf gshare", svf),
+            ("stack cache", stack_cache),
+            ("wide4 4KB DL1 gshare", small_dl1),
+            ("wide16", CpuConfig::wide16()),
+        ];
+        for kernel in ["twolf", "gcc", "vortex", "mcf"] {
+            let p = svf_workloads::workload(kernel)
+                .expect("kernel exists")
+                .compile(svf_workloads::Scale::Test)
+                .expect("kernel compiles");
+            for (machine, cfg) in &machines {
+                let mut emu = Emulator::new(&p);
+                let initial_sp = emu.reg(Reg::SP);
+                let mut pipes = vec![Pipeline::new(cfg, initial_sp)];
+                drive(&mut pipes, &mut emu, N, 1).expect("kernel runs");
+                let (_, detailed) = pipes.pop().expect("one pipeline").finish_into_state();
+
+                let mut emu = Emulator::new(&p);
+                let heap_base = emu.heap_base();
+                let mut warmed = [EngineState::new(cfg, initial_sp)];
+                emu.run_with(N, &mut Warming { states: &mut warmed, heap_base })
+                    .expect("kernel runs");
+                let [warmed] = warmed;
+
+                let case = format!("{kernel} on {machine}");
+                assert!(emu.steps() > 50_000, "{case}: only {} instructions", emu.steps());
+                assert!(warmed.hier.il1() == detailed.hier.il1(), "{case}: IL1 differs");
+                assert!(warmed.hier.dl1() == detailed.hier.dl1(), "{case}: DL1 differs");
+                assert!(warmed.hier.l2() == detailed.hier.l2(), "{case}: L2 differs");
+                assert!(warmed.predictor == detailed.predictor, "{case}: predictor differs");
+                // The rest: the stack engine and the last fetch line.
+                assert!(warmed == detailed, "{case}: stack engine or fetch line differs");
+            }
+        }
     }
 
     #[test]

@@ -100,7 +100,7 @@ fn is_dirty(word: u64) -> bool {
 
 /// A set-associative, write-back, write-allocate cache with true-LRU
 /// replacement. Tags only (no data — the functional emulator owns values).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cache {
     cfg: CacheConfig,
     /// One word per way, set-major, each set's block most recently used

@@ -32,7 +32,7 @@ impl Default for HierarchyConfig {
 /// assuming fully pipelined caches (Table 2: "L1 cache accesses are fully
 /// pipelined") — concurrency limits are enforced by the CPU's port model,
 /// not here.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hierarchy {
     il1: Cache,
     dl1: Cache,

@@ -43,7 +43,7 @@ impl StackCacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -55,7 +55,7 @@ struct Line {
 /// Like [`crate::Cache`], the state is one contiguous boxed slice and the
 /// index/tag split is precomputed shift/mask — this sits on the simulator's
 /// per-stack-reference hot path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackCache {
     cfg: StackCacheConfig,
     lines: Box<[Line]>,

@@ -101,7 +101,7 @@ pub struct SpAdjustEffect {
     pub killed_qw: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Entry {
     valid: bool,
     dirty: bool,
@@ -112,7 +112,7 @@ struct Entry {
 /// The structure tracks *state*, not data values (values flow through the
 /// rename network in the pipeline model; the functional emulator owns
 /// memory contents).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StackValueFile {
     entries: Vec<Entry>,
     /// Lowest address covered, always the quad-word containing the TOS.

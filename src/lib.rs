@@ -5,6 +5,11 @@
 
 pub mod cli;
 
+/// README.md's Rust examples, compiled and run by `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use svf;
 pub use svf_asm;
 pub use svf_cc;
