@@ -259,10 +259,11 @@ impl SweepSpec {
         })
     }
 
-    /// Points in the full Cartesian product of the axes.
+    /// Points in the full Cartesian product of the axes, saturating at
+    /// `u64::MAX` (a spec may list more points than a `u64` counts).
     #[must_use]
     pub fn lattice_size(&self) -> u64 {
-        self.axes.iter().map(|a| a.values.len() as u64).product()
+        self.axes.iter().fold(1, |n, a| n.saturating_mul(a.values.len() as u64))
     }
 
     /// The config at an index vector (one index per axis, in axis order).

@@ -104,12 +104,16 @@ impl Value {
     }
 }
 
+/// The literal [`Value::parse`] reads back as the same value: a string is
+/// bare when it reads back as itself (`svf`, `stack-cache`) and quoted
+/// otherwise (`"true"`, `"8k"`, `"a:b"`).
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Int(n) => write!(f, "{n}"),
             Value::Bool(b) => write!(f, "{b}"),
-            Value::Str(s) => write!(f, "{s}"),
+            Value::Str(s) if Value::parse(s).as_ref() == Ok(self) => write!(f, "{s}"),
+            Value::Str(s) => write!(f, "\"{s}\""),
         }
     }
 }
@@ -136,6 +140,21 @@ mod tests {
     fn toml_rendering_round_trips() {
         for v in [Value::Int(64), Value::Bool(false), Value::Str("gshare".into())] {
             assert_eq!(Value::parse(&v.to_toml()).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn display_quotes_what_would_read_back_as_something_else() {
+        for (v, shown) in [
+            (Value::Str("svf".into()), "svf"),
+            (Value::Str("stack-cache".into()), "stack-cache"),
+            (Value::Str("true".into()), "\"true\""),
+            (Value::Str("8k".into()), "\"8k\""),
+            (Value::Str("a:b".into()), "\"a:b\""),
+            (Value::Int(8192), "8192"),
+        ] {
+            assert_eq!(v.to_string(), shown);
+            assert_eq!(Value::parse(shown), Ok(v));
         }
     }
 

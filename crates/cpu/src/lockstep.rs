@@ -35,7 +35,13 @@
 //!   youngest earlier store (split `$sp`/other base). Commit-time retire
 //!   also only blanks already-committed seqs — invisible behind the same
 //!   head filter — so the youngest-earlier-store pair is stored per
-//!   instruction in [`Facts::prev_sp`]/[`Facts::prev_other`].
+//!   instruction in [`Facts::prev_sp`]/[`Facts::prev_other`]. The same
+//!   filter bounds the table: no config holds a store in flight once the
+//!   stream is the batch's largest RUU past it, so [`drive`] hands the
+//!   builder that horizon and the table forgets older stores, which read
+//!   as [`NO_SEQ`] instead of a seq every consumer filters out. Per-stream
+//!   state is bounded by what the machines hold in flight, not by how
+//!   many quad-words the program writes.
 
 use std::any::Any;
 use std::io::Read;
@@ -156,9 +162,14 @@ pub(crate) struct FactsBuilder {
 
 impl FactsBuilder {
     /// A builder for a stream whose program has its heap at `heap_base`
-    /// (memory-region classification).
-    pub(crate) fn new(heap_base: u64) -> FactsBuilder {
-        FactsBuilder { reg_producer: [NO_PRODUCER; 32], alias: AliasTable::new(), heap_base }
+    /// (memory-region classification), read by configs whose RUUs hold at
+    /// most `horizon` instructions.
+    pub(crate) fn new(heap_base: u64, horizon: u64) -> FactsBuilder {
+        FactsBuilder {
+            reg_producer: [NO_PRODUCER; 32],
+            alias: AliasTable::new(horizon),
+            heap_base,
+        }
     }
 
     /// Writes the [`Facts`] of instruction `seq` at `pc` into `f`, advancing
@@ -548,7 +559,8 @@ pub(crate) fn drive<S: FactsSource>(
             cfg.width
         );
     }
-    let builder = FactsBuilder::new(src.heap_base());
+    let horizon = pipes.iter().map(|p| p.config().ruu_size as u64).max().unwrap_or(0);
+    let builder = FactsBuilder::new(src.heap_base(), horizon);
     let win = Window::new(LOCKSTEP_WINDOW, max_insts);
     let fanout = fanout.clamp(1, pipes.len().max(1));
     if fanout == 1 {
@@ -924,8 +936,9 @@ mod tests {
             let mut replay = TraceSource::open(bytes.as_slice()).expect("opens");
 
             let mut live = svf_emu::Emulator::new(&p);
-            let mut live_b = FactsBuilder::new(p.heap_base);
-            let mut replay_b = FactsBuilder::new(p.heap_base);
+            let horizon = CpuConfig::wide16().ruu_size as u64;
+            let mut live_b = FactsBuilder::new(p.heap_base, horizon);
+            let mut replay_b = FactsBuilder::new(p.heap_base, horizon);
             let (mut live_w, mut replay_w) =
                 (Window::new(LOCKSTEP_WINDOW, u64::MAX), Window::new(LOCKSTEP_WINDOW, u64::MAX));
             let mut seq = 0;
@@ -940,6 +953,27 @@ mod tests {
             }
             assert!(replay_w.done(), "{}: the replay ends with the run", w.name);
             assert_eq!(seq, capture.steps(), "{}: every instruction compared", w.name);
+        }
+    }
+
+    #[test]
+    fn the_alias_table_keeps_its_initial_capacity_on_every_kernel() {
+        // The whole stream of every Test-scale kernel, built as a detailed
+        // wide16 run builds it: the table never outgrows its first 2,048
+        // slots, however many quad-words the kernel writes.
+        let horizon = CpuConfig::wide16().ruu_size as u64;
+        let initial = AliasTable::new(horizon).capacity();
+        for w in svf_workloads::all() {
+            let p = w.compile(svf_workloads::Scale::Test).expect("kernel compiles");
+            let mut emu = svf_emu::Emulator::new(&p);
+            let mut builder = FactsBuilder::new(p.heap_base, horizon);
+            let mut win = Window::new(LOCKSTEP_WINDOW, u64::MAX);
+            while !win.done() {
+                let hi = win.hi();
+                win.fill(&mut emu, &mut builder, hi).expect("kernel runs");
+            }
+            assert!(emu.is_halted(), "{}: the whole program ran", w.name);
+            assert_eq!(builder.alias.capacity(), initial, "{}: alias table grew", w.name);
         }
     }
 

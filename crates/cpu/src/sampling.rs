@@ -495,18 +495,20 @@ pub(crate) fn sample(
         intervals += 1;
     }
 
+    if intervals == 0 {
+        // The schedule never fired (program or budget shorter than the
+        // first start): fall back to a plain full run rather than report
+        // nothing, on a fresh emulator unless this one never stepped.
+        if emu.steps() > 0 {
+            emu = Emulator::new(program);
+        }
+        return run_full(configs, &mut emu, initial_sp, opts);
+    }
     // Finish the functional run so the reported total is exact.
     if !emu.is_halted() && emu.steps() < max_insts {
         emu.run(max_insts - emu.steps())?;
     }
     let total = emu.steps();
-
-    if intervals == 0 {
-        // The schedule never fired (program shorter than the first start):
-        // fall back to a plain full run rather than report nothing.
-        let mut emu = Emulator::new(program);
-        return run_full(configs, &mut emu, initial_sp, opts);
-    }
     // Whatever ran after the last interval (fast-forward to program end)
     // belongs to the last stratum.
     if let Some(last) = represented.last_mut() {
@@ -730,10 +732,16 @@ mod tests {
             .expect("a first start beyond the program exists in 64 seeds");
         let spec =
             SampleSpec::parse(&format!("mode=random,seed={seed},period=100m,interval=1k")).unwrap();
-        let s = &run_sampled(&configs, &p, u64::MAX, &spec)[0];
-        assert_eq!(s.stats.to_csv_row(), full[0].to_csv_row(), "fallback is the full run");
-        assert_eq!(s.intervals, 1);
-        assert_eq!(s.detailed_insts, s.total_insts);
+        // The whole program, and a budget that ends before the first
+        // start as well as before the program does.
+        for budget in [u64::MAX, total / 2] {
+            let full = run_lockstep(&configs, &p, budget);
+            let s = &run_sampled(&configs, &p, budget, &spec)[0];
+            assert_eq!(s.stats.to_csv_row(), full[0].to_csv_row(), "fallback is the full run");
+            assert_eq!(s.intervals, 1);
+            assert_eq!(s.detailed_insts, s.total_insts);
+            assert_eq!(s.total_insts, total.min(budget), "the budget caps the run");
+        }
     }
 
     /// Runs the whole kernel in detail with the stats scoped to

@@ -37,6 +37,10 @@
 //! sp_before: varint delta vs prev record's sp_before (zigzag)
 //! ```
 //!
+//! Deltas are differences modulo 2^64 read as `i64`, so every address
+//! round-trips and a corrupt delta decodes to some address instead of
+//! overflowing.
+//!
 //! Version 1 lacked the `initial_sp` header field; v1 files are rejected
 //! with [`TraceError::UnsupportedVersion`] (recapture them).
 
@@ -131,6 +135,19 @@ fn zigzag(v: i64) -> u64 {
 
 fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
+}
+
+/// The zigzagged distance from `base` to `value`, modulo 2^64: the plain
+/// signed difference whenever that fits an `i64`, and any pair of words
+/// round-trips through [`undelta`].
+fn delta(base: u64, value: u64) -> u64 {
+    zigzag(value.wrapping_sub(base) as i64)
+}
+
+/// `base` moved by a zigzagged [`delta`], modulo 2^64 (so corrupt deltas
+/// wrap instead of overflowing).
+fn undelta(base: u64, d: u64) -> u64 {
+    base.wrapping_add(unzigzag(d) as u64)
 }
 
 fn write_varint<W: Write>(w: &mut W, mut v: u64) -> io::Result<()> {
@@ -236,19 +253,19 @@ impl<W: Write> TraceWriter<W> {
             flags |= 32;
         }
         self.out.write_all(&[flags])?;
-        write_varint(&mut self.out, zigzag(r.pc as i64 - (self.prev_pc.wrapping_add(4)) as i64))?;
+        write_varint(&mut self.out, delta(self.prev_pc.wrapping_add(4), r.pc))?;
         self.out.write_all(&encode(&r.inst).to_le_bytes())?;
         if let Some(m) = r.mem {
-            write_varint(&mut self.out, zigzag(m.addr as i64 - r.sp_before as i64))?;
+            write_varint(&mut self.out, delta(r.sp_before, m.addr))?;
             self.out.write_all(&[m.size, m.base.number()])?;
         }
         if let Some(c) = r.control {
-            write_varint(&mut self.out, zigzag(c.target as i64 - (r.pc + 4) as i64))?;
+            write_varint(&mut self.out, delta(r.pc.wrapping_add(4), c.target))?;
         }
         if let Some(u) = r.sp_update {
-            write_varint(&mut self.out, zigzag(u.new_sp as i64 - u.old_sp as i64))?;
+            write_varint(&mut self.out, delta(u.old_sp, u.new_sp))?;
         }
-        write_varint(&mut self.out, zigzag(r.sp_before as i64 - self.prev_sp as i64))?;
+        write_varint(&mut self.out, delta(self.prev_sp, r.sp_before))?;
         self.prev_pc = r.pc;
         self.prev_sp = r.sp_before;
         self.records += 1;
@@ -360,7 +377,7 @@ impl<R: Read> TraceReader<R> {
         }
         let flags = flags[0];
         let pc_delta = read_varint(&mut self.input).map_err(|f| self.fail(f))?;
-        let pc = (self.prev_pc.wrapping_add(4) as i64 + unzigzag(pc_delta)) as u64;
+        let pc = undelta(self.prev_pc.wrapping_add(4), pc_delta);
         let mut word = [0u8; 4];
         read_exact(&mut self.input, &mut word).map_err(|f| self.fail(f))?;
         let inst = decode(u32::from_le_bytes(word))
@@ -370,32 +387,33 @@ impl<R: Read> TraceReader<R> {
             let rel = read_varint(&mut self.input).map_err(|f| self.fail(f))?;
             let mut sb = [0u8; 2];
             read_exact(&mut self.input, &mut sb).map_err(|f| self.fail(f))?;
-            mem = Some((unzigzag(rel), sb[0], Reg::from_number(sb[1] & 31), flags & 16 != 0));
+            mem = Some((rel, sb[0], Reg::from_number(sb[1] & 31), flags & 16 != 0));
         }
         let mut control = None;
         if flags & 2 != 0 {
             let d = read_varint(&mut self.input).map_err(|f| self.fail(f))?;
-            let target = (pc + 4) as i64 + unzigzag(d);
-            control = Some(ControlFlow { taken: flags & 8 != 0, target: target as u64 });
+            let target = undelta(pc.wrapping_add(4), d);
+            control = Some(ControlFlow { taken: flags & 8 != 0, target });
         }
         let mut sp_delta = None;
         if flags & 4 != 0 {
-            sp_delta = Some(unzigzag(read_varint(&mut self.input).map_err(|f| self.fail(f))?));
+            sp_delta = Some(read_varint(&mut self.input).map_err(|f| self.fail(f))?);
         }
         let sp_raw = read_varint(&mut self.input).map_err(|f| self.fail(f))?;
-        let sp_before = (self.prev_sp as i64 + unzigzag(sp_raw)) as u64;
+        let sp_before = undelta(self.prev_sp, sp_raw);
         let mem = mem.map(|(rel, size, base, is_store)| MemAccess {
-            addr: (sp_before as i64 + rel) as u64,
+            addr: undelta(sp_before, rel),
             size,
             is_store,
             base,
         });
         let sp_update = sp_delta.map(|d| SpUpdate {
             old_sp: sp_before,
-            new_sp: (sp_before as i64 + d) as u64,
+            new_sp: undelta(sp_before, d),
             immediate: flags & 32 != 0,
         });
-        let next_pc = control.map_or(pc + 4, |c| if c.taken { c.target } else { pc + 4 });
+        let fall_through = pc.wrapping_add(4);
+        let next_pc = control.filter(|c| c.taken).map_or(fall_through, |c| c.target);
         self.prev_pc = pc;
         self.prev_sp = sp_before;
         self.records += 1;
@@ -546,8 +564,8 @@ main:
         let inst = (0u32..u32::MAX)
             .prop_map(|w| decode(w).ok().filter(|i| encode(i) == w))
             .prop_map(|i| i.unwrap_or(Retired::PLACEHOLDER.inst));
-        // Keep addresses well under 2^62 so the format's i64 deltas cannot
-        // overflow (real PCs/addresses are far smaller still).
+        // Deltas wrap, so any address would round-trip; these stay in the
+        // range real PCs and addresses use.
         let small = 0u64..1 << 48;
         (
             (small.clone(), inst, small.clone()),

@@ -7,7 +7,7 @@
 //! batch owns a full hierarchy, so its state is one flat array of one word
 //! per way and its per-access arithmetic is shift/mask only:
 //!
-//! * All ways live in **one contiguous boxed slice of `u64`**, set-major:
+//! * All ways live in **one contiguous boxed slice of words**, set-major:
 //!   set `s` owns the block `ways[s * assoc..(s + 1) * assoc]`. No per-set
 //!   `Vec`, no side arrays.
 //! * Each block is kept in **recency order, most recently used first**,
@@ -17,11 +17,21 @@
 //!   `block[0..=p]` right by one; a miss evicts the last word (the true
 //!   LRU, or an empty way) and shifts the whole block right by one.
 //! * Each valid word is **`tag << 1 | dirty`**. Empty ways hold the
-//!   sentinel [`EMPTY`] (`u64::MAX`) and always trail the valid ones:
-//!   fills enter at the front and only `flush` empties ways, all at once.
-//! * **Tag bound.** `line_bytes ≥ 8` is asserted, so a tag (the address
-//!   shifted right by at least 3) is below 2^61. `tag << 1` therefore
-//!   cannot overflow, and no stored word can equal the sentinel.
+//!   all-ones sentinel and always trail the valid ones: fills enter at the
+//!   front and only `flush` empties ways, all at once.
+//! * **Words are 32 bits wide until a tag needs more.** A cache starts
+//!   with `u32` words, which hold every tag below 2^30: `tag << 1 | 1`
+//!   stays below 2^31, so no word equals the `u32::MAX` sentinel, and the
+//!   sentinel shifted down (2^31 − 1) exceeds every tag, so an empty way
+//!   never matches a probe. The first access with a larger tag converts
+//!   the array, once, to `u64` words (`u64::MAX` empty). There the bound
+//!   is `line_bytes ≥ 8` (asserted): a tag is the address shifted right
+//!   by at least 3 bits, so it is below 2^61, `tag << 1` cannot overflow
+//!   and no word equals the sentinel. By the same shift only an address
+//!   of 2^33 or more can switch a cache, and the simulated programs stay
+//!   below `STACK_BASE` (2^30): every Table 2 cache keeps its 32-bit
+//!   array, 57,344 tag bytes per config for IL1, DL1 and L2 together
+//!   instead of 114,688.
 //! * Set index and tag come from **precomputed shifts/masks** (the
 //!   geometry is asserted power-of-two at construction), not division.
 //!
@@ -30,6 +40,8 @@
 //! `tests/golden_stats.rs` (workspace root) pins whole-simulation counters
 //! and `tests/cache_model.rs` (this crate) checks it against a retained
 //! naive reference over arbitrary access streams and geometries.
+
+use std::ops::{BitOr, Shl, Shr};
 
 use crate::stats::TrafficStats;
 
@@ -88,14 +100,92 @@ pub struct AccessOutcome {
     pub writeback: bool,
 }
 
-/// The word of an empty way. Valid words are `tag << 1 | dirty` with
-/// `tag < 2^61` (see the module doc), so none can equal it.
-const EMPTY: u64 = u64::MAX;
+/// One way of a set: `tag << 1 | dirty`, or the all-ones [`Word::EMPTY`].
+trait Word:
+    Copy
+    + Eq
+    + From<bool>
+    + BitOr<Output = Self>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+{
+    /// The word of an empty way.
+    const EMPTY: Self;
 
-/// Whether `word` holds a valid, dirty line.
+    /// Whether the word holds a valid, dirty line (its low bit is set).
+    #[inline]
+    fn is_dirty(self) -> bool {
+        self != Self::EMPTY && self >> 1 << 1 != self
+    }
+}
+
+impl Word for u32 {
+    const EMPTY: u32 = u32::MAX;
+}
+
+impl Word for u64 {
+    const EMPTY: u64 = u64::MAX;
+}
+
+/// Tags below this fit the 32-bit words (see the module doc).
+const NARROW_TAGS: u64 = 1 << 30;
+
+/// A 32-bit word as the equal 64-bit one.
+fn widen(word: u32) -> u64 {
+    if word == u32::EMPTY {
+        u64::EMPTY
+    } else {
+        u64::from(word)
+    }
+}
+
+/// The way array, in whichever word width its tags need.
+#[derive(Debug, Clone)]
+enum Ways {
+    /// Every tag seen so far is below [`NARROW_TAGS`].
+    Narrow(Box<[u32]>),
+    /// A tag reached [`NARROW_TAGS`]; the array was widened once.
+    Wide(Box<[u64]>),
+}
+
+/// The same lines, dirty bits and recency, whatever the word widths.
+impl PartialEq for Ways {
+    fn eq(&self, other: &Ways) -> bool {
+        match (self, other) {
+            (Ways::Narrow(a), Ways::Narrow(b)) => a == b,
+            (Ways::Wide(a), Ways::Wide(b)) => a == b,
+            (Ways::Narrow(n), Ways::Wide(w)) | (Ways::Wide(w), Ways::Narrow(n)) => {
+                n.len() == w.len() && n.iter().zip(w.iter()).all(|(&n, &w)| widen(n) == w)
+            }
+        }
+    }
+}
+
+/// One access to a set's block: on a hit, moves the line to the front
+/// (dirty on a write); on a miss, evicts the last word and fills `tag` at
+/// the front. Returns `(hit, whether a dirty line was evicted)`.
 #[inline]
-fn is_dirty(word: u64) -> bool {
-    word != EMPTY && word & 1 == 1
+fn touch<W: Word>(block: &mut [W], tag: W, is_write: bool) -> (bool, bool) {
+    // Probe MRU-first: the vast majority of hits match the first word.
+    // An empty way's word shifted down exceeds every tag.
+    if let Some(p) = block.iter().position(|&w| w >> 1 == tag) {
+        let word = block[p] | W::from(is_write);
+        block.copy_within(0..p, 1);
+        block[0] = word;
+        return (true, false);
+    }
+    // The victim is the last word: an empty way or the true LRU.
+    let writeback = block[block.len() - 1].is_dirty();
+    block.copy_within(0..block.len() - 1, 1);
+    block[0] = tag << 1 | W::from(is_write);
+    (false, writeback)
+}
+
+/// Empties every way, returning how many held dirty lines.
+fn empty<W: Word>(ways: &mut [W]) -> u64 {
+    let dirty = ways.iter().filter(|w| w.is_dirty()).count();
+    ways.fill(W::EMPTY);
+    dirty as u64
 }
 
 /// A set-associative, write-back, write-allocate cache with true-LRU
@@ -104,8 +194,9 @@ fn is_dirty(word: u64) -> bool {
 pub struct Cache {
     cfg: CacheConfig,
     /// One word per way, set-major, each set's block most recently used
-    /// first: `tag << 1 | dirty`, or [`EMPTY`] behind the valid ways.
-    ways: Box<[u64]>,
+    /// first: `tag << 1 | dirty`, or the empty sentinel behind the valid
+    /// ways.
+    ways: Ways,
     /// `log2(line_bytes)`.
     line_shift: u32,
     /// `num_sets - 1`.
@@ -138,7 +229,7 @@ impl Cache {
             cfg.name
         );
         Cache {
-            ways: vec![EMPTY; (sets * u64::from(cfg.assoc)) as usize].into_boxed_slice(),
+            ways: Ways::Narrow(vec![u32::EMPTY; (sets * u64::from(cfg.assoc)) as usize].into()),
             line_shift: cfg.line_bytes.trailing_zeros(),
             set_mask: sets - 1,
             set_shift: sets.trailing_zeros(),
@@ -196,27 +287,29 @@ impl Cache {
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessOutcome {
         self.stats.accesses += 1;
         let (range, tag) = self.block_tag(addr);
-        let block = &mut self.ways[range];
-        // Probe MRU-first: the vast majority of hits match the first word.
-        // An empty way's word shifted down exceeds every tag.
-        if let Some(p) = block.iter().position(|&w| w >> 1 == tag) {
-            let word = block[p] | u64::from(is_write);
-            block.copy_within(0..p, 1);
-            block[0] = word;
+        let (hit, writeback) = match &mut self.ways {
+            Ways::Narrow(ways) if tag < NARROW_TAGS => {
+                touch(&mut ways[range], tag as u32, is_write)
+            }
+            Ways::Wide(ways) => touch(&mut ways[range], tag, is_write),
+            Ways::Narrow(ways) => {
+                let mut wide: Box<[u64]> = ways.iter().map(|&w| widen(w)).collect();
+                let outcome = touch(&mut wide[range], tag, is_write);
+                self.ways = Ways::Wide(wide);
+                outcome
+            }
+        };
+        if hit {
             self.stats.hits += 1;
-            return AccessOutcome { hit: true, writeback: false };
+        } else {
+            self.stats.misses += 1;
+            if writeback {
+                self.stats.writebacks += 1;
+                self.stats.qw_out += self.line_qw;
+            }
+            self.stats.qw_in += self.line_qw;
         }
-        self.stats.misses += 1;
-        // The victim is the last word: an empty way or the true LRU.
-        let writeback = is_dirty(block[block.len() - 1]);
-        if writeback {
-            self.stats.writebacks += 1;
-            self.stats.qw_out += self.line_qw;
-        }
-        block.copy_within(0..block.len() - 1, 1);
-        block[0] = tag << 1 | u64::from(is_write);
-        self.stats.qw_in += self.line_qw;
-        AccessOutcome { hit: false, writeback }
+        AccessOutcome { hit, writeback }
     }
 
     /// Probes without allocating or updating state (for bounds checks and
@@ -224,15 +317,22 @@ impl Cache {
     #[must_use]
     pub fn contains(&self, addr: u64) -> bool {
         let (range, tag) = self.block_tag(addr);
-        self.ways[range].iter().any(|&w| w >> 1 == tag)
+        match &self.ways {
+            Ways::Narrow(ways) => {
+                tag < NARROW_TAGS && ways[range].iter().any(|&w| w >> 1 == tag as u32)
+            }
+            Ways::Wide(ways) => ways[range].iter().any(|&w| w >> 1 == tag),
+        }
     }
 
     /// Writes back and invalidates everything (context switch), returning
     /// the number of *bytes* written back — the paper's Table 4 metric.
     /// A conventional cache must write whole dirty lines.
     pub fn flush(&mut self) -> u64 {
-        let dirty = self.ways.iter().filter(|&&w| is_dirty(w)).count() as u64;
-        self.ways.fill(EMPTY);
+        let dirty = match &mut self.ways {
+            Ways::Narrow(ways) => empty(ways),
+            Ways::Wide(ways) => empty(ways),
+        };
         self.stats.writebacks += dirty;
         self.stats.qw_out += dirty * self.line_qw;
         dirty * self.cfg.line_bytes
@@ -369,5 +469,34 @@ mod tests {
         for i in 0..15u64 {
             assert!(c.contains(i * 32), "line {i} survives");
         }
+    }
+
+    #[test]
+    fn a_large_tag_widens_the_words_once() {
+        // Below 2^30 the tags live in 32-bit words; the first larger tag
+        // converts the array, keeping every line, dirty bit and recency.
+        let mut c = tiny();
+        let high = 1u64 << 40; // tag 2^34 with 32B lines and 2 sets
+        c.access(0x00, true);
+        c.access(0x40, false);
+        let narrow = c.clone();
+        assert!(matches!(c.ways, Ways::Narrow(_)));
+        assert!(!c.contains(high), "a wide tag is never in a narrow array");
+        assert!(!c.access(high, true).hit);
+        assert!(matches!(c.ways, Ways::Wide(_)));
+        assert!(c.contains(high) && c.contains(0x40) && !c.contains(0x00));
+        let out = c.access(0x80, false); // evicts 0x40 (clean, now LRU)
+        assert!(!out.hit && !out.writeback);
+        assert!(c.access(high, false).hit);
+        assert_eq!(c.flush(), 32, "the dirty wide line");
+
+        let mut wide = narrow.clone();
+        wide.ways = match &narrow.ways {
+            Ways::Narrow(w) => Ways::Wide(w.iter().map(|&w| widen(w)).collect()),
+            Ways::Wide(_) => unreachable!("tiny caches start narrow"),
+        };
+        assert_eq!(narrow, wide, "equality ignores the word width");
+        wide.access(0x00, false);
+        assert_ne!(narrow, wide, "but not the recency");
     }
 }

@@ -115,24 +115,33 @@ proptest! {
         sets_log2 in 0u32..4,
         assoc in 1u32..17,
         line_log2 in 3u64..7,
-        top in any::<bool>(),
+        region in 0u8..3,
         base_lines in 0u64..1024,
+        switch_at in 0usize..400,
         ops in proptest::collection::vec((0u64..48, any::<bool>()), 1..400)
     ) {
         // Geometry drawn from the full supported envelope: 1–8 sets,
         // 1–16 ways, 8–64B lines. The whole TrafficStats must match the
         // naive model, counter for counter, not just per-access outcomes.
-        // Half the streams sit at a line-aligned base near the top of the
-        // address space, so tags reach toward 2^61: the packed
-        // `tag << 1 | dirty` word and the empty-way sentinel must never
-        // collide with a real line.
+        // Three address regions:
+        // 0. a line-aligned base near 0: tags stay small, so the cache
+        //    keeps its 32-bit words throughout;
+        // 1. a base near the top of the address space, so tags reach
+        //    toward 2^61: the packed `tag << 1 | dirty` word and the
+        //    empty-way sentinel must never collide with a real line;
+        // 2. the low base until op `switch_at`, which touches a tag of at
+        //    least 2^30 (the 32-bit words hold only smaller ones) in the
+        //    set of its line; from then on every third line number goes
+        //    there too. The sets are full of low tags, dirty ones included,
+        //    when the words widen, and must match before and after.
         let sets = 1u64 << sets_log2;
         let line = 1u64 << line_log2;
-        let base = if top {
-            ((u64::MAX >> line_log2) - 47 - base_lines) << line_log2
-        } else {
-            base_lines << line_log2
+        let low = base_lines << line_log2;
+        let base = match region {
+            1 => ((u64::MAX >> line_log2) - 47 - base_lines) << line_log2,
+            _ => low,
         };
+        let high = (1u64 << 30) << (sets_log2 + line_log2 as u32);
         let cfg = CacheConfig {
             size_bytes: sets * u64::from(assoc) * line,
             assoc,
@@ -143,7 +152,9 @@ proptest! {
         let mut dut = Cache::new(cfg);
         let mut model = RefCache::new(sets as usize, assoc as usize, line);
         for (i, (line_no, write)) in ops.into_iter().enumerate() {
-            let addr = base + line_no * line + (line_no % (line / 8)) * 8 + (line_no % 8);
+            let wide = region == 2 && (i == switch_at || (i > switch_at && line_no % 3 == 0));
+            let at = if wide { high } else { base };
+            let addr = at + line_no * line + (line_no % (line / 8)) * 8 + (line_no % 8);
             let out = dut.access(addr, write);
             let (hit, wb) = model.access(addr, write);
             prop_assert_eq!(out.hit, hit, "hit/miss diverged at op {} line {}", i, line_no);
@@ -157,6 +168,7 @@ proptest! {
         prop_assert_eq!(s.writebacks, model.writebacks);
         prop_assert_eq!(s.qw_in, model.qw_in);
         prop_assert_eq!(s.qw_out, model.qw_out);
+        prop_assert_eq!(dut.flush(), model.dirty_bytes(), "flush writes the dirty lines");
     }
 
     #[test]

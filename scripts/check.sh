@@ -56,6 +56,37 @@ cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.svft" \
 diff -u "$smoke_dir/live.txt" "$smoke_dir/replay.txt" \
     || { echo "trace replay diverged from live run" >&2; exit 1; }
 echo "trace capture->replay smoke: identical timing report"
+# The same through 64-bit cache tag words: a hand-written program that
+# stores to and loads from 2^50 and up. Caches hold tags in 32-bit words
+# until one reaches 2^30; a Table 2 DL1 or L2 tag is the address shifted
+# right by 14 or 17 bits, so the first reference there converts both
+# caches to 64-bit words mid-run, live and on replay.
+cat > "$smoke_dir/high.s" <<'EOF'
+main:
+    li $t3, 0x4000000000000
+    li $t0, 200
+.loop:
+    stq $t0, 0($t3)
+    ldq $t1, 0($t3)
+    addq $t2, $t1, $t2
+    stq $t2, 8($t3)
+    lda $t3, 64($t3)
+    subq $t0, 1, $t0
+    bne $t0, .loop
+    mov $t2, $a0
+    putint
+    halt
+EOF
+cargo run --release --quiet --bin svf-sim -- "$smoke_dir/high.s" --compare \
+    --dump-trace "$smoke_dir/high.svft" \
+    | grep -E '^\[|^  (SVF|DL1):' > "$smoke_dir/high-live.txt"
+cargo run --release --quiet --bin svf-sim -- "$smoke_dir/high.svft" --compare \
+    | grep -E '^\[|^  (SVF|DL1):' > "$smoke_dir/high-replay.txt"
+grep -q 'DL1: 600 accesses' "$smoke_dir/high-live.txt" \
+    || { echo "high-address smoke: the DL1 missed the 600 high references" >&2; exit 1; }
+diff -u "$smoke_dir/high-live.txt" "$smoke_dir/high-replay.txt" \
+    || { echo "high-address trace replay diverged from live run" >&2; exit 1; }
+echo "64-bit cache tag smoke: identical timing report"
 # Bad-input smoke: a machine the simulator cannot build, or a sampling
 # plan it cannot schedule, must be a named error with exit 1, never a
 # panic. A 3 KB DL1 has no power-of-two set count; a 2000-entry IFQ plus
