@@ -26,9 +26,8 @@
 //! resolves (wrong-path instructions are not simulated — see DESIGN.md §1).
 //!
 //! Every run goes through [`simulate`]: a batch of configurations over one
-//! shared stream — a live program, in full detail or sampled, or a `.svft`
-//! trace — at any timing fan-out, with bit-identical statistics on every
-//! path. [`Simulator`], [`run_lockstep`], [`run_lockstep_fanout`] and
+//! shared execution of a program, in full detail or sampled, at any timing
+//! fan-out, with bit-identical statistics on every path. [`Simulator`], [`run_lockstep`], [`run_lockstep_fanout`] and
 //! [`run_sampled`] wrap it for the repository benchmark.
 //!
 //! # Example
@@ -63,7 +62,7 @@ mod stats;
 
 pub use config::{CpuConfig, PredictorKind, StackEngine};
 pub use lockstep::{
-    run_lockstep, run_lockstep_fanout, run_sampled, simulate, RunOptions, Source, LOCKSTEP_WINDOW,
+    run_lockstep, run_lockstep_fanout, run_sampled, simulate, RunOptions, LOCKSTEP_WINDOW,
 };
 pub use pipeline::Simulator;
 pub use predictor::{Gshare, Predictor};

@@ -116,8 +116,8 @@ const UNISSUED: u64 = u64::MAX;
 /// The cycle-level simulator of one configuration: a wrapper over
 /// [`crate::simulate`] with a batch of one, kept because the repository
 /// benchmark (`e2e-bench/`) calls it by name. To run several
-/// configurations over one shared stream, sample, fan out or replay a
-/// trace, call [`crate::simulate`].
+/// configurations over one shared stream, sample or fan out, call
+/// [`crate::simulate`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
     cfg: CpuConfig,

@@ -63,7 +63,7 @@
 //! error (phase variation between strata), which shrinks with more or
 //! longer intervals.
 
-use svf_emu::{Commit, Emulator, StepSink, StreamError};
+use svf_emu::{Commit, EmuError, Emulator, StepSink};
 use svf_isa::{MemRegion, Program, Reg};
 
 use crate::config::CpuConfig;
@@ -405,7 +405,7 @@ pub(crate) fn sample(
     program: &Program,
     spec: &SampleSpec,
     opts: &RunOptions,
-) -> Result<Vec<SampledStats>, StreamError> {
+) -> Result<Vec<SampledStats>, EmuError> {
     spec.validate().expect("invalid sample spec");
     let max_insts = opts.max_insts;
     let mut emu = Emulator::new(program);
@@ -502,7 +502,7 @@ pub(crate) fn sample(
         if emu.steps() > 0 {
             emu = Emulator::new(program);
         }
-        return run_full(configs, &mut emu, initial_sp, opts);
+        return run_full(configs, &mut emu, opts);
     }
     // Finish the functional run so the reported total is exact.
     if !emu.is_halted() && emu.steps() < max_insts {

@@ -12,8 +12,9 @@
 //!    the per-instruction facts the pipeline needs straight into the shared
 //!    lockstep window, and functional warming between sampled intervals is
 //!    another sink. [`Retired`] records are built only where a whole record
-//!    is wanted ([`Emulator::step_record`]: trace capture, the CLI's
-//!    instruction listing, [`RecordRing`]).
+//!    is wanted ([`Emulator::step_record`]: the CLI's instruction listing,
+//!    [`RecordRing`]). The emulator is the only stream: nothing reads a
+//!    captured trace.
 //! 2. **Workload validation.** Each benchmark prints a checksum through the
 //!    `putint` system call; tests compare it against a known-good value.
 //! 3. **Reference-behaviour characterization.** The classification helpers
@@ -48,10 +49,8 @@ mod machine;
 mod memory;
 mod retired;
 mod stream;
-mod trace;
 
 pub use machine::{Commit, EmuError, Emulator, RunOutcome, StepObserver, StepSink};
 pub use memory::Memory;
 pub use retired::{AccessMethod, ControlFlow, MemAccess, Retired, SpUpdate};
-pub use stream::{LiveSource, RecordRing, RecordSource, SalvageReport, StreamError, TraceSource};
-pub use trace::{TraceError, TraceReader, TraceWriter};
+pub use stream::{LiveSource, RecordRing};

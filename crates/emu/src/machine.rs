@@ -305,7 +305,7 @@ impl Emulator {
 
     /// Executes one instruction, writing the committed record into `out`
     /// in place: [`Emulator::step`] without the by-value return of the wide
-    /// record (trace capture, record rings).
+    /// record (the CLI's instruction listing, record rings).
     ///
     /// # Errors
     ///

@@ -6,9 +6,8 @@
 //!
 //! * **Deterministic failures** re-fail identically on every attempt, so
 //!   retrying them only burns wall-clock: a diverging simulation
-//!   ([`JobError::Panic`]), a program that does not compile
-//!   ([`JobError::Compile`]), and a damaged trace input
-//!   ([`JobError::TraceTruncated`]).
+//!   ([`JobError::Panic`]) and a program that does not compile
+//!   ([`JobError::Compile`]).
 //! * **Environmental failures** can succeed on a later attempt: filesystem
 //!   hiccups ([`JobError::Io`]), a watchdog expiry ([`JobError::Timeout`] —
 //!   the box was overloaded, or the hang was transient), and a resume file
@@ -45,9 +44,6 @@ pub enum JobError {
     /// "no result" and re-simulates (which repairs the file), so this
     /// variant surfaces only when injected or when repair itself fails.
     CorruptResume(String),
-    /// A `.svft` trace input ended mid-record. Deterministic — the input
-    /// is damaged; recapture it or replay with salvage mode.
-    TraceTruncated(String),
     /// A fault injected by the `SVF_FAULT_PLAN` hook, with the plan's
     /// declared retryability.
     Injected {
@@ -62,13 +58,13 @@ pub enum JobError {
 
 impl JobError {
     /// Whether a bounded retry may succeed. Deterministic failures
-    /// (divergence, compile errors, damaged inputs) are final.
+    /// (divergence, compile errors) are final.
     #[must_use]
     pub fn retryable(&self) -> bool {
         match self {
             JobError::Timeout { .. } | JobError::Io(_) | JobError::CorruptResume(_) => true,
             JobError::Injected { retryable, .. } => *retryable,
-            JobError::Panic(_) | JobError::Compile(_) | JobError::TraceTruncated(_) => false,
+            JobError::Panic(_) | JobError::Compile(_) => false,
         }
     }
 
@@ -97,7 +93,6 @@ impl fmt::Display for JobError {
             }
             JobError::Io(m) => write!(f, "I/O error: {m}"),
             JobError::CorruptResume(m) => write!(f, "corrupt resume data: {m}"),
-            JobError::TraceTruncated(m) => write!(f, "trace truncated: {m}"),
             JobError::Injected { kind, detail, .. } => {
                 write!(f, "injected {kind} fault: {detail}")
             }
@@ -174,7 +169,6 @@ mod tests {
         assert!(JobError::CorruptResume("bad row".into()).retryable());
         assert!(!JobError::Panic("panicked: deadlock".into()).retryable());
         assert!(!JobError::Compile("x: parse error".into()).retryable());
-        assert!(!JobError::TraceTruncated("record 7".into()).retryable());
         let inj = |retryable| JobError::Injected {
             kind: "io".into(),
             detail: "plan".into(),

@@ -12,7 +12,6 @@
 //! | `panic@N` | panics inside the job (real unwinding) | `Injected{kind:"panic"}`, retryable |
 //! | `io@N` | returns an I/O failure | [`JobError::Io`], retryable |
 //! | `hang@N:MS` | sleeps `MS` ms (default 60000) inside the job | [`JobError::Timeout`] via the watchdog |
-//! | `trunc@N` | returns a truncated-trace failure | [`JobError::TraceTruncated`], final |
 //! | `abort@N` | `std::process::abort()` — a crash with no cleanup, the in-process equivalent of `kill -9` | (process dies) |
 //!
 //! Jobs with a planned fault are kept out of shared lockstep batches and
@@ -37,7 +36,6 @@ enum Kind {
     Panic,
     Io,
     Hang(u64),
-    Trunc,
     Abort,
 }
 
@@ -67,7 +65,6 @@ fn parse_entry(entry: &str) -> Result<(usize, Kind), String> {
         ("hang", Some(ms)) => Kind::Hang(
             ms.parse().map_err(|_| format!("fault entry {entry:?}: bad ms {ms:?}"))?,
         ),
-        ("trunc", None) => Kind::Trunc,
         ("abort", None) => Kind::Abort,
         (k, _) => {
             return Err(format!("fault entry {entry:?}: unknown kind or stray argument for {k:?}"))
@@ -126,7 +123,7 @@ pub(crate) fn planned(id: usize) -> bool {
 ///
 /// # Errors
 ///
-/// The planned [`JobError`] for `io`/`trunc` entries.
+/// The planned [`JobError`] for an `io` entry.
 pub(crate) fn fire(id: usize) -> Result<(), JobError> {
     if PLAN.get().is_some() && ARMED.load(Ordering::Relaxed) == 0 {
         return Ok(());
@@ -145,9 +142,6 @@ pub(crate) fn fire(id: usize) -> Result<(), JobError> {
             std::thread::sleep(Duration::from_millis(ms));
             Ok(())
         }
-        Kind::Trunc => Err(JobError::TraceTruncated(format!(
-            "{MARKER} planned truncated-trace fault at job {id}"
-        ))),
         Kind::Abort => {
             eprintln!("{MARKER} planned abort at job {id}");
             std::process::abort()
@@ -164,14 +158,13 @@ mod tests {
 
     #[test]
     fn plans_parse() {
-        let p = parse_plan("panic@3, io@5,hang@7:2000,trunc@9,abort@12").expect("parses");
+        let p = parse_plan("panic@3, io@5,hang@7:2000,abort@12").expect("parses");
         assert_eq!(
             p,
             vec![
                 (3, Kind::Panic),
                 (5, Kind::Io),
                 (7, Kind::Hang(2000)),
-                (9, Kind::Trunc),
                 (12, Kind::Abort),
             ]
         );

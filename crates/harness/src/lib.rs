@@ -58,7 +58,7 @@
 //!    process never batch it again — survivors keep sharing streams
 //!    instead of all falling back to serial. The deterministic
 //!    `SVF_FAULT_PLAN` hook (see [`install_fault_plan`]) injects panics,
-//!    I/O errors, hangs, truncated traces, and process aborts at chosen
+//!    I/O errors, hangs and process aborts at chosen
 //!    job ids to test all of this.
 //!
 //! 6. **Sampled simulation** — [`Harness::with_sample`] hands its plan to
@@ -112,7 +112,7 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SampledStats, SimStats, Source};
+use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SampledStats, SimStats};
 use svf_isa::Program;
 
 pub use error::{JobError, RetryPolicy};
@@ -506,8 +506,8 @@ fn attempt_lockstep(
         for id in ids {
             fault::fire(id)?;
         }
-        let opts = RunOptions { max_insts: u64::MAX, fanout };
-        svf_cpu::simulate(&configs, Source::live(&program, sample.as_ref()), &opts).map_err(|e| {
+        let opts = RunOptions { max_insts: u64::MAX, fanout, sample };
+        svf_cpu::simulate(&configs, &program, &opts).map_err(|e| {
             let during = if sample.is_some() { "sampled simulation" } else { "simulation" };
             JobError::Panic(format!("panicked: functional fault during {during}: {e}"))
         })

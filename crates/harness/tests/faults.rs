@@ -165,19 +165,17 @@ fn sampled_runs_recover_from_faults_like_full_runs() {
 }
 
 #[test]
-fn truncated_trace_fault_is_final_despite_retry_budget() {
-    let exp = healthy_experiment("trunc", 2);
-    with_plan("trunc@0", || {
-        let report = Harness::serial().with_retries(5).run(&exp);
-        match report.jobs[0].outcome.failure() {
-            Some(e @ JobError::TraceTruncated(_)) => {
-                assert!(!e.retryable(), "damaged inputs are final");
-            }
-            other => panic!("expected TraceTruncated, got {other:?}"),
-        }
-        assert!(report.jobs[1].outcome.stats().is_some(), "sibling unaffected");
-        assert!(!report.summary.contains("retried"), "no retry burned: {}", report.summary);
-    });
+fn a_compile_error_is_final_despite_retry_budget() {
+    let mut exp = Experiment::new("compile-error");
+    exp.push(ProgramSpec::source("broken", "int main() { return 0 }"), "cfg0", CpuConfig::wide4());
+    exp.push(tagged("compile-error-sibling"), "cfg1", CpuConfig::wide8());
+    let report = Harness::serial().with_retries(5).run(&exp);
+    match report.jobs[0].outcome.failure() {
+        Some(e @ JobError::Compile(_)) => assert!(!e.retryable(), "compile errors are final"),
+        other => panic!("expected Compile, got {other:?}"),
+    }
+    assert!(report.jobs[1].outcome.stats().is_some(), "sibling unaffected");
+    assert!(!report.summary.contains("retried"), "no retry burned: {}", report.summary);
 }
 
 #[test]

@@ -1,9 +1,12 @@
 #!/usr/bin/env bash
 # Full local gate: release build, the complete test suite (release mode also
-# enables the timing-heavy figure-shape tests), compile-checked benchmarks,
-# the CLI smokes, warning-free rustdoc, warning-free clippy across every
-# target (benches included), and last a quick throughput smoke gate against
-# the committed baseline.
+# enables the timing-heavy figure-shape tests), the end-to-end benchmark's
+# tests against its committed lock file, compile-checked benchmarks, the
+# CLI and experiment smokes (64-bit cache tags, bad input, sampling,
+# sweeps, threaded lockstep, crash-resume, the shared timing plan),
+# warning-free rustdoc, warning-free clippy across every target (benches
+# included), and last a quick throughput smoke gate against the committed
+# baseline.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,15 +27,14 @@ RUST_TEST_THREADS=1 cargo test --release -q --test golden_stats
 # The end-to-end benchmark package (e2e-bench/, its own workspace) calls the
 # simulator's public API; building and testing it here turns an API change
 # it depends on into a check failure instead of a broken benchmark run.
-cargo test --release --offline -q --manifest-path e2e-bench/Cargo.toml
+# `--locked`: a change that would rewrite e2e-bench/Cargo.lock fails here
+# instead of quietly editing the benchmark's files.
+cargo test --release --offline --locked -q --manifest-path e2e-bench/Cargo.toml
 cargo bench --workspace --no-run
 smoke_out="$(mktemp /tmp/svf-bench-smoke.XXXXXX.json)"
-smoke_dir="$(mktemp -d /tmp/svf-trace-smoke.XXXXXX)"
+smoke_dir="$(mktemp -d /tmp/svf-smoke.XXXXXX)"
 trap 'rm -rf "$smoke_out" "$smoke_dir"' EXIT
-# Trace capture -> replay smoke: a live run and a replay of its captured
-# .svft trace must report identical timing lines (the replay path promises
-# bit-identical statistics; here that contract is checked end-to-end
-# through the real CLI, files and all).
+# The small program the bad-input smoke below runs.
 cat > "$smoke_dir/smoke.c" <<'EOF'
 int work(int n) {
     int buf[8];
@@ -48,19 +50,11 @@ int main() {
     return 0;
 }
 EOF
-cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.c" \
-    --dump-trace "$smoke_dir/smoke.svft" \
-    | grep -E '^\[|^  (SVF|DL1):' > "$smoke_dir/live.txt"
-cargo run --release --quiet --bin svf-sim -- "$smoke_dir/smoke.svft" \
-    | grep -E '^\[|^  (SVF|DL1):' > "$smoke_dir/replay.txt"
-diff -u "$smoke_dir/live.txt" "$smoke_dir/replay.txt" \
-    || { echo "trace replay diverged from live run" >&2; exit 1; }
-echo "trace capture->replay smoke: identical timing report"
-# The same through 64-bit cache tag words: a hand-written program that
-# stores to and loads from 2^50 and up. Caches hold tags in 32-bit words
-# until one reaches 2^30; a Table 2 DL1 or L2 tag is the address shifted
-# right by 14 or 17 bits, so the first reference there converts both
-# caches to 64-bit words mid-run, live and on replay.
+# 64-bit cache tag smoke: a hand-written program that stores to and loads
+# from 2^50 and up. Caches hold tags in 32-bit words until one reaches
+# 2^30; a Table 2 DL1 or L2 tag is the address shifted right by 14 or 17
+# bits, so the first reference there converts both caches to 64-bit words
+# mid-run, and every one of the 600 high references must reach the DL1.
 cat > "$smoke_dir/high.s" <<'EOF'
 main:
     li $t3, 0x4000000000000
@@ -78,15 +72,10 @@ main:
     halt
 EOF
 cargo run --release --quiet --bin svf-sim -- "$smoke_dir/high.s" --compare \
-    --dump-trace "$smoke_dir/high.svft" \
-    | grep -E '^\[|^  (SVF|DL1):' > "$smoke_dir/high-live.txt"
-cargo run --release --quiet --bin svf-sim -- "$smoke_dir/high.svft" --compare \
-    | grep -E '^\[|^  (SVF|DL1):' > "$smoke_dir/high-replay.txt"
-grep -q 'DL1: 600 accesses' "$smoke_dir/high-live.txt" \
+    > "$smoke_dir/high.txt"
+grep -q 'DL1: 600 accesses' "$smoke_dir/high.txt" \
     || { echo "high-address smoke: the DL1 missed the 600 high references" >&2; exit 1; }
-diff -u "$smoke_dir/high-live.txt" "$smoke_dir/high-replay.txt" \
-    || { echo "high-address trace replay diverged from live run" >&2; exit 1; }
-echo "64-bit cache tag smoke: identical timing report"
+echo "64-bit cache tag smoke: all 600 high references reach the DL1"
 # Bad-input smoke: a machine the simulator cannot build, or a sampling
 # plan it cannot schedule, must be a named error with exit 1, never a
 # panic. A 3 KB DL1 has no power-of-two set count; a 2000-entry IFQ plus

@@ -1,6 +1,5 @@
 //! `svf-sim` — compile and simulate a MiniC (`.c`) or assembly (`.s`)
-//! program, or replay a `.svft` trace, on the SVF reproduction's cycle
-//! simulator. See `--help`.
+//! program on the SVF reproduction's cycle simulator. See `--help`.
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -14,13 +14,13 @@
 use std::error::Error;
 use std::fmt::Write as _;
 
-use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SampledStats, Source, StackEngine};
+use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SampledStats, StackEngine};
 use svf_emu::{Emulator, Retired};
 use svf_isa::Program;
 
 /// The `svf-sim` usage text.
 pub const USAGE: &str = "\
-usage: svf-sim <file.c|file.s|file.svft> [options]
+usage: svf-sim <file.c|file.s> [options]
   --config NAME[+k=v,...]  the machine: a registry preset with an optional overlay
                            (default svf: 16-wide, 2+2 ports, 8 KB SVF;
                            e.g. --config svf+svf_bytes=4k,stack_ports=4)
@@ -39,15 +39,12 @@ usage: svf-sim <file.c|file.s|file.svft> [options]
   --disasm                 print the disassembly and exit
   --emit-asm               print the compiler's assembly and exit (MiniC only)
   --trace N                print the first N retired instructions
-  --dump-trace PATH        write a binary .svft trace of the run
-  --salvage                replay a truncated .svft trace up to the last complete
-                           record instead of erroring
 ";
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CliOptions {
-    /// Input path (`.c` MiniC, `.s` assembly, or a `.svft` trace).
+    /// Input path (`.c` MiniC or `.s` assembly).
     pub path: String,
     /// The machine: registry preset with an optional overlay
     /// (`svf+svf_bytes=4k`).
@@ -72,11 +69,6 @@ pub struct CliOptions {
     pub compare: bool,
     /// Print the first N retired instructions (functional trace).
     pub trace: u64,
-    /// Write a compact binary trace of the whole run to this path.
-    pub dump_trace: Option<String>,
-    /// Replay truncated `.svft` traces up to the last complete record
-    /// (with a warning) instead of erroring at the cut.
-    pub salvage: bool,
     /// Print the preset registry and exit.
     pub list_configs: bool,
 }
@@ -95,8 +87,6 @@ impl Default for CliOptions {
             emit_asm: false,
             compare: false,
             trace: 0,
-            dump_trace: None,
-            salvage: false,
             list_configs: false,
         }
     }
@@ -134,8 +124,6 @@ pub fn parse_args(args: &[String]) -> Result<CliOptions, String> {
             "--emit-asm" => o.emit_asm = true,
             "--compare" => o.compare = true,
             "--trace" => o.trace = value("--trace")?.parse().map_err(|_| "bad --trace")?,
-            "--dump-trace" => o.dump_trace = Some(value("--dump-trace")?.to_string()),
-            "--salvage" => o.salvage = true,
             p if !p.starts_with('-') && o.path.is_empty() => o.path = p.to_string(),
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -188,9 +176,6 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
     if o.list_configs {
         return Ok(svf_configspace::registry::listing());
     }
-    if o.path.ends_with(".svft") {
-        return replay_trace(&o);
-    }
     let source = std::fs::read_to_string(&o.path)?;
     if o.emit_asm {
         let cc_opts = if o.naive {
@@ -209,11 +194,13 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
         return Ok(report);
     }
 
-    // Functional run first: program output + instruction count.
+    // Functional run first: program output + instruction count. The
+    // listing's header counts the instructions it lists, which the program
+    // or `--max-insts` may cut short of `--trace`.
     let mut emu = Emulator::new(&program);
-    let mut r = Retired::PLACEHOLDER;
     if o.trace > 0 {
-        let _ = writeln!(report, "--- first {} retired instructions ---", o.trace);
+        let mut listing = String::new();
+        let mut r = Retired::PLACEHOLDER;
         while !emu.is_halted() && emu.steps() < o.trace.min(o.max_insts) {
             emu.step_record(&mut r)?;
             let fun = program.function_at(r.pc).unwrap_or("?");
@@ -225,23 +212,13 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
                     m.size
                 )
             });
-            let _ = writeln!(report, "{:>8}  {:#010x} <{}>  {}{}", emu.steps(), r.pc, fun, r.inst, mem);
+            let (n, pc, inst) = (emu.steps(), r.pc, r.inst);
+            let _ = writeln!(listing, "{n:>8}  {pc:#010x} <{fun}>  {inst}{mem}");
         }
+        let _ = writeln!(report, "--- first {} retired instructions ---", emu.steps());
+        report.push_str(&listing);
     }
-    if let Some(path) = &o.dump_trace {
-        let file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        let initial_sp = emu.reg(svf_isa::Reg::SP);
-        let mut w = svf_emu::TraceWriter::new(file, program.entry, program.heap_base, initial_sp)?;
-        while !emu.is_halted() && emu.steps() < o.max_insts {
-            emu.step_record(&mut r)?;
-            w.push(&r)?;
-        }
-        let n = w.records();
-        w.finish()?;
-        let _ = writeln!(report, "--- {n} records written to {path} ---");
-    } else {
-        emu.run(o.max_insts.saturating_sub(emu.steps()))?;
-    }
+    emu.run(o.max_insts.saturating_sub(emu.steps()))?;
     let _ = writeln!(report, "--- program output ---");
     report.push_str(&emu.output_string());
     let _ = writeln!(report, "--- {} instructions committed ---", emu.steps());
@@ -259,32 +236,27 @@ pub fn run_cli(args: &[String]) -> Result<String, Box<dyn Error>> {
         );
     }
 
-    let runs = run_timed(&o, Source::live(&program, o.sample.as_ref()))?;
+    let runs = run_timed(&o, &program)?;
     timing_report(&mut report, &o, &runs);
     Ok(report)
 }
 
-/// The one timing run, over a live program or a replayed trace: the
-/// machine, plus with `--compare` its baseline — the same machine with the
-/// stack structure removed — riding one lockstep batch over the shared
-/// stream, fanned out across up to `o.threads` timing threads. A sampled
-/// compare is sampled-vs-sampled. Returns `[machine]` or
-/// `[machine, baseline]`.
-fn run_timed<R: std::io::Read>(
-    o: &CliOptions,
-    source: Source<'_, R>,
-) -> Result<Vec<SampledStats>, Box<dyn Error>> {
+/// The one timing run: the machine, plus with `--compare` its baseline —
+/// the same machine with the stack structure removed — riding one lockstep
+/// batch over the shared stream, fanned out across up to `o.threads`
+/// timing threads. A sampled compare is sampled-vs-sampled. Returns
+/// `[machine]` or `[machine, baseline]`.
+fn run_timed(o: &CliOptions, program: &Program) -> Result<Vec<SampledStats>, Box<dyn Error>> {
     let cfg = build_config(o)?;
     let mut configs = vec![cfg.clone()];
     if o.compare {
         configs.push(CpuConfig { stack_engine: StackEngine::None, stack_ports: 0, ..cfg });
     }
-    let opts = RunOptions { max_insts: o.max_insts, fanout: o.threads };
-    Ok(svf_cpu::simulate(&configs, source, &opts)?)
+    let opts = RunOptions { max_insts: o.max_insts, fanout: o.threads, sample: o.sample };
+    Ok(svf_cpu::simulate(&configs, program, &opts)?)
 }
 
-/// The timing lines of [`run_timed`]'s runs, shared by live runs and trace
-/// replays (identical stream, identical text): each run's greppable
+/// The timing lines of [`run_timed`]'s runs: each run's greppable
 /// `SAMPLED` coverage line when sampled (the `scripts/check.sh` smoke gate
 /// parses it), the machine's lines, and with `--compare` the speedup over
 /// the baseline.
@@ -334,39 +306,6 @@ fn timing_report(report: &mut String, o: &CliOptions, runs: &[SampledStats]) {
     }
 }
 
-/// Replays a captured `.svft` binary trace (see `--dump-trace`) through
-/// the timing model: no compiler, no emulator — the trace *is* the
-/// committed instruction stream, and the reported statistics are
-/// bit-identical to a live run of the same program under the same
-/// configuration.
-fn replay_trace(o: &CliOptions) -> Result<String, Box<dyn Error>> {
-    if o.sample.is_some() {
-        // Sampling fast-forwards an *emulator*; a trace replay has none
-        // (the trace is the committed stream, consumed once, in order).
-        return Err("--sample does not apply to .svft trace replay".into());
-    }
-    let file = std::io::BufReader::new(std::fs::File::open(&o.path)?);
-    // Salvage mode: a capture killed mid-write replays up to its last
-    // complete record, with the cut reported rather than fatal.
-    let salvage = o.salvage.then(svf_emu::SalvageReport::new);
-    let src = match &salvage {
-        Some(report) => svf_emu::TraceSource::open_salvage(file, std::sync::Arc::clone(report))?,
-        None => svf_emu::TraceSource::open(file)?,
-    };
-    let runs = run_timed(o, Source::Trace(src))?;
-    let mut report = String::new();
-    if let Some(salvage) = salvage.filter(|s| s.was_truncated()) {
-        let _ = writeln!(
-            report,
-            "--- WARNING: trace truncated mid-record; salvaged the first {} complete records ---",
-            salvage.salvaged_records()
-        );
-    }
-    let _ = writeln!(report, "--- replayed {} trace records ---", runs[0].stats.committed);
-    timing_report(&mut report, o, &runs);
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,11 +325,8 @@ mod tests {
         assert_eq!(o.config, "wide8+predictor=gshare");
         assert!(o.naive && o.profile && o.compare);
         assert_eq!((o.max_insts, o.threads), (1000, 2));
-        let o = parse_args(&args(&["p.c", "--dump-trace", "t.bin", "--trace", "5"])).unwrap();
-        assert_eq!(o.dump_trace.as_deref(), Some("t.bin"));
+        let o = parse_args(&args(&["p.c", "--trace", "5"])).unwrap();
         assert_eq!(o.trace, 5);
-        let o = parse_args(&args(&["t.svft", "--salvage"])).unwrap();
-        assert!(o.salvage);
     }
 
     #[test]
@@ -407,8 +343,6 @@ mod tests {
         let err = parse_args(&args(&["p.c", "--sample", huge])).unwrap_err();
         assert!(err.contains("period"), "{err}");
         assert!(parse_args(&args(&["p.c", "--sample"])).is_err(), "flag needs a value");
-        let err = run_cli(&args(&["t.svft", "--sample", ""])).unwrap_err();
-        assert!(err.to_string().contains("trace replay"), "{err}");
     }
 
     #[test]
@@ -436,41 +370,34 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// `t.svft --compare` replays the machine and its baseline over the
-    /// trace: the timing lines equal the live `--compare` run that
-    /// captured it, baseline line included.
+    /// `--trace N` lists at most N instructions, and its header counts the
+    /// ones it lists: the whole program when it halts first, `--max-insts`
+    /// when that cuts the run.
     #[test]
-    fn trace_replay_compare_matches_the_live_compare() {
-        let dir = std::env::temp_dir();
-        let src = dir.join(format!("svf_cli_replay_pair_{}.c", std::process::id()));
-        let trace = dir.join(format!("svf_cli_replay_pair_{}.svft", std::process::id()));
+    fn trace_listing_header_counts_the_listed_instructions() {
+        let path = std::env::temp_dir().join(format!("svf_cli_trace_{}.s", std::process::id()));
         std::fs::write(
-            &src,
-            "int f(int n) { int b[4]; for (int i = 0; i < 4; i = i + 1) b[i] = i * n; \
-             return b[1] + b[3]; }\n\
-             int main() { int s = 0; for (int i = 0; i < 50; i = i + 1) s = s + f(i); \
-             print(s); return 0; }",
+            &path,
+            "main:\n lda $sp, -16($sp)\n li $t0, 5\n stq $t0, 0($sp)\n ldq $a0, 0($sp)\n \
+             putint\n lda $sp, 16($sp)\n halt\n",
         )
         .unwrap();
-        let (src, trace) = (src.to_str().unwrap(), trace.to_str().unwrap());
-        let timing_lines = |report: &str| -> Vec<String> {
-            report
-                .lines()
-                .filter(|l| {
-                    l.starts_with('[') || l.starts_with("  SVF:") || l.starts_with("  DL1:")
-                })
-                .map(ToString::to_string)
-                .collect()
+        let p = path.to_str().unwrap();
+        let listing = |extra: &[&str]| -> (String, Vec<String>) {
+            let report = run_cli(&args(&[&[p, "--trace", "1000"], extra].concat())).unwrap();
+            let mut lines = report.lines().skip_while(|l| !l.starts_with("--- first"));
+            let header = lines.next().expect("a listing header").to_string();
+            (header, lines.take_while(|l| !l.starts_with("---")).map(ToString::to_string).collect())
         };
-        let live = run_cli(&args(&[src, "--compare", "--dump-trace", trace])).unwrap();
-        let replay = run_cli(&args(&[trace, "--compare"])).unwrap();
-        let live = timing_lines(&live);
-        assert!(live.iter().any(|l| l.starts_with("[baseline")), "{live:?}");
-        assert_eq!(live, timing_lines(&replay), "the replayed pair must match the live pair");
-        let threaded = run_cli(&args(&[trace, "--compare", "--threads", "2"])).unwrap();
-        assert_eq!(live, timing_lines(&threaded), "at any fan-out");
-        let _ = std::fs::remove_file(src);
-        let _ = std::fs::remove_file(trace);
+        let (header, lines) = listing(&[]);
+        assert_eq!(lines.len(), 7, "the whole program: {lines:?}");
+        assert_eq!(header, "--- first 7 retired instructions ---");
+        assert_eq!(lines.iter().filter(|l| l.contains("[store 0x")).count(), 1, "{lines:?}");
+        assert!(lines[2].ends_with("(8B)]") && lines[3].contains("[load 0x"), "{lines:?}");
+        let (header, lines) = listing(&["--max-insts", "4"]);
+        assert_eq!(lines.len(), 4, "capped by --max-insts: {lines:?}");
+        assert_eq!(header, "--- first 4 retired instructions ---");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -494,7 +421,9 @@ mod tests {
 
     #[test]
     fn removed_hand_flags_are_unknown_arguments() {
-        for flag in ["--engine", "--width", "--ports", "--svf-kb", "--gshare"] {
+        for flag in
+            ["--engine", "--width", "--ports", "--svf-kb", "--gshare", "--dump-trace", "--salvage"]
+        {
             let err = parse_args(&args(&["p.c", flag, "8"])).unwrap_err();
             assert!(err.contains(flag), "{err}");
         }

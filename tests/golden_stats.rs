@@ -28,15 +28,12 @@
 //! golden gate: a preset that drifts from its pre-registry hardwired
 //! machine changes a pinned row and fails here.
 
-use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SimStats, Simulator, Source};
+use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SimStats, Simulator};
 use svf_isa::Program;
 use svf_workloads::Scale;
 
 /// A sampling plan whose one interval spans every run here.
 const WHOLE_RUN_PLAN: &str = "period=100m,interval=100m,warmup=0,ramp=0,tail=0";
-
-/// The whole stream, on one timing thread.
-const WHOLE_RUN: RunOptions = RunOptions { max_insts: u64::MAX, fanout: 1 };
 
 /// The pinned (workload, config) matrix: three kernels spanning the key
 /// behaviours (shallow/loopy bzip2, call-heavy twolf, pointer-heavy gap).
@@ -186,41 +183,6 @@ fn threaded_lockstep_matches_golden_snapshots_at_every_fanout() {
     }
 }
 
-/// The persisted-trace contract: capture each workload's stream to the
-/// binary trace format once, replay it through all six configurations, and
-/// the same 18 pinned rows come back — the trace is lossless for timing.
-#[test]
-fn trace_replay_matches_golden_snapshots() {
-    for w in WORKLOADS {
-        let program = compile(w);
-        let mut emu = svf_emu::Emulator::new(&program);
-        let initial_sp = emu.reg(svf_isa::Reg::SP);
-        let mut writer =
-            svf_emu::TraceWriter::new(Vec::new(), program.entry, program.heap_base, initial_sp)
-                .expect("trace header");
-        while !emu.is_halted() {
-            writer.push(&emu.step().expect("workload runs")).expect("trace record");
-        }
-        let bytes = writer.finish().expect("trace flush");
-        let cfgs: Vec<CpuConfig> = configs().into_iter().map(|(_, c)| c).collect();
-        let src = svf_emu::TraceSource::open(bytes.as_slice()).expect("trace opens");
-        let runs = svf_cpu::simulate(&cfgs, Source::Trace(src), &WHOLE_RUN).expect("trace replays");
-        let stats: Vec<SimStats> = runs.into_iter().map(|r| r.stats).collect();
-        for ((label, _), (actual, expected)) in
-            configs().iter().zip(stats.iter().zip(golden_for(w)))
-        {
-            assert_eq!(
-                actual, &expected,
-                "{w}/{label}: trace replay diverged from the pinned live run.\n\
-                 expected: {}\n\
-                 actual:   {}",
-                expected.to_csv_row(),
-                actual.to_csv_row()
-            );
-        }
-    }
-}
-
 /// A sampling plan whose single interval spans the whole run — no warmup,
 /// ramp or tail — is a full detailed run: the same 18 pinned rows come
 /// back, reported as one interval with every instruction detailed.
@@ -230,8 +192,8 @@ fn whole_run_sampling_plan_matches_golden_snapshots() {
     let cfgs: Vec<CpuConfig> = configs().into_iter().map(|(_, c)| c).collect();
     for w in WORKLOADS {
         let program = compile(w);
-        let source = Source::live(&program, Some(&plan));
-        let runs = svf_cpu::simulate(&cfgs, source, &WHOLE_RUN).expect("workload runs");
+        let opts = RunOptions { max_insts: u64::MAX, fanout: 1, sample: Some(plan) };
+        let runs = svf_cpu::simulate(&cfgs, &program, &opts).expect("workload runs");
         for ((label, _), (run, expected)) in configs().iter().zip(runs.iter().zip(golden_for(w))) {
             assert_eq!(
                 run.stats, expected,

@@ -9,8 +9,8 @@
 //! this pins 169 budget-capped rows on the twelve kernels plus one
 //! assembly loop that stalls decode on the §3.1 `$sp` interlock (no
 //! kernel does), reached through every driver path: [`Simulator::run`],
-//! one lockstep batch, a fan-out of 3, `.svft` replay and a sampling plan
-//! whose single interval spans the whole run.
+//! one lockstep batch, a fan-out of 3 and a sampling plan whose single
+//! interval spans the whole run.
 //!
 //! The lattice covers: one and sixteen SVF ports, a single DL1 port, a
 //! single multiplier, two ALUs, the §3.2 collision squash on and off,
@@ -26,7 +26,7 @@
 //! and pastes the printed lines under the header, naming the new commit.
 
 use svf_configspace::{registry, Overlay};
-use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SimStats, Simulator, Source};
+use svf_cpu::{CpuConfig, RunOptions, SampleSpec, SimStats, Simulator};
 use svf_isa::Program;
 use svf_workloads::Scale;
 
@@ -170,38 +170,15 @@ fn fanout_of_three_matches_the_oracle() {
 }
 
 #[test]
-fn trace_replay_matches_the_oracle() {
-    let cfgs = lattice();
-    for w in kernels() {
-        let program = compile(w);
-        let mut emu = svf_emu::Emulator::new(&program);
-        let initial_sp = emu.reg(svf_isa::Reg::SP);
-        let mut writer =
-            svf_emu::TraceWriter::new(Vec::new(), program.entry, program.heap_base, initial_sp)
-                .expect("trace header");
-        for _ in 0..BUDGET {
-            writer.push(&emu.step().expect("kernel runs")).expect("trace record");
-        }
-        let bytes = writer.finish().expect("trace flush");
-        let src = svf_emu::TraceSource::open(bytes.as_slice()).expect("trace opens");
-        let opts = RunOptions { max_insts: BUDGET, fanout: 1 };
-        let runs = svf_cpu::simulate(&cfgs, Source::Trace(src), &opts).expect("trace replays");
-        check(".svft replay", w, &runs.into_iter().map(|r| r.stats).collect::<Vec<_>>());
-    }
-}
-
-#[test]
 fn whole_run_sampling_plan_matches_the_oracle() {
     // One interval spanning the whole budget, with no warmup, ramp or
     // tail: the sampled path must reduce to the full detailed run.
     let plan = SampleSpec::parse("period=100m,interval=100m,warmup=0,ramp=0,tail=0")
         .expect("plan parses");
     let cfgs = lattice();
-    let opts = RunOptions { max_insts: BUDGET, fanout: 1 };
+    let opts = RunOptions { max_insts: BUDGET, fanout: 1, sample: Some(plan) };
     for w in kernels() {
-        let program = compile(w);
-        let runs = svf_cpu::simulate(&cfgs, Source::live(&program, Some(&plan)), &opts)
-            .expect("kernel runs");
+        let runs = svf_cpu::simulate(&cfgs, &compile(w), &opts).expect("kernel runs");
         assert!(runs.iter().all(|r| r.intervals == 1 && r.detailed_insts == BUDGET), "{w}");
         check("whole-run sampling plan", w, &runs.into_iter().map(|r| r.stats).collect::<Vec<_>>());
     }

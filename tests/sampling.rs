@@ -10,7 +10,7 @@
 //! bench.sh`); the simulator is deterministic, so the bounds are exact
 //! contracts, not statistical hopes.
 
-use svf_cpu::{relative_error, CpuConfig, RunOptions, SampleSpec, SimStats, Source};
+use svf_cpu::{relative_error, CpuConfig, RunOptions, SampleSpec, SimStats};
 use svf_isa::Program;
 use svf_workloads::Scale;
 
@@ -148,8 +148,8 @@ fn sampled_fanout_is_bit_identical_across_fanouts() {
     let spec = SampleSpec::parse(plan).expect("plan parses");
     let program = compile(w);
     let run = |fanout: usize| {
-        let opts = RunOptions { max_insts: u64::MAX, fanout };
-        svf_cpu::simulate(&cfgs, Source::live(&program, Some(&spec)), &opts).expect("runs")
+        let opts = RunOptions { max_insts: u64::MAX, fanout, sample: Some(spec) };
+        svf_cpu::simulate(&cfgs, &program, &opts).expect("runs")
     };
     let serial = run(1);
     assert!(serial.iter().all(|s| s.intervals >= 2), "{w}: the plan fires repeatedly");
